@@ -56,6 +56,28 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _trajectory_lines(times, states) -> list[str]:
+    """Rows of a trajectory of (x_I, x_W, x_S), mean-field or empirical."""
+    lines = ["t,x_I,x_W,x_S"]
+    for t, (xi, xw, xs) in zip(times, states):
+        lines.append(f"{_fmt(t)},{_fmt(xi)},{_fmt(xw)},{_fmt(xs)}")
+    return lines
+
+
+def _summary_lines(pooled: sim.PooledResult) -> list[str]:
+    """Pooled mean and standard error, summed event counts, mean k estimate.
+
+    A lone replication reports the standard error over its devices instead.
+    """
+    results = pooled.results
+    stderr = pooled.stderr if pooled.n_reps > 1 else results[0].avg_aoi_stderr
+    k_est = float(np.mean([r.effective_k_estimate for r in results]))
+    counts = [str(sum(getattr(r, f) for r in results))
+              for f in ("arrivals", "delivered", "failed", "preempted", "discarded")]
+    return ["mean,stderr,arrivals,delivered,failed,preempted,discarded,k_estimate",
+            ",".join([_fmt(pooled.mean_aoi), _fmt(stderr), *counts, _fmt(k_est)])]
+
+
 # ---------------------------------------------------------------------------
 # Reproduction presets: parameters exactly as printed in the figure captions.
 
@@ -316,20 +338,11 @@ class _Output:
 # ---------------------------------------------------------------------------
 # Commands.
 
-def _cmd_analytic(args, output: _Output) -> int:
-    _require(args, "lam", "mu", "k")
-    combos = _combos(args)
-    sweep_texts = [t for t in (args.sweep, f"p={args.p_grid}" if args.p_grid else None) if t]
-    if len(sweep_texts) > 1:
-        raise UsageError("give at most one of --sweep / --p-grid")
-    base = {"lam": args.lam, "mu": args.mu, "k": args.k, "p": args.p}
-    if sweep_texts:
-        which, grid = _parse_sweep(sweep_texts[0], ("lam", "mu", "k", "p"))
-        points = [dict(base, **{which: v}) for v in grid]
-    else:
-        _require(args, "p")
-        points = [base]
+def _add_analytic(output: _Output, name: str, combos, points: list[dict]) -> int:
+    """Closed-form AoI and preemption gap per (policy, scheme) and point.
 
+    A point that fails gets the error's name in both value columns.
+    """
     lines = ["policy,scheme,lambda,mu,k,p,aoi,gap"]
     failures = 0
     for ps in combos:
@@ -344,11 +357,26 @@ def _cmd_analytic(args, output: _Output) -> int:
             except AoiError as exc:
                 failures += 1
                 lines.append(f"{prefix},{type(exc).__name__},{type(exc).__name__}")
-    output.add("analytic.csv", lines)
+    output.add(name, lines)
     if failures:
         output.say(f"warning: {failures} grid point(s) failed")
         return _EXIT_NUMERICAL
     return _EXIT_OK
+
+
+def _cmd_analytic(args, output: _Output) -> int:
+    _require(args, "lam", "mu", "k")
+    sweep_texts = [t for t in (args.sweep, f"p={args.p_grid}" if args.p_grid else None) if t]
+    if len(sweep_texts) > 1:
+        raise UsageError("give at most one of --sweep / --p-grid")
+    base = {"lam": args.lam, "mu": args.mu, "k": args.k, "p": args.p}
+    if sweep_texts:
+        which, grid = _parse_sweep(sweep_texts[0], ("lam", "mu", "k", "p"))
+        points = [dict(base, **{which: v}) for v in grid]
+    else:
+        _require(args, "p")
+        points = [base]
+    return _add_analytic(output, "analytic.csv", _combos(args), points)
 
 
 def _cmd_crossvalidate(args, output: _Output) -> int:
@@ -425,13 +453,14 @@ def _cmd_meanfield(args, output: _Output) -> int:
             x0 = StateFractions(1.0, 0.0, 0.0)
         for pol in policies:
             traj = meanfield.integrate(pol, params, x0, t_end=t_end, dt=dt)
-            output.add(f"trajectory_{pol.value}.csv", meanfield.trajectory_csv_lines(traj))
+            output.add(f"trajectory_{pol.value}.csv", _trajectory_lines(traj.times, traj.states))
     if args.monotonicity:
         which, grid = _parse_sweep(args.monotonicity, ("lam", "mu", "w", "gamma", "p"))
         for ps in _combos(args):
             report = meanfield.monotonicity_report(ps.policy, ps.scheme, params, which, grid)
-            output.add(f"monotonicity_{ps.label}_{which}.csv",
-                       meanfield.report_csv_lines(report))
+            rows = [f"{which},{_fmt(v)},{_fmt(d)},{sign}"
+                    for v, d, sign in zip(report.values, report.d_aoi, report.aoi_signs())]
+            output.add(f"monotonicity_{ps.label}_{which}.csv", ["param,value,dAoI,sign", *rows])
             verdicts = " ".join(f"{k}={v}" for k, v in report.verdicts.items())
             output.say(f"monotonicity {ps.label} d/d{which}: {verdicts}")
     if not any(wants):
@@ -465,12 +494,14 @@ def _cmd_simulate(args, output: _Output) -> int:
             sample_dt=args.sample_dt,
         )
         pooled = sim.replicate(config, n_reps=reps, parallelism=parallelism)
-        results = list(pooled.results)
+        first = pooled.results[0]
         tag = "" if single else f"_{ps.label}"
-        output.add(f"summary{tag}.csv", sim.summary_csv_lines(results))
-        output.add(f"aoi{tag}.csv", sim.aoi_csv_lines(results[0]))
+        output.add(f"summary{tag}.csv", _summary_lines(pooled))
+        output.add(f"aoi{tag}.csv", ["device_id,avg_aoi"] + [
+            f"{d},{_fmt(v)}" for d, v in enumerate(first.avg_aoi_per_device)])
         if args.sample_dt is not None:
-            output.add(f"traj{tag}.csv", sim.traj_csv_lines(results[0]))
+            output.add(f"traj{tag}.csv",
+                       _trajectory_lines(first.trajectory_times, first.trajectory_fractions))
         if args.compare:
             target = meanfield.aoi_at_equilibrium(ps, params)
             rel = (pooled.mean_aoi - target) / target
@@ -485,19 +516,9 @@ def _cmd_reproduce(args, output: _Output) -> int:
     seed = _resolve_seed(args)
     pp = preset.params
     if args.preset == "aoi-vs-p":
-        start, end, count = pp["p_grid"]
-        grid = np.linspace(start, end, count)
-        lines = ["policy,scheme,lambda,mu,k,p,aoi,gap"]
-        for ps in PolicyScheme.all_combinations():
-            for p in grid:
-                aoi = closedform.avg_aoi(ps, lam=pp["lam"], mu=pp["mu"], k=pp["k"], p=p)
-                gap = closedform.preemption_gap(ps.policy, lam=pp["lam"], mu=pp["mu"],
-                                                k=pp["k"], p=p)
-                lines.append(f"{ps.policy.value},{ps.scheme.value},{_fmt(pp['lam'])},"
-                             f"{_fmt(pp['mu'])},{_fmt(pp['k'])},{_fmt(p)},"
-                             f"{_fmt(aoi.total)},{_fmt(gap)}")
-        output.add("aoi_vs_p.csv", lines)
-        return _EXIT_OK
+        points = [dict(lam=pp["lam"], mu=pp["mu"], k=pp["k"], p=p)
+                  for p in np.linspace(*pp["p_grid"])]
+        return _add_analytic(output, "aoi_vs_p.csv", PolicyScheme.all_combinations(), points)
 
     if args.preset == "accuracy":
         reps = args.reps if args.reps is not None else 100
@@ -507,11 +528,8 @@ def _cmd_reproduce(args, output: _Output) -> int:
         traj = meanfield.integrate(Policy.W, base, StateFractions(1.0, 0.0, 0.0),
                                    t_end=t_end, dt=0.01)
         stride = max(1, round(sample_dt / 0.01))
-        ode_lines = ["t,x_I,x_W,x_S"]
-        for idx in range(0, len(traj.times), stride):
-            t, (xi, xw, xs) = traj.times[idx], traj.states[idx]
-            ode_lines.append(f"{_fmt(t)},{_fmt(xi)},{_fmt(xw)},{_fmt(xs)}")
-        output.add("accuracy_ode.csv", ode_lines)
+        output.add("accuracy_ode.csv",
+                   _trajectory_lines(traj.times[::stride], traj.states[::stride]))
         for n in pp["populations"]:
             m = int(round(n / pp["gamma"]))
             params = SystemParams(lam=pp["lam"], mu=pp["mu"], w=pp["w"], p=pp["p"],
@@ -558,11 +576,11 @@ def _cmd_reproduce(args, output: _Output) -> int:
                           n_devices=pp["n"], n_channels=pp["m"])
     ps = PolicyScheme(Policy.I, Scheme.WP)
     config = SimConfig(params=params, ps=ps, seed=seed, stop_arrivals=arrivals)
-    result = sim.run(config)
+    pooled = sim.replicate(config, n_reps=1)
     expected = closedform.avg_aoi(ps, lam=pp["lam"], mu=pp["mu"], k=pp["w"], p=pp["p"]).total
-    rel = (result.avg_aoi_mean - expected) / expected
-    output.add("single_device.csv", sim.summary_csv_lines([result]))
-    output.say(f"single device: sim={_fmt(result.avg_aoi_mean)} "
+    rel = (pooled.mean_aoi - expected) / expected
+    output.add("single_device.csv", _summary_lines(pooled))
+    output.say(f"single device: sim={_fmt(pooled.mean_aoi)} "
                f"closed_form={_fmt(expected)} rel_error={rel:+.4%}")
     return _EXIT_OK
 

@@ -47,6 +47,15 @@ class Scheme(str, Enum):
     WOP = "WOP"
 
 
+# Device states, shared by the SHS device chains and the simulator.
+IDLE, WAITING, SERVICE = 0, 1, 2
+
+# The one decision the policies differ in: the state a device enters after a
+# failed transmission (drop the packet, re-contend with it, or retransmit on
+# the held channel).
+FAILURE_TARGET = {Policy.I: IDLE, Policy.W: WAITING, Policy.S: SERVICE}
+
+
 @dataclass(frozen=True)
 class PolicyScheme:
     """One of the six analyzed (policy, scheme) combinations."""

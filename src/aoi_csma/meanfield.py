@@ -20,6 +20,9 @@ import numpy as np
 
 from . import closedform
 from .core import (
+    FAILURE_TARGET,
+    IDLE,
+    WAITING,
     AoiError,
     InfeasibleOccupancy,
     InvalidParameter,
@@ -80,9 +83,10 @@ class Trajectory:
 
 def _flow_rates(policy: Policy, mu: float, p: float) -> tuple[float, float]:
     """Per-x_s outflow rates of the service state: (to idle, to waiting)."""
-    if policy is Policy.I:
+    target = FAILURE_TARGET[policy]
+    if target == IDLE:
         return mu, 0.0
-    if policy is Policy.W:
+    if target == WAITING:
         return mu * p, mu * (1.0 - p)
     return mu * p, 0.0
 
@@ -144,8 +148,7 @@ def equilibrium(policy: Policy, params: SystemParams) -> Equilibrium:
         raise NoFeasibleRoot(f"fixed-point residual {abs(x_s - fixed_point)} too large")
 
     x_i = (mu * p_eff / lam) * x_s
-    mu_w = mu * p if policy is Policy.S else mu
-    x_w = mu_w * x_s / k
+    x_w = mu_term * x_s / k
     x_star = StateFractions(x_i, x_w, x_s)
     residual = float(np.abs(drift(policy, params, x_star)).max())
     margin = min(lam, k, w * gamma * x_w)
@@ -307,16 +310,8 @@ class MonotonicityReport:
     aoi_claim: int | None
     verdicts: dict[str, str]
 
-    def x_signs(self, quantity: str) -> list[int]:
-        col = {"x_i": 0, "x_w": 1, "x_s": 2}[quantity]
-        return [_sign(d) for d in self.d_x[:, col]]
-
     def aoi_signs(self) -> list[int]:
         return [_sign(d) for d in self.d_aoi]
-
-    def aoi_sign_change(self) -> bool:
-        signs = [s for s in self.aoi_signs() if s != 0]
-        return any(a != b for a, b in zip(signs, signs[1:]))
 
     def all_claims_match(self) -> bool:
         return all(v != "mismatch" for v in self.verdicts.values())
@@ -405,29 +400,3 @@ def monotonicity_report(
         aoi_claim=aoi_claim,
         verdicts=verdicts,
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization (9 significant digits, LF line endings).
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def trajectory_csv_lines(traj: Trajectory) -> list[str]:
-    lines = ["t,x_I,x_W,x_S"]
-    for t, (xi, xw, xs) in zip(traj.times, traj.states):
-        lines.append(f"{_fmt(t)},{_fmt(xi)},{_fmt(xw)},{_fmt(xs)}")
-    return lines
-
-
-def report_csv_lines(report: MonotonicityReport) -> list[str]:
-    lines = ["param,value,dAoI,sign"]
-    for value, d in zip(report.values, report.d_aoi):
-        lines.append(f"{report.which},{_fmt(value)},{_fmt(d)},{_sign(d)}")
-    return lines
-
-
-def write_csv(lines: list[str], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AoiError, Policy, PolicyScheme, Scheme
+from .core import FAILURE_TARGET, IDLE, SERVICE, WAITING, AoiError, PolicyScheme, Scheme
 
 
 class DegenerateRate(AoiError):
@@ -95,31 +95,29 @@ _KEEP_RECEIVER = np.array([[1.0, 0.0], [0.0, 0.0]])   # z0' = z0, z1' = 0 (fresh
 _IDENTITY = np.eye(2)                                  # nothing resets
 _DELIVER = np.array([[0.0, 0.0], [1.0, 0.0]])          # z0' = z1, z1' = 0
 
-# Where the failed-transmission edge points, per policy.
-_FAILURE_TARGET = {Policy.I: 0, Policy.W: 1, Policy.S: 2}
-
 
 def build_chain(ps: PolicyScheme, lam: float, mu: float, k: float, p: float) -> ShsChain:
     """Device chain for one (policy, scheme): 3 states, age vector [z0, z1].
 
-    States 0/1/2 are Idle/Waiting/Service.  Edges: arrival into waiting,
-    waiting replacement (self-loop at 1), service entry, successful delivery
-    (rate mu*p, resets z0 to the delivered packet age), failed delivery
-    (rate mu*(1-p), target depends on the policy, dropped when p = 1), and
-    under WP the in-service preemption self-loop at 2 (rate lam).
+    States are the device states of :mod:`aoi_csma.core`.  Edges: arrival
+    into waiting, waiting replacement (self-loop), service entry, successful
+    delivery (rate mu*p, resets z0 to the delivered packet age), failed
+    delivery (rate mu*(1-p), into ``FAILURE_TARGET[policy]``, dropped when
+    p = 1), and under WP the in-service preemption self-loop (rate lam).
     """
     if not 0.0 < p <= 1.0:
         raise DegenerateRate(f"p = {p} outside (0, 1]")
     transitions = [
-        Transition(0, 1, lam, _KEEP_RECEIVER),
-        Transition(1, 2, k, _IDENTITY),
-        Transition(1, 1, lam, _KEEP_RECEIVER),
-        Transition(2, 0, mu * p, _DELIVER),
+        Transition(IDLE, WAITING, lam, _KEEP_RECEIVER),
+        Transition(WAITING, SERVICE, k, _IDENTITY),
+        Transition(WAITING, WAITING, lam, _KEEP_RECEIVER),
+        Transition(SERVICE, IDLE, mu * p, _DELIVER),
     ]
     if p < 1.0:
-        transitions.append(Transition(2, _FAILURE_TARGET[ps.policy], mu * (1.0 - p), _IDENTITY))
+        transitions.append(
+            Transition(SERVICE, FAILURE_TARGET[ps.policy], mu * (1.0 - p), _IDENTITY))
     if ps.scheme is Scheme.WP:
-        transitions.append(Transition(2, 2, lam, _KEEP_RECEIVER))
+        transitions.append(Transition(SERVICE, SERVICE, lam, _KEEP_RECEIVER))
     growth = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     return ShsChain(n_states=3, age_dim=2, transitions=tuple(transitions), growth=growth)
 

@@ -30,7 +30,8 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .core import AoiError, Policy, PolicyScheme, Scheme, SystemParams, validate
+from .core import (FAILURE_TARGET, IDLE, SERVICE, WAITING, AoiError, PolicyScheme, Scheme,
+                   SystemParams, validate)
 
 
 class InvalidConfig(AoiError):
@@ -41,7 +42,6 @@ class ChannelAccounting(AoiError):
     """Internal invariant violated: busy channels != devices in service."""
 
 
-IDLE, WAITING, SERVICE = 0, 1, 2
 _ARRIVAL, _BACKOFF, _COMPLETE = 0, 1, 2
 _P_ARRIVAL, _P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS = range(5)
 
@@ -193,6 +193,12 @@ def _check_config(config: SimConfig) -> None:
     validate(p)
 
 
+def _check_channels(occupied: list[bool], n_serv: int) -> None:
+    busy = sum(occupied)
+    if busy != n_serv:
+        raise ChannelAccounting(f"{busy} channels busy but {n_serv} devices in service")
+
+
 def run(config: SimConfig) -> SimResult:
     """Simulate one replication and return its statistics."""
     _check_config(config)
@@ -200,12 +206,11 @@ def run(config: SimConfig) -> SimResult:
     n: int = params.n_devices
     m: int = params.n_channels
     w, prob, gamma = params.w, params.p, params.gamma
-    policy, wp = config.ps.policy, config.ps.scheme is Scheme.WP
+    fail_to, wp = FAILURE_TARGET[config.ps.policy], config.ps.scheme is Scheme.WP
     streams = _Streams(config.seed, config.replication, n, m, params.lam, w, params.mu)
 
     devices = [DeviceState() for _ in range(n)]
     occupied = [False] * m
-    busy = 0
     n_idle, n_wait, n_serv = n, 0, 0
     arrivals = delivered = failed = preempted = discarded = 0
 
@@ -263,6 +268,7 @@ def run(config: SimConfig) -> SimResult:
                 ns_integral += n_serv * (t - seg_from)
         if sampling:
             while next_sample < t:
+                _check_channels(occupied, n_serv)
                 traj_times.append(next_sample)
                 traj_counts.append((n_idle, n_wait, n_serv))
                 next_sample += sample_dt
@@ -298,13 +304,10 @@ def run(config: SimConfig) -> SimResult:
                 heappush(heap, (t + streams.backoff(d), d, _BACKOFF))
             else:
                 occupied[c] = True
-                busy += 1
                 dev.mode = SERVICE
                 dev.channel = c
                 n_wait -= 1
                 n_serv += 1
-                if busy != n_serv:
-                    raise ChannelAccounting(f"busy={busy} but {n_serv} devices in service")
                 heappush(heap, (t + streams.service(d), d, _COMPLETE))
         else:  # _COMPLETE
             if streams.success(d) < prob:
@@ -315,29 +318,24 @@ def run(config: SimConfig) -> SimResult:
                 dev.aoi_value = t - dev.packet_timestamp
                 dev.aoi_time = t
                 occupied[dev.channel] = False
-                busy -= 1
                 dev.channel = -1
                 dev.mode = IDLE
                 n_serv -= 1
                 n_idle += 1
             else:
                 failed += 1
-                if policy is Policy.S:
+                if fail_to == SERVICE:
                     heappush(heap, (t + streams.service(d), d, _COMPLETE))
                     continue
                 occupied[dev.channel] = False
-                busy -= 1
                 dev.channel = -1
+                dev.mode = fail_to
                 n_serv -= 1
-                if policy is Policy.I:
-                    dev.mode = IDLE
+                if fail_to == IDLE:
                     n_idle += 1
-                else:  # Policy.W re-contends with the undelivered packet
-                    dev.mode = WAITING
+                else:  # re-contend with the undelivered packet
                     n_wait += 1
                     heappush(heap, (t + streams.backoff(d), d, _BACKOFF))
-            if busy != n_serv:
-                raise ChannelAccounting(f"busy={busy} but {n_serv} devices in service")
 
     if not stats_on:
         if stats_start_t is not None and stats_start_t < end_time:
@@ -353,9 +351,11 @@ def run(config: SimConfig) -> SimResult:
         ns_integral += n_serv * (end_time - seg_from)
     if sampling:
         while next_sample <= end_time + 1e-12:
+            _check_channels(occupied, n_serv)
             traj_times.append(next_sample)
             traj_counts.append((n_idle, n_wait, n_serv))
             next_sample += sample_dt
+    _check_channels(occupied, n_serv)
 
     avgs = np.empty(n)
     for d, dev in enumerate(devices):
@@ -439,50 +439,3 @@ def replicate(config: SimConfig, n_reps: int, parallelism: int = 1) -> PooledRes
         stderr=stderr,
         half_width=_NORMAL_95 * stderr,
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization (9 significant digits, LF line endings).
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def aoi_csv_lines(result: SimResult) -> list[str]:
-    lines = ["device_id,avg_aoi"]
-    for d, v in enumerate(result.avg_aoi_per_device):
-        lines.append(f"{d},{_fmt(v)}")
-    return lines
-
-
-def summary_csv_lines(results: list[SimResult]) -> list[str]:
-    """Pooled summary over one or more replications."""
-    means = np.array([r.avg_aoi_mean for r in results])
-    mean = float(means.mean())
-    if len(results) > 1:
-        stderr = float(means.std(ddof=1) / math.sqrt(len(results)))
-    else:
-        stderr = results[0].avg_aoi_stderr
-    k_est = float(np.mean([r.effective_k_estimate for r in results]))
-    header = "mean,stderr,arrivals,delivered,failed,preempted,discarded,k_estimate"
-    row = ",".join(
-        [_fmt(mean), _fmt(stderr)]
-        + [str(sum(getattr(r, f) for r in results))
-           for f in ("arrivals", "delivered", "failed", "preempted", "discarded")]
-        + [_fmt(k_est)]
-    )
-    return [header, row]
-
-
-def traj_csv_lines(result: SimResult) -> list[str]:
-    if result.trajectory_times is None:
-        raise InvalidConfig("result carries no trajectory (sample_dt was not set)")
-    lines = ["t,x_I,x_W,x_S"]
-    for t, row in zip(result.trajectory_times, result.trajectory_fractions):
-        lines.append(f"{_fmt(t)},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}")
-    return lines
-
-
-def write_csv(lines: list[str], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

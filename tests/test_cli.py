@@ -1,11 +1,16 @@
 """Tests for the command-line front end: exit codes, CSV output, determinism."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from aoi_csma import meanfield as mf
 from aoi_csma.cli import PRESETS, main
+from aoi_csma.core import Policy, StateFractions, SystemParams
+
+MF_ARGS = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--gamma", "5", "--p", "0.7"]
 
 
 def run_cli(capsys, *argv):
@@ -220,3 +225,97 @@ def test_presets_listing(capsys):
     assert code == 0
     for name in PRESETS:
         assert name in out
+
+
+def test_simulate_csv_serialization(tmp_path, capsys):
+    out_dir = tmp_path / "sim"
+    code, _, _ = run_cli(capsys, "simulate", "--policy", "W", "--scheme", "wp",
+                         "--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7",
+                         "--n", "5", "--m", "1", "--arrivals", "500", "--seed", "1",
+                         "--sample-dt", "1", "--out", str(out_dir))
+    assert code == 0
+    aoi_lines = (out_dir / "aoi.csv").read_text().splitlines()
+    assert aoi_lines[0] == "device_id,avg_aoi"
+    assert len(aoi_lines) == 6
+    summary = (out_dir / "summary.csv").read_text().splitlines()
+    assert summary[0] == "mean,stderr,arrivals,delivered,failed,preempted,discarded,k_estimate"
+    assert len(summary) == 2
+    traj = (out_dir / "traj.csv").read_text().splitlines()
+    assert traj[0] == "t,x_I,x_W,x_S"
+
+
+def test_meanfield_csv_serialization_formats(tmp_path, capsys):
+    out_dir = tmp_path / "mf"
+    code, _, _ = run_cli(capsys, "meanfield", "--policy", "W", *MF_ARGS, "--trajectory",
+                         "--t-end", "0.05", "--dt", "0.01", "--out", str(out_dir))
+    assert code == 0
+    traj = mf.integrate(Policy.W, SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0),
+                        StateFractions(1.0, 0.0, 0.0), t_end=0.05, dt=0.01)
+    lines = (out_dir / "trajectory_W.csv").read_text().splitlines()
+    assert lines[0] == "t,x_I,x_W,x_S"
+    assert len(lines) == 2 + len(traj.times) - 1
+    code, _, _ = run_cli(capsys, "meanfield", "--policy", "I", "--scheme", "wp", *MF_ARGS,
+                         "--monotonicity", "w=1:3:4", "--out", str(out_dir))
+    assert code == 0
+    rlines = (out_dir / "monotonicity_I-WP_w.csv").read_text().splitlines()
+    assert rlines[0] == "param,value,dAoI,sign"
+    assert len(rlines) == 1 + 4
+    assert all(row.startswith("w,") for row in rlines[1:])
+    assert all(row.endswith(",-1") for row in rlines[1:])  # AoI falls with w
+
+
+# Small fixed commands and the SHA-256 of every CSV they write, so that a
+# refactor has to keep the output bytes.
+PINNED_COMMANDS = {
+    "analytic": ["analytic", "--lambda", "0.9", "--mu", "1", "--k", "2",
+                 "--p-grid", "0.3:1.0:15"],
+    "aoi-vs-p": ["reproduce", "aoi-vs-p"],
+    "trajectory": ["meanfield", *MF_ARGS, "--trajectory", "--t-end", "1"],
+    "monotonicity": ["meanfield", *MF_ARGS, "--monotonicity", "w=1:3:4"],
+    "simulate": ["simulate", "--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7",
+                 "--n", "20", "--m", "4", "--arrivals", "1000", "--reps", "2",
+                 "--sample-dt", "5", "--seed", "9"],
+    "single-device": ["reproduce", "single-device", "--arrivals", "20000", "--seed", "4"],
+}
+PINNED_SHA256 = {
+    "analytic/analytic.csv": "876b637490b19675a5bc685bcb70a8198136da40fba38ca52c62fe1365de53e3",
+    "aoi-vs-p/aoi_vs_p.csv": "876b637490b19675a5bc685bcb70a8198136da40fba38ca52c62fe1365de53e3",
+    "trajectory/trajectory_I.csv": "574627e6f2a7148105b8ab1ce155ba542b86e36de0d1d5206092aebffa342aac",
+    "trajectory/trajectory_S.csv": "502c1c33ad4221d87de2e8d44e9b6de32d16d65a15829de957bfd5219a7db6a5",
+    "trajectory/trajectory_W.csv": "3e5b9d9ade7900c6c785b97d0a14c88c5400bb13f6be3c53c34b3ba605926fd1",
+    "monotonicity/monotonicity_I-WOP_w.csv": "e8497cd67594186eac864002c613a23afbf6656126cf61f45f2527114958b9e7",
+    "monotonicity/monotonicity_I-WP_w.csv": "91f774cc99face7a56cab60428806a54164077e57840dd81d32b8328ecf7a0a4",
+    "monotonicity/monotonicity_S-WOP_w.csv": "51d74c15f6cbf49d41e89be4aa3cf9a2ad26e068fc12b66f1bc40821bdfd685b",
+    "monotonicity/monotonicity_S-WP_w.csv": "2a764b9c2935d72bffe64245dc1aa1bbd4c0b219574b3d2263ff9cc82ec27007",
+    "monotonicity/monotonicity_W-WOP_w.csv": "c845c6d9984524a77aa5a7179bea331eddc381165054a2bc42e84d4c98dbc206",
+    "monotonicity/monotonicity_W-WP_w.csv": "755edbae2d89e5548a30b782408073df7e4358916bdd0f108e8fa24355af68e4",
+    "simulate/aoi_I-WOP.csv": "47524cbb660d7fb876cf0ac9655918438578cc20513253849018f3320f2da286",
+    "simulate/aoi_I-WP.csv": "7d4aa39aff8b8a2d863f3ffc1e3b2ec9f9003d0a8b47c1dcbc0cc1d72ff1112e",
+    "simulate/aoi_S-WOP.csv": "325f7b2acf1506777875be2f5d5f6721565bee8fe965d7eb5dcb4948c27cf6c9",
+    "simulate/aoi_S-WP.csv": "436b6ca75c3dfac2199d98b965549436a0e328a361d75b98b4183836bfafd687",
+    "simulate/aoi_W-WOP.csv": "d614bcdd065eed7cb597d59e3a40ea4e00c9bd0902317d042e9c707794fdb88e",
+    "simulate/aoi_W-WP.csv": "ee5ac9bb5617475a1ced07e481e166bb2069451a73bb3ddd0cadc972b7471b93",
+    "simulate/summary_I-WOP.csv": "361e333e84b6c1bc93f6f4f320a7bcf9d3af94fbbb920a3ceb69d3ee6ba1c634",
+    "simulate/summary_I-WP.csv": "5bab1fe5a9a477405f52e8765fc9be29673b202ce08ea5c96c256e3b00cb5416",
+    "simulate/summary_S-WOP.csv": "b84965b4ad590fe7fac25a4a14bbf130ea25b011b9a4635d407f80dc7b6dbc3a",
+    "simulate/summary_S-WP.csv": "7e6848d22c34b95e973053b48e96fd9efada686778c2d24738629f3b785f98d3",
+    "simulate/summary_W-WOP.csv": "993e0c9a856f6de8d46a7cb7a55097d120b0679d1160261e60377055d0512903",
+    "simulate/summary_W-WP.csv": "f74fc821b9ca76af580d28661fdf98513adda78fe23e63ea19686c5bc07bcfc3",
+    "simulate/traj_I-WOP.csv": "9624a34111d6d94379a6829601f42a0bd72b3f8720b1305d3788b44140ce87c2",
+    "simulate/traj_I-WP.csv": "9624a34111d6d94379a6829601f42a0bd72b3f8720b1305d3788b44140ce87c2",
+    "simulate/traj_S-WOP.csv": "b266cb58e0d2d3a3d5b823291aa4935e2613eac821e4a6a2d7b4b152008804aa",
+    "simulate/traj_S-WP.csv": "b266cb58e0d2d3a3d5b823291aa4935e2613eac821e4a6a2d7b4b152008804aa",
+    "simulate/traj_W-WOP.csv": "37b9bbdfe46ae4cc6b9c732be63a75c6a331a68a89c9d5498b3098d7e68c75e8",
+    "simulate/traj_W-WP.csv": "37b9bbdfe46ae4cc6b9c732be63a75c6a331a68a89c9d5498b3098d7e68c75e8",
+    "single-device/single_device.csv": "5e432638cf04d8d2d68779ab666e22da71abbb83fa42e0dc109f33a33f8166f0",
+}
+
+
+def test_csv_bytes_are_pinned(tmp_path, capsys):
+    digests = {}
+    for key, argv in PINNED_COMMANDS.items():
+        out_dir = tmp_path / key
+        assert run_cli(capsys, *argv, "--out", str(out_dir))[0] == 0
+        for name in os.listdir(out_dir):
+            digests[f"{key}/{name}"] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    assert digests == PINNED_SHA256

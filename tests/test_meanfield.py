@@ -224,15 +224,3 @@ def test_monotonicity_grid_validation():
         mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "mu", [0.0, 1.0])
     with pytest.raises(mf.GridPointInvalid):
         mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "bogus", [1.0])
-
-
-def test_csv_serialization_formats():
-    traj = mf.integrate(Policy.W, FIG3, StateFractions(1.0, 0.0, 0.0), t_end=0.05, dt=0.01)
-    lines = mf.trajectory_csv_lines(traj)
-    assert lines[0] == "t,x_I,x_W,x_S"
-    assert len(lines) == 2 + len(traj.times) - 1
-    report = mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "w", np.linspace(1, 3, 4))
-    rlines = mf.report_csv_lines(report)
-    assert rlines[0] == "param,value,dAoI,sign"
-    assert all(row.startswith("w,") for row in rlines[1:])
-    assert all(row.endswith(",-1") for row in rlines[1:])  # AoI falls with w

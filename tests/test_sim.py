@@ -59,6 +59,18 @@ def test_single_device_matches_closed_form():
     assert result.arrivals == 30_000
 
 
+@pytest.mark.parametrize("ps", PolicyScheme.all_combinations(), ids=lambda ps: ps.label)
+def test_single_device_failure_branch_matches_closed_form(ps):
+    # with N = M = 1 the channel is always free, so k = w stays exact at
+    # p < 1, where every failure goes through the policy's branch
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=1.0, n_devices=1, n_channels=1)
+    config = sim.SimConfig(params=params, ps=ps, seed=1, stop_arrivals=5_000)
+    pooled = sim.replicate(config, n_reps=8)
+    expected = cf.avg_aoi(ps, lam=0.8, mu=1.0, k=2.0, p=0.7).total
+    assert abs(pooled.mean_aoi - expected) < 5.0 * pooled.stderr
+    assert all(r.failed > 0 for r in pooled.results)
+
+
 def test_run_is_deterministic():
     config = sim.SimConfig(params=_params(20, 4), ps=W_WP, seed=7, stop_arrivals=2000)
     a, b = sim.run(config), sim.run(config)
@@ -179,17 +191,3 @@ def test_ensemble_mean_tracks_the_ode():
     worst = max(abs(mean_traj[i][0] - ode_at[round(t, 6)][0])
                 for i, t in enumerate(times))
     assert worst < 0.01
-
-
-def test_csv_serialization():
-    config = sim.SimConfig(params=_params(5, 1), ps=W_WP, seed=1, stop_arrivals=500,
-                           sample_dt=1.0)
-    result = sim.run(config)
-    aoi_lines = sim.aoi_csv_lines(result)
-    assert aoi_lines[0] == "device_id,avg_aoi"
-    assert len(aoi_lines) == 6
-    summary = sim.summary_csv_lines([result])
-    assert summary[0] == "mean,stderr,arrivals,delivered,failed,preempted,discarded,k_estimate"
-    assert len(summary) == 2
-    traj = sim.traj_csv_lines(result)
-    assert traj[0] == "t,x_I,x_W,x_S"
