@@ -16,9 +16,10 @@ Statistics exclude a configurable warm-up window.
 Randomness contract: every draw is a pure function of
 (seed, replication, device, purpose, draw index).  One counter-keyed
 generator per (seed, replication, purpose) yields consecutive blocks of
-shape (n_devices, block); device d consumes row d, so draw sequences are
-independent of event interleaving across devices and replications are
-reproducible under any parallelism.
+shape (n_devices, BLOCK) with BLOCK = 64; device d consumes row d, so draw
+sequences are independent of event interleaving across devices and
+replications are reproducible under any parallelism.  BLOCK and the block
+shape are part of the contract: changing either changes every draw.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -47,23 +48,6 @@ _P_ARRIVAL, _P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS = range(5)
 
 _MASK64 = (1 << 64) - 1
 _NORMAL_95 = 1.959963984540054
-
-
-@dataclass(slots=True)
-class DeviceState:
-    """Mutable per-device state evolved by the event loop.
-
-    ``packet_timestamp`` is meaningful only outside Idle; ``channel`` only in
-    Service.  ``aoi_time``/``aoi_value`` pin the sawtooth at the last reset
-    (delivery or warm-up boundary), ``aoi_integral`` accumulates its area.
-    """
-
-    mode: int = IDLE
-    packet_timestamp: float = 0.0
-    channel: int = -1
-    aoi_time: float = 0.0
-    aoi_value: float = 0.0
-    aoi_integral: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -114,7 +98,15 @@ class SimResult:
 
 
 class _Streams:
-    """Blocked, counter-addressed random streams per (replication, purpose)."""
+    """Blocked, counter-addressed random streams per (replication, purpose).
+
+    ``draws[purpose][d]`` holds device ``d``'s unread draws of its current
+    block row, reversed, so the next draw is ``draws[purpose][d].pop()``.
+    When that list is empty, :meth:`refill` moves the device to its row in
+    the next block, generating the block on first use.  The row is taken out
+    of its block as it is handed over, so consumed rows are freed during the
+    run rather than at its end.
+    """
 
     BLOCK = 64
 
@@ -128,8 +120,9 @@ class _Streams:
         self._rep = replication
         self._scales = {_P_ARRIVAL: 1.0 / lam, _P_BACKOFF: 1.0 / w, _P_SERVICE: 1.0 / mu}
         self._gens: dict[int, np.random.Generator] = {}
-        self._blocks: dict[int, list[list[list[float]]]] = {p: [] for p in range(5)}
-        self._ptr: dict[int, list[int]] = {p: [0] * n for p in range(5)}
+        self._blocks: dict[int, list[list[list[float] | None]]] = {p: [] for p in range(5)}
+        self._next_row: dict[int, list[int]] = {p: [0] * n for p in range(5)}
+        self.draws: list[list[list[float]]] = [[[] for _ in range(n)] for _ in range(5)]
 
     def _extend(self, purpose: int) -> None:
         gen = self._gens.get(purpose)
@@ -146,30 +139,20 @@ class _Streams:
             block = gen.exponential(scale=self._scales[purpose], size=shape)
         self._blocks[purpose].append(block.tolist())
 
-    def _draw(self, purpose: int, device: int):
-        ptr = self._ptr[purpose]
-        idx = ptr[device]
-        ptr[device] = idx + 1
-        j, r = divmod(idx, self.BLOCK)
+    def refill(self, purpose: int, device: int):
+        """Move ``device`` to its next block row and return that row's first draw."""
+        next_row = self._next_row[purpose]
+        j = next_row[device]
+        next_row[device] = j + 1
         blocks = self._blocks[purpose]
-        while j >= len(blocks):
+        if j == len(blocks):
             self._extend(purpose)
-        return blocks[j][device][r]
-
-    def arrival(self, device: int) -> float:
-        return self._draw(_P_ARRIVAL, device)
-
-    def backoff(self, device: int) -> float:
-        return self._draw(_P_BACKOFF, device)
-
-    def service(self, device: int) -> float:
-        return self._draw(_P_SERVICE, device)
-
-    def channel(self, device: int) -> int:
-        return self._draw(_P_CHANNEL, device)
-
-    def success(self, device: int) -> float:
-        return self._draw(_P_SUCCESS, device)
+        block = blocks[j]
+        row = block[device]
+        block[device] = None
+        row.reverse()
+        self.draws[purpose][device] = row
+        return row.pop()
 
 
 def _check_config(config: SimConfig) -> None:
@@ -208,20 +191,34 @@ def run(config: SimConfig) -> SimResult:
     w, prob, gamma = params.w, params.p, params.gamma
     fail_to, wp = FAILURE_TARGET[config.ps.policy], config.ps.scheme is Scheme.WP
     streams = _Streams(config.seed, config.replication, n, m, params.lam, w, params.mu)
+    refill = streams.refill
+    draw_arr, draw_bo, draw_svc, draw_ch, draw_ok = streams.draws  # in _P_* order
 
-    devices = [DeviceState() for _ in range(n)]
+    # Device state as parallel lists.  ``stamp`` (the held packet's arrival
+    # time) is meaningful only outside Idle and ``chan`` only in Service;
+    # ``aoi_time``/``aoi_value`` pin the sawtooth at the last reset (delivery
+    # or warm-up boundary) and ``aoi_integral`` accumulates its area.
+    mode = [IDLE] * n
+    stamp = [0.0] * n
+    chan = [-1] * n
+    aoi_time = [0.0] * n
+    aoi_value = [0.0] * n
+    aoi_integral = [0.0] * n
     occupied = [False] * m
     n_idle, n_wait, n_serv = n, 0, 0
     arrivals = delivered = failed = preempted = discarded = 0
 
-    stop_arrivals = config.stop_arrivals
-    stop_time = config.stop_time
-    if stop_arrivals is not None:
-        warm_arrivals = math.ceil(config.warmup_fraction * stop_arrivals)
-        stats_start_t = None
+    # Run to an arrival count or to a time; the other limit is never reached.
+    # ``arrivals`` counts up in steps of 1, so ``==`` finds the first arrival
+    # at which ``>=`` holds, and -1 is never reached.
+    if config.stop_arrivals is not None:
+        a_stop = config.stop_arrivals
+        a_warm = math.ceil(config.warmup_fraction * a_stop)
+        t_stop = t_warm = math.inf
     else:
-        warm_arrivals = None
-        stats_start_t = config.warmup_fraction * stop_time
+        a_stop = a_warm = -1
+        t_stop = config.stop_time
+        t_warm = config.warmup_fraction * t_stop
 
     stats_on = False
     stats_t0 = 0.0
@@ -230,7 +227,7 @@ def run(config: SimConfig) -> SimResult:
 
     sampling = config.sample_dt is not None
     sample_dt = config.sample_dt or 0.0
-    next_sample = 0.0
+    next_sample = math.inf
     traj_times: list[float] = []
     traj_counts: list[tuple[int, int, int]] = []
     if sampling:
@@ -240,106 +237,118 @@ def run(config: SimConfig) -> SimResult:
 
     def begin_stats(tb: float) -> None:
         nonlocal stats_on, stats_t0, ns_integral
-        for dev in devices:
-            dev.aoi_value += tb - dev.aoi_time
-            dev.aoi_time = tb
-            dev.aoi_integral = 0.0
+        for i in range(n):
+            aoi_value[i] += tb - aoi_time[i]
+            aoi_time[i] = tb
+            aoi_integral[i] = 0.0
         stats_on = True
         stats_t0 = tb
         ns_integral = 0.0
 
-    if warm_arrivals == 0:
+    if a_warm == 0:
         begin_stats(0.0)
 
-    heap = [(streams.arrival(d), d, _ARRIVAL) for d in range(n)]
+    # Every draw list starts empty, so each first arrival is a refill.
+    heap = [(refill(_P_ARRIVAL, d), d, _ARRIVAL) for d in range(n)]
     heapify(heap)
 
+    # The next event is read from heap[0] and left in place: the first event
+    # it schedules replaces it (heapreplace), a second one is pushed, and an
+    # event that schedules nothing is popped.  This pops the same sequence as
+    # pop-then-push because pending tuples (t, d, kind) are unique -- each
+    # device has at most one arrival and one backoff-or-completion pending --
+    # so the heap's order is total whatever its internal layout.
     end_time: float | None = None
     while True:
-        t, d, kind = heappop(heap)
-        if stop_time is not None and t > stop_time:
-            end_time = stop_time
+        t, d, kind = heap[0]
+        if t > t_stop:
+            end_time = t_stop
             break
-        if not stats_on and stats_start_t is not None and t >= stats_start_t:
-            begin_stats(stats_start_t)
+        if not stats_on and t >= t_warm:
+            begin_stats(t_warm)
         if stats_on:
             seg_from = last_t if last_t > stats_t0 else stats_t0
             if t > seg_from:
                 ns_integral += n_serv * (t - seg_from)
-        if sampling:
-            while next_sample < t:
-                _check_channels(occupied, n_serv)
-                traj_times.append(next_sample)
-                traj_counts.append((n_idle, n_wait, n_serv))
-                next_sample += sample_dt
+        while next_sample < t:
+            _check_channels(occupied, n_serv)
+            traj_times.append(next_sample)
+            traj_counts.append((n_idle, n_wait, n_serv))
+            next_sample += sample_dt
         last_t = t
-        dev = devices[d]
 
         if kind == _ARRIVAL:
             arrivals += 1
-            heappush(heap, (t + streams.arrival(d), d, _ARRIVAL))
-            md = dev.mode
+            q = draw_arr[d]
+            heapreplace(heap, (t + (q.pop() if q else refill(_P_ARRIVAL, d)), d, _ARRIVAL))
+            md = mode[d]
             if md == IDLE:
-                dev.mode = WAITING
-                dev.packet_timestamp = t
+                mode[d] = WAITING
+                stamp[d] = t
                 n_idle -= 1
                 n_wait += 1
-                heappush(heap, (t + streams.backoff(d), d, _BACKOFF))
+                q = draw_bo[d]
+                heappush(heap, (t + (q.pop() if q else refill(_P_BACKOFF, d)), d, _BACKOFF))
             elif md == WAITING:
-                dev.packet_timestamp = t
+                stamp[d] = t
+            elif wp:
+                stamp[d] = t
+                preempted += 1
             else:
-                if wp:
-                    dev.packet_timestamp = t
-                    preempted += 1
-                else:
-                    discarded += 1
-            if warm_arrivals is not None and not stats_on and arrivals >= warm_arrivals:
+                discarded += 1
+            if arrivals == a_warm:
                 begin_stats(t)
-            if stop_arrivals is not None and arrivals >= stop_arrivals:
+            if arrivals == a_stop:
                 end_time = t
                 break
         elif kind == _BACKOFF:
-            c = streams.channel(d)
+            q = draw_ch[d]
+            c = q.pop() if q else refill(_P_CHANNEL, d)
             if occupied[c]:
-                heappush(heap, (t + streams.backoff(d), d, _BACKOFF))
+                q = draw_bo[d]
+                heapreplace(heap, (t + (q.pop() if q else refill(_P_BACKOFF, d)), d, _BACKOFF))
             else:
                 occupied[c] = True
-                dev.mode = SERVICE
-                dev.channel = c
+                mode[d] = SERVICE
+                chan[d] = c
                 n_wait -= 1
                 n_serv += 1
-                heappush(heap, (t + streams.service(d), d, _COMPLETE))
+                q = draw_svc[d]
+                heapreplace(heap, (t + (q.pop() if q else refill(_P_SERVICE, d)), d, _COMPLETE))
         else:  # _COMPLETE
-            if streams.success(d) < prob:
+            q = draw_ok[d]
+            if (q.pop() if q else refill(_P_SUCCESS, d)) < prob:
                 delivered += 1
+                heappop(heap)
                 if stats_on:
-                    dtau = t - dev.aoi_time
-                    dev.aoi_integral += dev.aoi_value * dtau + 0.5 * dtau * dtau
-                dev.aoi_value = t - dev.packet_timestamp
-                dev.aoi_time = t
-                occupied[dev.channel] = False
-                dev.channel = -1
-                dev.mode = IDLE
+                    dtau = t - aoi_time[d]
+                    aoi_integral[d] += aoi_value[d] * dtau + 0.5 * dtau * dtau
+                aoi_value[d] = t - stamp[d]
+                aoi_time[d] = t
+                occupied[chan[d]] = False
+                mode[d] = IDLE
                 n_serv -= 1
                 n_idle += 1
             else:
                 failed += 1
                 if fail_to == SERVICE:
-                    heappush(heap, (t + streams.service(d), d, _COMPLETE))
+                    q = draw_svc[d]
+                    heapreplace(heap, (t + (q.pop() if q else refill(_P_SERVICE, d)), d, _COMPLETE))
                     continue
-                occupied[dev.channel] = False
-                dev.channel = -1
-                dev.mode = fail_to
+                occupied[chan[d]] = False
+                mode[d] = fail_to
                 n_serv -= 1
                 if fail_to == IDLE:
                     n_idle += 1
+                    heappop(heap)
                 else:  # re-contend with the undelivered packet
                     n_wait += 1
-                    heappush(heap, (t + streams.backoff(d), d, _BACKOFF))
+                    q = draw_bo[d]
+                    heapreplace(heap, (t + (q.pop() if q else refill(_P_BACKOFF, d)), d, _BACKOFF))
 
     if not stats_on:
-        if stats_start_t is not None and stats_start_t < end_time:
-            begin_stats(stats_start_t)
+        if t_warm < end_time:
+            begin_stats(t_warm)
         else:
             raise InvalidConfig("horizon ended before the warm-up window closed")
     measured = end_time - stats_t0
@@ -358,9 +367,9 @@ def run(config: SimConfig) -> SimResult:
     _check_channels(occupied, n_serv)
 
     avgs = np.empty(n)
-    for d, dev in enumerate(devices):
-        dtau = end_time - dev.aoi_time
-        avgs[d] = (dev.aoi_integral + dev.aoi_value * dtau + 0.5 * dtau * dtau) / measured
+    for d in range(n):
+        dtau = end_time - aoi_time[d]
+        avgs[d] = (aoi_integral[d] + aoi_value[d] * dtau + 0.5 * dtau * dtau) / measured
     mean = float(avgs.mean())
     stderr = float(avgs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     mean_xs = ns_integral / (measured * n)

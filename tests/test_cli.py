@@ -276,6 +276,9 @@ PINNED_COMMANDS = {
                  "--n", "20", "--m", "4", "--arrivals", "1000", "--reps", "2",
                  "--sample-dt", "5", "--seed", "9"],
     "single-device": ["reproduce", "single-device", "--arrivals", "20000", "--seed", "4"],
+    "horizon": ["simulate", "--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7",
+                "--n", "20", "--m", "4", "--horizon", "400", "--warmup", "0.2", "--reps", "2",
+                "--sample-dt", "10", "--seed", "11"],
 }
 PINNED_SHA256 = {
     "analytic/analytic.csv": "876b637490b19675a5bc685bcb70a8198136da40fba38ca52c62fe1365de53e3",
@@ -308,6 +311,24 @@ PINNED_SHA256 = {
     "simulate/traj_W-WOP.csv": "37b9bbdfe46ae4cc6b9c732be63a75c6a331a68a89c9d5498b3098d7e68c75e8",
     "simulate/traj_W-WP.csv": "37b9bbdfe46ae4cc6b9c732be63a75c6a331a68a89c9d5498b3098d7e68c75e8",
     "single-device/single_device.csv": "5e432638cf04d8d2d68779ab666e22da71abbb83fa42e0dc109f33a33f8166f0",
+    "horizon/aoi_I-WOP.csv": "8dd60d9f497931e692b8393f24740b240b80540cf714766e2c235ac84a543c47",
+    "horizon/aoi_I-WP.csv": "b1f9800adc0a1c59f7e015cf31d2b61557dbcc3560a0b46af3f022336679b1bc",
+    "horizon/aoi_S-WOP.csv": "10bf339dc9850021f3f65929cf8b4368c4809dc5d56a10948dfe48648a2a4eb9",
+    "horizon/aoi_S-WP.csv": "6e5c9821b742dcf02f92cdcd5cd60b2750f0c87a38a75b5225d26894d9793715",
+    "horizon/aoi_W-WOP.csv": "c8e689634ac911d9705f0bd25a4f151d4cf96b6d9fe34e366cf26b8e438a92d6",
+    "horizon/aoi_W-WP.csv": "fe61afd32e8c4f432d924c345632ce53b169aeb54d507461d340848ce23d2f06",
+    "horizon/summary_I-WOP.csv": "5d66aaba8d8e26b0273507b7e49f68857eb77aa749ce17f0912b6940fc7f27a0",
+    "horizon/summary_I-WP.csv": "8b58bac2acff7aee6ca2905c892c4a09e0331336c1a29983a161741206d4631e",
+    "horizon/summary_S-WOP.csv": "d170d7a54c4f020a30368d91d683d2175a9f24d8c29565769c76484d2db4f607",
+    "horizon/summary_S-WP.csv": "e5465e9e8507141e9c324e26cdaea225bd4ad4a9cf570b8760e1185374424d57",
+    "horizon/summary_W-WOP.csv": "1f9a908c6d3d436f43547022ad77a31b9aac38cbae8a9857d44d8161dc45b914",
+    "horizon/summary_W-WP.csv": "01ed04020f6ecd3546487d407de2e51672f384b5486cdfaa54b0f92ad17dda02",
+    "horizon/traj_I-WOP.csv": "c528cc145c51b7ea84f34a12ac6d4f82bbde6443d502c93ac9af9ee45b5343b0",
+    "horizon/traj_I-WP.csv": "c528cc145c51b7ea84f34a12ac6d4f82bbde6443d502c93ac9af9ee45b5343b0",
+    "horizon/traj_S-WOP.csv": "1258525e512702278fd6093dad6062f0955dc2cb30f08f3fb0f7c54a405d7047",
+    "horizon/traj_S-WP.csv": "1258525e512702278fd6093dad6062f0955dc2cb30f08f3fb0f7c54a405d7047",
+    "horizon/traj_W-WOP.csv": "4048b75b011ad080dcdae6711946e48ba6fc690a8a48687943396ff284235fb2",
+    "horizon/traj_W-WP.csv": "4048b75b011ad080dcdae6711946e48ba6fc690a8a48687943396ff284235fb2",
 }
 
 
