@@ -72,6 +72,24 @@ def test_crossvalidate_passes_and_detects_injected_error(capsys):
     assert "FAIL" in out
     code, _, _ = run_cli(capsys, "crossvalidate", "--count", "0")
     assert code == 1
+    # a NaN or infinite deviation must fail, not be skipped by the maximum
+    for bad in ("nan", "inf"):
+        code, out, _ = run_cli(capsys, "crossvalidate", "--count", "5", "--seed", "5",
+                               "--selftest-perturb", bad)
+        assert code == 3
+        assert "max_relative_deviation=nan" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (("--count", "1000", "--seed", "7"),
+     "tuples=1000 max_relative_deviation=1.630e-14 threshold=1e-09\nOK\n"),
+    (("--count", "40", "--seed", "5"),
+     "tuples=40 max_relative_deviation=3.014e-14 threshold=1e-09\nOK\n"),
+])
+def test_crossvalidate_stdout_is_pinned(capsys, argv, stdout):
+    code, out, _ = run_cli(capsys, "crossvalidate", *argv)
+    assert code == 0
+    assert out == stdout
 
 
 def test_meanfield_equilibrium_row(capsys):

@@ -164,3 +164,69 @@ def test_hand_written_fixture_solves_to_renewal_value():
     assert pi == pytest.approx([1.0])
     sol = shs.solve_age_system(chain, pi)
     assert sol.avg_aoi == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batched solves: array rates are solved as one stack, bit for bit like scalars.
+
+def _grid(count, seed=515):
+    rng = np.random.default_rng(seed)
+    lam, mu, k = rng.uniform(0.1, 5.0, size=(3, count))
+    return lam, mu, k, rng.uniform(0.05, 1.0, size=count)
+
+
+@pytest.mark.parametrize("ps", PolicyScheme.all_combinations(), ids=lambda ps: ps.label)
+@pytest.mark.parametrize("lossless", [False, True], ids=["p<1", "p=1"])
+def test_batched_solve_equals_scalar_solves_exactly(ps, lossless):
+    count = 100 if lossless else 500
+    lam, mu, k, p = _grid(count)
+    if lossless:
+        p = np.ones(count)
+    chain = shs.build_chain(ps, lam=lam, mu=mu, k=k, p=p)
+    assert chain.batch_shape == (count,)
+    pi = shs.stationary(chain)
+    sol = shs.solve_age_system(chain, pi)
+    aoi = shs.average_aoi(ps, lam=lam, mu=mu, k=k, p=p)
+    assert pi.shape == (count, 3) and sol.v.shape == (count, 3, 2) and aoi.shape == (count,)
+    assert np.array_equal(sol.avg_aoi, aoi)
+    for i in range(count):
+        one = shs.build_chain(ps, lam=lam[i], mu=mu[i], k=k[i], p=p[i])
+        one_pi = shs.stationary(one)
+        assert np.array_equal(pi[i], one_pi)
+        assert np.array_equal(sol.v[i], shs.solve_age_system(one, one_pi).v)
+        assert aoi[i] == shs.average_aoi(ps, lam=lam[i], mu=mu[i], k=k[i], p=p[i])
+
+
+def test_batch_axes_lead_and_keep_their_shape():
+    lam, mu, k, p = (x.reshape(4, 5) for x in _grid(20))
+    aoi = shs.average_aoi(W_WP, lam=lam, mu=mu, k=k, p=p)
+    flat = shs.average_aoi(W_WP, lam=lam.ravel(), mu=mu.ravel(), k=k.ravel(), p=p.ravel())
+    assert aoi.shape == (4, 5)
+    assert np.array_equal(aoi.ravel(), flat)
+    chain = shs.build_chain(W_WP, lam=lam, mu=mu, k=k, p=p)
+    sol = shs.solve_age_system(chain, shs.stationary(chain))
+    assert sol.pi.shape == (4, 5, 3) and sol.v.shape == (4, 5, 3, 2)
+
+
+def test_scalar_calls_return_float():
+    assert type(shs.average_aoi(I_WP, lam=1.0, mu=1.0, k=1.0, p=0.5)) is float
+    assert type(shs.average_aoi(I_WP, lam=1, mu=1, k=1, p=1)) is float
+    chain = shs.build_chain(I_WOP, lam=1.3, mu=0.7, k=2.1, p=0.4)
+    assert chain.batch_shape == ()
+    assert type(shs.solve_age_system(chain, shs.stationary(chain)).avg_aoi) is float
+
+
+def test_batch_rejects_degenerate_entries():
+    lam, mu, k, p = _grid(8)
+    with pytest.raises(shs.DegenerateRate, match=r"batch index \(3,\)"):
+        shs.average_aoi(I_WP, lam=lam, mu=mu, k=k, p=np.where(np.arange(8) == 3, 0.0, p))
+    with pytest.raises(shs.DegenerateRate, match="mixes p = 1"):
+        shs.average_aoi(S_WP, lam=lam, mu=mu, k=k, p=np.where(np.arange(8) == 5, 1.0, p))
+    with pytest.raises(shs.DegenerateRate, match=r"batch index \(6,\)"):
+        shs.average_aoi(W_WOP, lam=np.where(np.arange(8) == 6, -1.0, lam), mu=mu, k=k, p=p)
+
+
+def test_batched_chain_has_no_document_form():
+    lam, mu, k, p = _grid(3)
+    with pytest.raises(ValueError):
+        shs.dump_chain(shs.build_chain(W_WOP, lam=lam, mu=mu, k=k, p=p))
