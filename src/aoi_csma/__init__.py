@@ -16,9 +16,7 @@ from .core import (
     PolicyScheme,
     Scheme,
     StateFractions,
-    StationaryDistribution,
     SystemParams,
-    effective_waiting_rate,
     validate,
 )
 
@@ -30,9 +28,7 @@ __all__ = [
     "PolicyScheme",
     "Scheme",
     "StateFractions",
-    "StationaryDistribution",
     "SystemParams",
-    "effective_waiting_rate",
     "validate",
 ]
 

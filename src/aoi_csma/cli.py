@@ -145,11 +145,11 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--reps", type=int, default=None, help="replication count")
     parser.add_argument("--sweep", default=None, help="<param>=<start:end:count> inclusive grid")
     parser.add_argument("--out", default=None, help="output directory for CSV files")
-    parser.add_argument("--sample-dt", dest="sample_dt", type=float, default=None,
+    parser.add_argument("--sample-dt", type=float, default=None,
                         help="empirical-measure sampling interval")
     parser.add_argument("--config", default=None, help="JSON file with flag defaults")
     parser.add_argument("--parallelism", type=int, default=None, help="worker processes for replications")
-    parser.add_argument("--gnuplot-script", dest="gnuplot", action="store_true", default=None,
+    parser.add_argument("--gnuplot-script", action="store_true", default=None,
                         help="emit a gnuplot script next to the CSV output")
 
 
@@ -159,20 +159,20 @@ def build_parser() -> _Parser:
 
     p_an = sub.add_parser("analytic", parents=[], help="evaluate the closed forms")
     _add_common(p_an)
-    p_an.add_argument("--p-grid", dest="p_grid", default=None,
+    p_an.add_argument("--p-grid", default=None,
                       help="start:end:count grid over p (same as --sweep p=...)")
 
     p_cv = sub.add_parser("crossvalidate", help="chain solver vs closed forms on a random grid")
     _add_common(p_cv)
     p_cv.add_argument("--count", type=int, default=None, help="number of random tuples (default 1000)")
-    p_cv.add_argument("--selftest-perturb", dest="perturb", type=float, default=None,
+    p_cv.add_argument("--selftest-perturb", type=float, default=None,
                       help="inject a deviation to verify the harness detects it")
 
     p_mf = sub.add_parser("meanfield", help="equilibria, trajectories, sweeps, monotonicity")
     _add_common(p_mf)
     p_mf.add_argument("--trajectory", action="store_true", default=None,
                       help="integrate the ODE and emit the trajectory")
-    p_mf.add_argument("--t-end", dest="t_end", type=float, default=None, help="integration horizon")
+    p_mf.add_argument("--t-end", type=float, default=None, help="integration horizon")
     p_mf.add_argument("--dt", type=float, default=None, help="integration step (default 0.01)")
     p_mf.add_argument("--x0", default=None, help="initial fractions i,w,s (default 1,0,0)")
     p_mf.add_argument("--monotonicity", default=None,
@@ -203,10 +203,9 @@ def _merge_config_file(args: argparse.Namespace) -> None:
         raise UsageError(f"cannot read config file {args.config}: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object of flag values")
-    alias = {"lambda": "lam", "sample-dt": "sample_dt", "p-grid": "p_grid",
-             "t-end": "t_end", "gnuplot-script": "gnuplot"}
     for key, value in doc.items():
-        dest = alias.get(key, key.replace("-", "_"))
+        # every dest is its flag name with "-" as "_", except --lambda's
+        dest = "lam" if key == "lambda" else key.replace("-", "_")
         if not hasattr(args, dest):
             raise UsageError(f"config file key {key!r} does not match any flag")
         if getattr(args, dest) is None:
@@ -384,7 +383,7 @@ def _cmd_crossvalidate(args, output: _Output) -> int:
     if count < 1:
         raise UsageError(f"--count must be >= 1, got {count}")
     seed = _resolve_seed(args)
-    perturb = args.perturb or 0.0
+    perturb = args.selftest_perturb or 0.0
     rng = np.random.default_rng(seed)
     tuples = np.empty((count, 4))
     for row in tuples:
@@ -528,6 +527,7 @@ def _cmd_reproduce(args, output: _Output) -> int:
 
     if args.preset == "accuracy":
         reps = args.reps if args.reps is not None else 100
+        parallelism = args.parallelism if args.parallelism is not None else 1
         sample_dt = args.sample_dt if args.sample_dt is not None else 0.1
         t_end = 10.0
         base = SystemParams(lam=pp["lam"], mu=pp["mu"], w=pp["w"], p=pp["p"], gamma=pp["gamma"])
@@ -543,8 +543,7 @@ def _cmd_reproduce(args, output: _Output) -> int:
             config = SimConfig(params=params, ps=PolicyScheme(Policy.W, Scheme.WP),
                                seed=seed, stop_time=t_end, warmup_fraction=0.0,
                                sample_dt=sample_dt)
-            pooled = sim.replicate(config, n_reps=reps,
-                                   parallelism=args.parallelism or 1)
+            pooled = sim.replicate(config, n_reps=reps, parallelism=parallelism)
             one = pooled.results[0]
             mean_xi = np.mean(
                 [r.trajectory_fractions[:, 0] for r in pooled.results], axis=0
@@ -615,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         _merge_config_file(args)
         output = _Output(out_dir=getattr(args, "out", None),
-                         gnuplot=bool(getattr(args, "gnuplot", False)))
+                         gnuplot=bool(getattr(args, "gnuplot_script", False)))
         code = _COMMANDS[args.command](args, output)
         output.flush()
         return code

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AoiError, InvalidParameter, Policy, PolicyScheme, Scheme, StationaryDistribution
+from .core import AoiError, InvalidParameter, Policy, PolicyScheme, Scheme, StateFractions
 
 
 class DivergentAoi(AoiError):
@@ -72,7 +72,7 @@ def avg_aoi(ps: PolicyScheme, lam: float, mu: float, k: float, p: float) -> AoiB
     return AoiBreakdown(total=base + coupling + correction, terms=terms)
 
 
-def stationary(policy: Policy, lam: float, mu: float, k: float, p: float) -> StationaryDistribution:
+def stationary(policy: Policy, lam: float, mu: float, k: float, p: float) -> StateFractions:
     """Stationary distribution of the per-device chain (identical for WP and WOP)."""
     _check_rates(lam, mu, k, p)
     if policy is Policy.I:
@@ -82,7 +82,7 @@ def stationary(policy: Policy, lam: float, mu: float, k: float, p: float) -> Sta
     else:
         weights = (k * mu * p, lam * mu * p, k * lam)
     total = weights[0] + weights[1] + weights[2]
-    return StationaryDistribution(weights[0] / total, weights[1] / total, weights[2] / total)
+    return StateFractions(weights[0] / total, weights[1] / total, weights[2] / total)
 
 
 def preemption_gap(policy: Policy, lam: float, mu: float, k: float, p: float) -> float:

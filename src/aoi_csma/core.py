@@ -24,12 +24,18 @@ class InvalidParameter(AoiError):
     """A parameter violates its domain; ``field`` names the offender."""
 
     def __init__(self, field: str, message: str = ""):
+        # both arguments go to ``args``, so a pickled copy (an error raised in
+        # a worker process) is rebuilt with the same field and message
+        super().__init__(field, message)
         self.field = field
-        super().__init__(f"invalid parameter {field!r}" + (f": {message}" if message else ""))
+
+    def __str__(self) -> str:
+        field, message = self.args
+        return f"invalid parameter {field!r}" + (f": {message}" if message else "")
 
 
 class InfeasibleOccupancy(AoiError):
-    """Channel occupancy gamma * x_S reached or exceeded 1."""
+    """Channel occupancy gamma * x_S exceeded 1."""
 
 
 class Policy(str, Enum):
@@ -136,8 +142,9 @@ def validate(params: SystemParams) -> SystemParams:
 class StateFractions:
     """A point on the 3-simplex: fractions of devices in Idle/Waiting/Service.
 
-    Serves both as the empirical measure of a finite population (entries are
-    then multiples of 1/N) and as the continuous mean-field state.
+    Serves as the empirical measure of a finite population (entries are then
+    multiples of 1/N), as the continuous mean-field state, and as the
+    stationary distribution of one device's chain.
     """
 
     x_i: float
@@ -152,33 +159,3 @@ class StateFractions:
             self.x_i >= -tol and self.x_w >= -tol and self.x_s >= -tol
             and abs(self.x_i + self.x_w + self.x_s - 1.0) <= tol
         )
-
-
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Stationary probabilities of the three device states."""
-
-    pi_i: float
-    pi_w: float
-    pi_s: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.pi_i, self.pi_w, self.pi_s)
-
-
-def effective_waiting_rate(w: float, gamma: float, x_s: float) -> float:
-    """Rate at which one waiting device enters service: k = w * (1 - gamma * x_s).
-
-    ``gamma * x_s`` is the probability that the sensed channel is busy, so
-    feasibility requires ``gamma * x_s < 1``; k then lies in (0, w].
-    """
-    if w <= 0:
-        raise InvalidParameter("w", "must be positive")
-    if gamma <= 0:
-        raise InvalidParameter("gamma", "must be positive")
-    if x_s < 0:
-        raise InvalidParameter("x_s", "must be nonnegative")
-    busy = gamma * x_s
-    if busy >= 1.0:
-        raise InfeasibleOccupancy(f"gamma * x_s = {busy} >= 1")
-    return w * (1.0 - busy)

@@ -14,7 +14,7 @@ signs; claims the analysis leaves open are reported, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -271,10 +271,11 @@ _X_CLAIMS: dict[tuple[str, str], dict[str, int | None]] = {
 _AOI_CLAIMS: dict[str, int | None] = {"lam": None, "mu": -1, "w": -1, "p": -1, "gamma": +1}
 
 _ZERO_TOL = 1e-9
+_REL_STEP = 1e-4  # central-difference half-width, relative to the grid value
 
 
-def _sign(value: float, tol: float = _ZERO_TOL) -> int:
-    if abs(value) <= tol:
+def _sign(value: float) -> int:
+    if abs(value) <= _ZERO_TOL:
         return 0
     return 1 if value > 0 else -1
 
@@ -319,13 +320,7 @@ class MonotonicityReport:
 
 def with_param(params: SystemParams, which: str, value: float) -> SystemParams:
     """Copy of ``params`` with one mean-field parameter replaced (drops N, M)."""
-    return SystemParams(
-        lam=value if which == "lam" else params.lam,
-        mu=value if which == "mu" else params.mu,
-        w=value if which == "w" else params.w,
-        p=value if which == "p" else params.p,
-        gamma=value if which == "gamma" else params.gamma,
-    )
+    return replace(params, n_devices=None, n_channels=None, **{which: value})
 
 
 def monotonicity_report(
@@ -334,7 +329,6 @@ def monotonicity_report(
     params: SystemParams,
     which: str,
     grid,
-    rel_step: float = 1e-4,
 ) -> MonotonicityReport:
     """Finite-difference signs of x* and the mean-field AoI along ``grid``.
 
@@ -352,7 +346,7 @@ def monotonicity_report(
     d_x = np.empty((values.size, 3))
     d_aoi = np.empty(values.size)
     for idx, value in enumerate(values):
-        h = rel_step * abs(value)
+        h = _REL_STEP * abs(value)
         lo, hi = value - h, value + h
         if not (h > 0 and lo > 0):
             raise GridPointInvalid(f"{which} = {value} too close to zero for step {h}")
@@ -375,19 +369,14 @@ def monotonicity_report(
 
     x_claims = claimed_x_signs(policy, which)
     aoi_claim = claimed_aoi_sign(policy, which)
+    estimates = {"x_i": d_x[:, 0], "x_w": d_x[:, 1], "x_s": d_x[:, 2], "aoi": d_aoi}
     verdicts: dict[str, str] = {}
-    for quantity, claim in x_claims.items():
-        col = {"x_i": 0, "x_w": 1, "x_s": 2}[quantity]
+    for quantity, claim in {**x_claims, "aoi": aoi_claim}.items():
         if claim is None:
             verdicts[quantity] = "report"
         else:
-            observed = [_sign(d) for d in d_x[:, col]]
-            verdicts[quantity] = "match" if all(s == claim for s in observed) else "mismatch"
-    if aoi_claim is None:
-        verdicts["aoi"] = "report"
-    else:
-        observed = [_sign(d) for d in d_aoi]
-        verdicts["aoi"] = "match" if all(s == aoi_claim for s in observed) else "mismatch"
+            matched = all(_sign(d) == claim for d in estimates[quantity])
+            verdicts[quantity] = "match" if matched else "mismatch"
 
     return MonotonicityReport(
         policy=policy,

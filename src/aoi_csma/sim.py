@@ -394,14 +394,6 @@ def run(config: SimConfig) -> SimResult:
     )
 
 
-def trajectory(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical-measure series (times, fractions) of a single replication."""
-    if config.sample_dt is None:
-        raise InvalidConfig("trajectory requires sample_dt")
-    result = run(config)
-    return result.trajectory_times, result.trajectory_fractions
-
-
 @dataclass(frozen=True)
 class PooledResult:
     """Replications with pooled statistics over their per-replication means."""

@@ -4,10 +4,12 @@ import hashlib
 import json
 import os
 
+import argparse
+
 import pytest
 
 from aoi_csma import meanfield as mf
-from aoi_csma.cli import PRESETS, main
+from aoi_csma.cli import PRESETS, _merge_config_file, build_parser, main
 from aoi_csma.core import Policy, StateFractions, SystemParams
 
 MF_ARGS = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--gamma", "5", "--p", "0.7"]
@@ -153,6 +155,17 @@ def test_simulate_writes_csvs_and_is_byte_deterministic(tmp_path, capsys):
     assert summary[0] == "mean,stderr,arrivals,delivered,failed,preempted,discarded,k_estimate"
 
 
+def test_simulate_error_in_worker_prints_as_in_process(capsys):
+    argv = ["simulate", "--policy", "W", "--scheme", "wp", "--lambda", "-1", "--mu", "1",
+            "--w", "2", "--p", "0.7", "--n", "10", "--m", "2", "--arrivals", "100",
+            "--reps", "2"]
+    code_1, _, err_1 = run_cli(capsys, *argv, "--parallelism", "1")
+    code_2, _, err_2 = run_cli(capsys, *argv, "--parallelism", "2")
+    assert code_1 == code_2 == 1
+    assert err_1 == err_2
+    assert err_1.startswith("error: invalid parameter 'lam': ")
+
+
 def test_simulate_missing_channels_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "simulate", "--policy", "W", "--scheme", "wp",
                            "--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7",
@@ -185,6 +198,30 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert out.strip().splitlines()[1].split(",")[5] == "0.5"
     config.write_text(json.dumps({"bogus": 1}))
     assert run_cli(capsys, "analytic", "--config", str(config))[0] == 1
+    config.write_text(json.dumps({"selftest-perturb": 1e-6}))
+    code, out, _ = run_cli(capsys, "crossvalidate", "--count", "5", "--config", str(config))
+    assert code == 3 and "FAIL" in out
+
+
+def test_every_long_flag_is_a_config_key(tmp_path):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    config = tmp_path / "run.json"
+    checked = 0
+    for command, sub in subparsers.choices.items():
+        if "--config" not in sub._option_string_actions:
+            continue
+        argv = [command] + (["aoi-vs-p"] if command == "reproduce" else [])
+        for action in sub._actions:
+            flags = [s for s in action.option_strings if s.startswith("--")]
+            if not flags or action.dest in ("help", "config"):
+                continue
+            config.write_text(json.dumps({flags[0][2:]: "value"}))
+            args = parser.parse_args([*argv, "--config", str(config)])
+            _merge_config_file(args)
+            assert getattr(args, action.dest) == "value", (command, flags[0])
+            checked += 1
+    assert checked > 5 * 20
 
 
 def test_gnuplot_script_emitted(tmp_path, capsys):
@@ -227,6 +264,10 @@ def test_reproduce_accuracy_small_scale(tmp_path, capsys):
         lines = (out_dir / f"accuracy_N{n}.csv").read_text().splitlines()
         assert lines[0] == "t,x_I,mean_x_I"
     assert (out_dir / "accuracy_ode.csv").exists()
+    code, _, err = run_cli(capsys, "reproduce", "accuracy", "--reps", "2", "--parallelism", "0",
+                           "--out", str(tmp_path / "zero"))
+    assert code == 1
+    assert "parallelism must be >= 1" in err
 
 
 def test_reproduce_param_sweeps(tmp_path, capsys):
@@ -297,6 +338,12 @@ PINNED_COMMANDS = {
     "horizon": ["simulate", "--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7",
                 "--n", "20", "--m", "4", "--horizon", "400", "--warmup", "0.2", "--reps", "2",
                 "--sample-dt", "10", "--seed", "11"],
+    # mu*p + mu*(1-p) != mu here, so the I-row residual moves with a 1-ulp
+    # change in how the service-exit rate is formed
+    "equilibrium": ["meanfield", "--lambda", "0.8", "--mu", "1.5", "--w", "2", "--gamma", "5",
+                    "--p", "0.3"],
+    "aoi-vs-lambda": ["reproduce", "aoi-vs-lambda"],
+    "param-sweeps": ["reproduce", "param-sweeps"],
 }
 PINNED_SHA256 = {
     "analytic/analytic.csv": "876b637490b19675a5bc685bcb70a8198136da40fba38ca52c62fe1365de53e3",
@@ -347,6 +394,12 @@ PINNED_SHA256 = {
     "horizon/traj_S-WP.csv": "1258525e512702278fd6093dad6062f0955dc2cb30f08f3fb0f7c54a405d7047",
     "horizon/traj_W-WOP.csv": "4048b75b011ad080dcdae6711946e48ba6fc690a8a48687943396ff284235fb2",
     "horizon/traj_W-WP.csv": "4048b75b011ad080dcdae6711946e48ba6fc690a8a48687943396ff284235fb2",
+    "equilibrium/equilibrium.csv": "1d804b96c7c8a66a84eef7c6a5602cb350e1e966927e427045918744553cad74",
+    "aoi-vs-lambda/aoi_vs_lambda.csv": "ab8bf500c02ae4a6e86cfa0de18ba08c3533c3e73134de00064e125f553b24db",
+    "param-sweeps/param_sweep_gamma.csv": "e1ff9cc2b067b63f826518891a06a15225deedfc4e1603f8f94c18b8c64beb4c",
+    "param-sweeps/param_sweep_mu.csv": "c7425e3c2bf1d2d7e2cee426a2ba3b4973dfc0257cd73634257edf411c13f4b0",
+    "param-sweeps/param_sweep_p.csv": "70536b5546cd7d1f3136335eadf9d07ab4a5d8434d5ac6be98f0b6d882fac309",
+    "param-sweeps/param_sweep_w.csv": "51662e858f402f5fe06d959fa659aed1af6b8191a6eb404e495d0e7c52c21814",
 }
 
 

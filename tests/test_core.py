@@ -1,19 +1,20 @@
 """Tests for the shared domain types and parameter validation."""
 
+import ast
+import importlib
 import math
+import pickle
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
 
 from aoi_csma.core import (
-    InfeasibleOccupancy,
     InvalidParameter,
     Policy,
     PolicyScheme,
     Scheme,
     StateFractions,
     SystemParams,
-    effective_waiting_rate,
     parse_policy,
     parse_scheme,
     validate,
@@ -73,53 +74,28 @@ def test_parse_policy_and_scheme():
         parse_scheme("np")
 
 
-def test_effective_waiting_rate_examples():
-    assert effective_waiting_rate(2.0, 5.0, 0.0) == 2.0
-    # equilibrium service fraction of the reference parameter set
-    assert effective_waiting_rate(2.0, 5.0, 0.174143) == pytest.approx(0.258570, abs=1e-9)
-    with pytest.raises(InfeasibleOccupancy):
-        effective_waiting_rate(2.0, 5.0, 0.2)  # gamma * x_s == 1
-    with pytest.raises(InfeasibleOccupancy):
-        effective_waiting_rate(2.0, 5.0, 0.25)
-    with pytest.raises(InvalidParameter):
-        effective_waiting_rate(2.0, 5.0, -0.01)
-
-
-@given(
-    w=st.floats(0.1, 10.0),
-    gamma=st.floats(0.1, 10.0),
-    # Kept clear of 1: gamma * (x / gamma) rounds to exactly 1.0 for some
-    # x just below 1 (gamma=0.75, x=0.9999999999999999), which is infeasible.
-    x1=st.floats(0.0, 0.999999),
-    x2=st.floats(0.0, 0.999999),
-)
-def test_effective_waiting_rate_decreases_in_occupancy(w, gamma, x1, x2):
-    lo, hi = sorted((x1, x2))
-    lo_s, hi_s = lo / gamma, hi / gamma  # scale into the feasible range
-    k_lo = effective_waiting_rate(w, gamma, lo_s)
-    k_hi = effective_waiting_rate(w, gamma, hi_s)
-    assert 0.0 < k_hi <= k_lo <= w
-    if hi - lo > 1e-9:  # a resolvable gap, not a rounding artifact
-        assert k_hi < k_lo
-
-
-@given(
-    w=st.floats(0.1, 10.0),
-    g1=st.floats(0.1, 10.0),
-    g2=st.floats(0.1, 10.0),
-    u=st.floats(1e-6, 0.99),
-)
-def test_effective_waiting_rate_decreases_in_gamma(w, g1, g2, u):
-    g_lo, g_hi = sorted((g1, g2))
-    x_s = u / g_hi  # feasible for both ratios
-    k_lo = effective_waiting_rate(w, g_lo, x_s)
-    k_hi = effective_waiting_rate(w, g_hi, x_s)
-    assert k_hi <= k_lo
-    if (g_hi - g_lo) * x_s > 1e-9:
-        assert k_hi < k_lo
-
-
 def test_state_fractions_simplex_check():
     assert StateFractions(0.2, 0.3, 0.5).on_simplex()
     assert not StateFractions(0.2, 0.3, 0.6).on_simplex()
     assert not StateFractions(-0.1, 0.6, 0.5).on_simplex()
+
+
+def test_invalid_parameter_survives_pickling():
+    # errors raised in replicate's worker processes reach the caller pickled
+    for exc in (InvalidParameter("lam", "must be positive"), InvalidParameter("p")):
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is InvalidParameter
+        assert str(copy) == str(exc)
+        assert copy.field == exc.field
+
+
+def test_benchmark_traced_functions_exist():
+    # perfbench/tracer.py wraps these by name; read the table without running the file
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+    table = next(node.value for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets))
+    for layer, names in ast.literal_eval(table).items():
+        module = importlib.import_module(f"aoi_csma.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

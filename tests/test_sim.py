@@ -110,7 +110,8 @@ def test_trajectory_is_an_empirical_measure():
     params = _params(10, 2)
     config = sim.SimConfig(params=params, ps=W_WP, seed=5, stop_time=20.0,
                            warmup_fraction=0.0, sample_dt=0.5)
-    times, fractions = sim.trajectory(config)
+    result = sim.run(config)
+    times, fractions = result.trajectory_times, result.trajectory_fractions
     assert times[0] == 0.0
     assert fractions[0] == pytest.approx([1.0, 0.0, 0.0])  # all devices start idle
     counts = fractions * 10
@@ -122,8 +123,8 @@ def test_trajectory_is_an_empirical_measure():
 
 def test_trajectory_requires_sample_dt():
     config = sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=5, stop_time=5.0)
-    with pytest.raises(sim.InvalidConfig):
-        sim.trajectory(config)
+    result = sim.run(config)
+    assert result.trajectory_times is None and result.trajectory_fractions is None
 
 
 def test_aoi_accounting_basics():
