@@ -2,11 +2,11 @@
 """Run every figure-data reproduction preset into one output directory.
 
 Usage:
-    python scripts/reproduce_figures.py [OUT_DIR] [--seed S] [--reps R] [--full]
+    python scripts/reproduce_figures.py [OUT_DIR] [--seed S] [--reps R]
 
 Writes one subdirectory per preset.  By default the population-accuracy
-preset averages 100 trajectory replications per population size; --full
-raises that to 10000 (slow) to match the published ensemble size.
+preset averages 100 trajectory replications per population size; --reps 10000
+(slow) matches the published ensemble size.
 """
 
 import argparse
@@ -24,17 +24,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=100,
                         help="trajectory replications for the accuracy preset")
-    parser.add_argument("--full", action="store_true",
-                        help="use 10000 replications for the accuracy preset")
     args = parser.parse_args()
 
-    reps = 10_000 if args.full else args.reps
     for name in sorted(PRESETS):
         out_dir = Path(args.out) / name
         argv = ["reproduce", name, "--out", str(out_dir), "--seed", str(args.seed),
                 "--gnuplot-script"]
         if name == "accuracy":
-            argv += ["--reps", str(reps), "--parallelism", "2"]
+            argv += ["--reps", str(args.reps), "--parallelism", "2"]
         print(f"==> {name} -> {out_dir}")
         code = cli_main(argv)
         if code != 0:

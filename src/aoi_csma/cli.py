@@ -125,95 +125,116 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         raise UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        """With --config, the file's values become this parser's defaults and
+        args are parsed again.  A flag beats the file, the file beats the
+        built-in default, and file values are converted like flag text."""
+        parsed, extras = super().parse_known_args(args, namespace)
+        if "--config" not in self._option_string_actions or parsed.config is None:
+            return parsed, extras
+        self.set_defaults(**_config_defaults(self, parsed.config))
+        return super().parse_known_args(args, namespace)
 
-def _add_common(parser: _Parser) -> None:
-    parser.add_argument("--policy", default=None, help="I, W, S, or all")
-    parser.add_argument("--scheme", default=None, help="wp, wop, or all")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None, help="arrival rate")
-    parser.add_argument("--mu", type=float, default=None, help="service rate")
-    parser.add_argument("--w", type=float, default=None, help="waiting (backoff) rate")
-    parser.add_argument("--k", type=float, default=None, help="effective waiting rate (analytic mode)")
-    parser.add_argument("--gamma", type=float, default=None, help="device-to-channel ratio N/M")
-    parser.add_argument("--p", type=float, default=None, help="successful-transmission probability")
-    parser.add_argument("--n", type=int, default=None, help="number of devices (simulation)")
-    parser.add_argument("--m", type=int, default=None, help="number of channels (simulation)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 1)")
-    parser.add_argument("--arrivals", type=int, default=None, help="stop after this many arrivals")
-    parser.add_argument("--horizon", type=float, default=None, help="stop at this simulated time")
-    parser.add_argument("--warmup", type=float, default=None, help="warm-up fraction (default 0.1)")
-    parser.add_argument("--reps", type=int, default=None, help="replication count")
-    parser.add_argument("--sweep", default=None, help="<param>=<start:end:count> inclusive grid")
-    parser.add_argument("--out", default=None, help="output directory for CSV files")
-    parser.add_argument("--sample-dt", type=float, default=None,
-                        help="empirical-measure sampling interval")
-    parser.add_argument("--config", default=None, help="JSON file with flag defaults")
-    parser.add_argument("--parallelism", type=int, default=None, help="worker processes for replications")
-    parser.add_argument("--gnuplot-script", action="store_true", default=None,
-                        help="emit a gnuplot script next to the CSV output")
+
+def _config_defaults(parser: _Parser, path: str) -> dict:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError("config file must hold a JSON object of flag values")
+    defaults = {}
+    for key, value in doc.items():
+        action = parser._option_string_actions.get("--" + key)
+        if action is None or action.dest in ("help", "config"):
+            raise UsageError(f"config file key {key!r} does not match any flag")
+        switch = action.nargs == 0
+        if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"config file key {key!r} takes "
+                             + ("true or false" if switch else "a string or a number"))
+        defaults[action.dest] = value if isinstance(value, (bool, str)) else str(value)
+    return defaults
+
+
+def _fractions(text: str) -> StateFractions:
+    try:
+        xi, xw, xs = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be i,w,s fractions, got {text!r}") from None
+    return StateFractions(xi, xw, xs)
+
+
+# Every flag once.  A subcommand takes only the flags its command reads.
+_FLAGS = {
+    "policy": dict(default="all", help="I, W, S, or all"),
+    "scheme": dict(default="all", help="wp, wop, or all"),
+    "lambda": dict(dest="lam", type=float, help="arrival rate"),
+    "mu": dict(type=float, help="service rate"),
+    "w": dict(type=float, help="waiting (backoff) rate"),
+    "k": dict(type=float, help="effective waiting rate"),
+    "gamma": dict(type=float, help="device-to-channel ratio N/M"),
+    "p": dict(type=float, help="successful-transmission probability"),
+    "n": dict(type=int, help="number of devices"),
+    "m": dict(type=int, help="number of channels"),
+    "sweep": dict(help="<param>=<start:end:count> inclusive grid"),
+    "count": dict(type=int, default=1000, help="number of random tuples"),
+    "selftest-perturb": dict(type=float, default=0.0,
+                             help="inject a deviation to verify the harness detects it"),
+    "trajectory": dict(action="store_true", help="integrate the ODE and emit the trajectory"),
+    "t-end": dict(type=float, default=200.0, help="integration horizon"),
+    "dt": dict(type=float, default=0.01, help="integration step"),
+    "x0": dict(type=_fractions, default="1,0,0", help="initial fractions i,w,s"),
+    "monotonicity": dict(help="<param>=<start:end:count>: finite-difference sign report"),
+    "arrivals": dict(type=int, help="stop after this many arrivals"),
+    "horizon": dict(type=float, help="stop at this simulated time"),
+    "warmup": dict(type=float, default=0.1, help="warm-up fraction"),
+    "reps": dict(type=int, default=1, help="replication count"),
+    "parallelism": dict(type=int, default=1, help="worker processes for replications"),
+    "sample-dt": dict(type=float, help="empirical-measure sampling interval"),
+    "compare": dict(action="store_true", help="print relative error against the mean-field AoI"),
+    "seed": dict(type=int, help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 1)"),
+    "out": dict(help="output directory for CSV files"),
+    "config": dict(help="JSON file whose keys are this command's long flags"),
+    "gnuplot-script": dict(action="store_true",
+                           help="emit a gnuplot script next to the CSV output"),
+}
+
+# subcommand: (help, its flags besides seed/out/config, dests whose default differs)
+_SUBCOMMANDS = {
+    "analytic": ("evaluate the closed forms",
+                 "policy scheme lambda mu k p sweep gnuplot-script", {}),
+    "crossvalidate": ("chain solver vs closed forms on a random grid",
+                      "count selftest-perturb", {}),
+    "meanfield": ("equilibria, trajectories, sweeps, monotonicity",
+                  "policy scheme lambda mu w gamma p sweep trajectory t-end dt x0 "
+                  "monotonicity gnuplot-script", {}),
+    "simulate": ("event-driven finite-N simulation",
+                 "policy scheme lambda mu w p n m arrivals horizon warmup reps parallelism "
+                 "sample-dt compare gnuplot-script", {}),
+    "reproduce": ("figure-data reproduction presets",
+                  "arrivals reps parallelism sample-dt gnuplot-script",
+                  {"arrivals": 200_000, "reps": 100, "sample_dt": 0.1}),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="aoi-csma", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_an = sub.add_parser("analytic", parents=[], help="evaluate the closed forms")
-    _add_common(p_an)
-    p_an.add_argument("--p-grid", default=None,
-                      help="start:end:count grid over p (same as --sweep p=...)")
-
-    p_cv = sub.add_parser("crossvalidate", help="chain solver vs closed forms on a random grid")
-    _add_common(p_cv)
-    p_cv.add_argument("--count", type=int, default=None, help="number of random tuples (default 1000)")
-    p_cv.add_argument("--selftest-perturb", type=float, default=None,
-                      help="inject a deviation to verify the harness detects it")
-
-    p_mf = sub.add_parser("meanfield", help="equilibria, trajectories, sweeps, monotonicity")
-    _add_common(p_mf)
-    p_mf.add_argument("--trajectory", action="store_true", default=None,
-                      help="integrate the ODE and emit the trajectory")
-    p_mf.add_argument("--t-end", type=float, default=None, help="integration horizon")
-    p_mf.add_argument("--dt", type=float, default=None, help="integration step (default 0.01)")
-    p_mf.add_argument("--x0", default=None, help="initial fractions i,w,s (default 1,0,0)")
-    p_mf.add_argument("--monotonicity", default=None,
-                      help="<param>=<start:end:count>: finite-difference sign report")
-
-    p_sim = sub.add_parser("simulate", help="event-driven finite-N simulation")
-    _add_common(p_sim)
-    p_sim.add_argument("--compare", action="store_true", default=None,
-                       help="print relative error against the mean-field AoI")
-
-    p_rep = sub.add_parser("reproduce", help="figure-data reproduction presets")
-    p_rep.add_argument("preset", choices=sorted(PRESETS), help="preset name")
-    _add_common(p_rep)
-
-    p_list = sub.add_parser("presets", help="describe the reproduction presets")
-    p_list.add_argument("--out", default=None, help=argparse.SUPPRESS)
+    for command, (help_text, names, defaults) in _SUBCOMMANDS.items():
+        p_cmd = sub.add_parser(command, help=help_text,
+                               formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        if command == "reproduce":
+            p_cmd.add_argument("preset", choices=sorted(PRESETS), help="preset name")
+        for name in names.split() + ["seed", "out", "config"]:
+            p_cmd.add_argument("--" + name, **_FLAGS[name])
+        p_cmd.set_defaults(**defaults)
+    sub.add_parser("presets", help="describe the reproduction presets")
     return parser
 
 
-def _merge_config_file(args: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config file; flags keep priority."""
-    if getattr(args, "config", None) is None:
-        return
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {args.config}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise UsageError("config file must hold a JSON object of flag values")
-    for key, value in doc.items():
-        # every dest is its flag name with "-" as "_", except --lambda's
-        dest = "lam" if key == "lambda" else key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise UsageError(f"config file key {key!r} does not match any flag")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
-
-
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
@@ -248,17 +269,15 @@ def _parse_sweep(text: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
 
 
 def _policies(args) -> list[Policy]:
-    text = args.policy or "all"
-    if text.lower() == "all":
+    if args.policy.lower() == "all":
         return [Policy.I, Policy.W, Policy.S]
-    return [parse_policy(text)]
+    return [parse_policy(args.policy)]
 
 
 def _schemes(args) -> list[Scheme]:
-    text = args.scheme or "all"
-    if text.lower() == "all":
+    if args.scheme.lower() == "all":
         return [Scheme.WP, Scheme.WOP]
-    return [parse_scheme(text)]
+    return [parse_scheme(args.scheme)]
 
 
 def _combos(args) -> list[PolicyScheme]:
@@ -365,12 +384,9 @@ def _add_analytic(output: _Output, name: str, combos, points: list[dict]) -> int
 
 def _cmd_analytic(args, output: _Output) -> int:
     _require(args, "lam", "mu", "k")
-    sweep_texts = [t for t in (args.sweep, f"p={args.p_grid}" if args.p_grid else None) if t]
-    if len(sweep_texts) > 1:
-        raise UsageError("give at most one of --sweep / --p-grid")
     base = {"lam": args.lam, "mu": args.mu, "k": args.k, "p": args.p}
-    if sweep_texts:
-        which, grid = _parse_sweep(sweep_texts[0], ("lam", "mu", "k", "p"))
+    if args.sweep:
+        which, grid = _parse_sweep(args.sweep, ("lam", "mu", "k", "p"))
         points = [dict(base, **{which: v}) for v in grid]
     else:
         _require(args, "p")
@@ -379,12 +395,10 @@ def _cmd_analytic(args, output: _Output) -> int:
 
 
 def _cmd_crossvalidate(args, output: _Output) -> int:
-    count = args.count if args.count is not None else 1000
+    count = args.count
     if count < 1:
         raise UsageError(f"--count must be >= 1, got {count}")
-    seed = _resolve_seed(args)
-    perturb = args.selftest_perturb or 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_resolve_seed(args))
     tuples = np.empty((count, 4))
     for row in tuples:
         row[:3] = rng.uniform(0.1, 5.0, size=3)
@@ -394,7 +408,7 @@ def _cmd_crossvalidate(args, output: _Output) -> int:
     for ps in PolicyScheme.all_combinations():
         via_chain = shs.average_aoi(ps, lam=lam, mu=mu, k=k, p=p)
         direct = np.array([closedform.avg_aoi(ps, lam=a, mu=b, k=c, p=d).total
-                           for a, b, c, d in tuples]) + perturb
+                           for a, b, c, d in tuples]) + args.selftest_perturb
         with np.errstate(invalid="ignore"):  # an infinite perturbation gives inf/inf
             deviations.append(np.abs(via_chain - direct) / direct)
     # np.max propagates NaN, so a NaN deviation fails below
@@ -446,18 +460,8 @@ def _cmd_meanfield(args, output: _Output) -> int:
         which, grid = _parse_sweep(args.sweep, ("lam", "mu", "w", "gamma", "p"))
         output.add("sweep.csv", _sweep_lines(_combos(args), params, which, grid))
     if args.trajectory:
-        t_end = args.t_end if args.t_end is not None else 200.0
-        dt = args.dt if args.dt is not None else 0.01
-        if args.x0 is not None:
-            try:
-                xi, xw, xs = (float(v) for v in args.x0.split(","))
-            except ValueError:
-                raise UsageError(f"--x0 must be i,w,s fractions, got {args.x0!r}") from None
-            x0 = StateFractions(xi, xw, xs)
-        else:
-            x0 = StateFractions(1.0, 0.0, 0.0)
         for pol in policies:
-            traj = meanfield.integrate(pol, params, x0, t_end=t_end, dt=dt)
+            traj = meanfield.integrate(pol, params, args.x0, t_end=args.t_end, dt=args.dt)
             output.add(f"trajectory_{pol.value}.csv", _trajectory_lines(traj.times, traj.states))
     if args.monotonicity:
         which, grid = _parse_sweep(args.monotonicity, ("lam", "mu", "w", "gamma", "p"))
@@ -475,19 +479,13 @@ def _cmd_meanfield(args, output: _Output) -> int:
 
 def _cmd_simulate(args, output: _Output) -> int:
     _require(args, "lam", "mu", "w", "p", "n", "m")
-    if args.gamma is None:
-        if args.m == 0:
-            raise UsageError("--m must be positive")
-        gamma = args.n / args.m
-    else:
-        gamma = args.gamma
-    params = SystemParams(lam=args.lam, mu=args.mu, w=args.w, p=args.p, gamma=gamma,
+    if args.m == 0:
+        raise UsageError("--m must be positive")
+    params = SystemParams(lam=args.lam, mu=args.mu, w=args.w, p=args.p, gamma=args.n / args.m,
                           n_devices=args.n, n_channels=args.m)
     if args.arrivals is None and args.horizon is None:
         raise UsageError("give a stop criterion: --arrivals or --horizon")
     seed = _resolve_seed(args)
-    reps = args.reps if args.reps is not None else 1
-    parallelism = args.parallelism if args.parallelism is not None else 1
     combos = _combos(args)
     single = len(combos) == 1
 
@@ -495,10 +493,9 @@ def _cmd_simulate(args, output: _Output) -> int:
         config = SimConfig(
             params=params, ps=ps, seed=seed,
             stop_arrivals=args.arrivals, stop_time=args.horizon,
-            warmup_fraction=args.warmup if args.warmup is not None else 0.1,
-            sample_dt=args.sample_dt,
+            warmup_fraction=args.warmup, sample_dt=args.sample_dt,
         )
-        pooled = sim.replicate(config, n_reps=reps, parallelism=parallelism)
+        pooled = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
         first = pooled.results[0]
         tag = "" if single else f"_{ps.label}"
         output.add(f"summary{tag}.csv", _summary_lines(pooled))
@@ -526,14 +523,11 @@ def _cmd_reproduce(args, output: _Output) -> int:
         return _add_analytic(output, "aoi_vs_p.csv", PolicyScheme.all_combinations(), points)
 
     if args.preset == "accuracy":
-        reps = args.reps if args.reps is not None else 100
-        parallelism = args.parallelism if args.parallelism is not None else 1
-        sample_dt = args.sample_dt if args.sample_dt is not None else 0.1
         t_end = 10.0
         base = SystemParams(lam=pp["lam"], mu=pp["mu"], w=pp["w"], p=pp["p"], gamma=pp["gamma"])
         traj = meanfield.integrate(Policy.W, base, StateFractions(1.0, 0.0, 0.0),
                                    t_end=t_end, dt=0.01)
-        stride = max(1, round(sample_dt / 0.01))
+        stride = max(1, round(args.sample_dt / 0.01))
         output.add("accuracy_ode.csv",
                    _trajectory_lines(traj.times[::stride], traj.states[::stride]))
         for n in pp["populations"]:
@@ -542,8 +536,8 @@ def _cmd_reproduce(args, output: _Output) -> int:
                                   gamma=pp["gamma"], n_devices=n, n_channels=m)
             config = SimConfig(params=params, ps=PolicyScheme(Policy.W, Scheme.WP),
                                seed=seed, stop_time=t_end, warmup_fraction=0.0,
-                               sample_dt=sample_dt)
-            pooled = sim.replicate(config, n_reps=reps, parallelism=parallelism)
+                               sample_dt=args.sample_dt)
+            pooled = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
             one = pooled.results[0]
             mean_xi = np.mean(
                 [r.trajectory_fractions[:, 0] for r in pooled.results], axis=0
@@ -576,11 +570,10 @@ def _cmd_reproduce(args, output: _Output) -> int:
         return _EXIT_OK
 
     # single-device
-    arrivals = args.arrivals if args.arrivals is not None else 200_000
     params = SystemParams(lam=pp["lam"], mu=pp["mu"], w=pp["w"], p=pp["p"], gamma=1.0,
                           n_devices=pp["n"], n_channels=pp["m"])
     ps = PolicyScheme(Policy.I, Scheme.WP)
-    config = SimConfig(params=params, ps=ps, seed=seed, stop_arrivals=arrivals)
+    config = SimConfig(params=params, ps=ps, seed=seed, stop_arrivals=args.arrivals)
     pooled = sim.replicate(config, n_reps=1)
     expected = closedform.avg_aoi(ps, lam=pp["lam"], mu=pp["mu"], k=pp["w"], p=pp["p"]).total
     rel = (pooled.mean_aoi - expected) / expected
@@ -609,10 +602,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _merge_config_file(args)
+        args = build_parser().parse_args(argv)
         output = _Output(out_dir=getattr(args, "out", None),
                          gnuplot=bool(getattr(args, "gnuplot_script", False)))
         code = _COMMANDS[args.command](args, output)

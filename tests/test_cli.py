@@ -1,18 +1,22 @@
 """Tests for the command-line front end: exit codes, CSV output, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
-
-import argparse
+import runpy
+from pathlib import Path
 
 import pytest
 
 from aoi_csma import meanfield as mf
-from aoi_csma.cli import PRESETS, _merge_config_file, build_parser, main
+from aoi_csma.cli import PRESETS, build_parser, main
 from aoi_csma.core import Policy, StateFractions, SystemParams
 
 MF_ARGS = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--gamma", "5", "--p", "0.7"]
+ANALYTIC_POINT = ["--lambda", "1", "--mu", "1", "--k", "1", "--p", "1"]
+SIM_POINT = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7", "--n", "10", "--m", "2",
+             "--arrivals", "100"]
 
 
 def run_cli(capsys, *argv):
@@ -33,7 +37,7 @@ def test_analytic_single_point(capsys):
 def test_analytic_p_grid_reproduces_figure_rows(capsys):
     code, out, _ = run_cli(capsys, "analytic", "--policy", "all", "--scheme", "all",
                            "--lambda", "0.9", "--mu", "1", "--k", "2",
-                           "--p-grid", "0.3:1.0:15")
+                           "--sweep", "p=0.3:1.0:15")
     assert code == 0
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 6 * 15
@@ -203,25 +207,93 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert code == 3 and "FAIL" in out
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    (["crossvalidate"], {"count": "x"}, "argument --count: invalid int value: 'x'"),
+    (["crossvalidate"], {"count": 2.5}, "argument --count: invalid int value: '2.5'"),
+    # an internal dest and a positional are not flags
+    (["analytic", *ANALYTIC_POINT], {"lam": 1}, "config file key 'lam' does not match any flag"),
+    (["analytic", *ANALYTIC_POINT], {"command": "simulate"},
+     "config file key 'command' does not match any flag"),
+    (["reproduce", "aoi-vs-p"], {"preset": "accuracy"},
+     "config file key 'preset' does not match any flag"),
+    (["analytic", *ANALYTIC_POINT], {"gnuplot-script": "yes"},
+     "config file key 'gnuplot-script' takes true or false"),
+    (["analytic", *ANALYTIC_POINT], {"lambda": True},
+     "config file key 'lambda' takes a string or a number"),
+    (["analytic", *ANALYTIC_POINT], {"out": None}, "config file key 'out' takes a string or a number"),
+])
+def test_bad_config_values_are_usage_errors(tmp_path, capsys, command, doc, message):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *command, "--config", str(config))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_config_values_are_converted_like_flag_text(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"count": "5", "seed": "3"}))
+    from_file = run_cli(capsys, "crossvalidate", "--config", str(config))
+    assert from_file == run_cli(capsys, "crossvalidate", "--count", "5", "--seed", "3")
+    assert from_file[0] == 0 and from_file[1].startswith("tuples=5 ")
+
+
+# A valid flag text for every long flag: by flag, else by argument type.
+_FLAG_TEXT = {"--policy": "S", "--scheme": "wop", "--sweep": "p=0.3:1:8",
+              "--monotonicity": "w=1:3:4", "--x0": "0.5,0.25,0.25", "--out": "results"}
+_TYPE_TEXT = {float: "0.25", int: "3"}
+
+
 def test_every_long_flag_is_a_config_key(tmp_path):
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    """The config file {K: V} parses to the same Namespace as the flag --K V."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
     config = tmp_path / "run.json"
     checked = 0
     for command, sub in subparsers.choices.items():
-        if "--config" not in sub._option_string_actions:
-            continue
         argv = [command] + (["aoi-vs-p"] if command == "reproduce" else [])
+        defaults = build_parser().parse_args(argv)
         for action in sub._actions:
             flags = [s for s in action.option_strings if s.startswith("--")]
             if not flags or action.dest in ("help", "config"):
                 continue
-            config.write_text(json.dumps({flags[0][2:]: "value"}))
-            args = parser.parse_args([*argv, "--config", str(config)])
-            _merge_config_file(args)
-            assert getattr(args, action.dest) == "value", (command, flags[0])
+            flag = flags[0]
+            if action.nargs == 0:  # a switch: true in the file, bare on the command line
+                value, flag_argv = True, [flag]
+            else:
+                text = _FLAG_TEXT.get(flag) or _TYPE_TEXT[action.type]
+                value = json.loads(text) if action.type in (int, float) else text
+                flag_argv = [flag, text]
+            config.write_text(json.dumps({flag[2:]: value}))
+            from_file = build_parser().parse_args([*argv, "--config", str(config)])
+            from_flag = build_parser().parse_args([*argv, *flag_argv, "--config", str(config)])
+            assert from_file == from_flag, (command, flag)
+            assert getattr(from_file, action.dest) != getattr(defaults, action.dest)
             checked += 1
-    assert checked > 5 * 20
+    assert checked == 55
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "aoi-vs-p", "--lambda", "5"],
+    ["simulate", *SIM_POINT, "--sweep", "p=0.1:1:3"],
+    ["simulate", *SIM_POINT, "--gamma", "5"],
+    ["crossvalidate", "--policy", "S"],
+    ["presets", "--out", "listing"],
+])
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_benchmark_command_lines_parse():
+    """Every argv the benchmark runs, with its --seed and --out, is accepted."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path))
+    parsed = [build_parser().parse_args(argv)
+              for name in workloads["WORKLOADS"]
+              for argv in workloads["invocations"](name, 1, "out")]
+    assert parsed and all(args.seed == 1 and args.out == "out" for args in parsed)
 
 
 def test_gnuplot_script_emitted(tmp_path, capsys):
@@ -327,7 +399,7 @@ def test_meanfield_csv_serialization_formats(tmp_path, capsys):
 # refactor has to keep the output bytes.
 PINNED_COMMANDS = {
     "analytic": ["analytic", "--lambda", "0.9", "--mu", "1", "--k", "2",
-                 "--p-grid", "0.3:1.0:15"],
+                 "--sweep", "p=0.3:1.0:15"],
     "aoi-vs-p": ["reproduce", "aoi-vs-p"],
     "trajectory": ["meanfield", *MF_ARGS, "--trajectory", "--t-end", "1"],
     "monotonicity": ["meanfield", *MF_ARGS, "--monotonicity", "w=1:3:4"],
