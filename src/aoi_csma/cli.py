@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -122,6 +123,9 @@ PRESETS: dict[str, Preset] = {
 # Argument handling.
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a flag is named in full, never by a prefix
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         raise UsageError(message)
 
@@ -313,7 +317,8 @@ class _Output:
 
     def flush(self) -> None:
         if self.out_dir is not None:
-            os.makedirs(self.out_dir, exist_ok=True)
+            if self.documents:
+                os.makedirs(self.out_dir, exist_ok=True)
             for name, lines in self.documents:
                 path = os.path.join(self.out_dir, name)
                 with open(path, "w", newline="\n") as fh:
@@ -523,6 +528,8 @@ def _cmd_reproduce(args, output: _Output) -> int:
         return _add_analytic(output, "aoi_vs_p.csv", PolicyScheme.all_combinations(), points)
 
     if args.preset == "accuracy":
+        if not 0.0 < args.sample_dt < math.inf:
+            raise UsageError(f"--sample-dt must be positive and finite, got {args.sample_dt}")
         t_end = 10.0
         base = SystemParams(lam=pp["lam"], mu=pp["mu"], w=pp["w"], p=pp["p"], gamma=pp["gamma"])
         traj = meanfield.integrate(Policy.W, base, StateFractions(1.0, 0.0, 0.0),

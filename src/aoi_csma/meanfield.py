@@ -169,10 +169,10 @@ def integrate(
     such correction is recorded on the trajectory.
     """
     validate(params)
-    if dt <= 0.0:
-        raise InvalidParameter("dt", "must be positive")
-    if t_end <= 0.0:
-        raise InvalidParameter("t_end", "must be positive")
+    if not 0.0 < dt < math.inf:
+        raise InvalidParameter("dt", "must be positive and finite")
+    if not 0.0 < t_end < math.inf:
+        raise InvalidParameter("t_end", "must be positive and finite")
     if not x0.on_simplex(1e-9):
         raise InvalidParameter("x0", f"not on the simplex: {x0}")
     # plain Python floats throughout: numpy scalars leaking in from array

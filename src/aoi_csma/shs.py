@@ -14,14 +14,13 @@ float operations as one tuple and solved by one stacked
 ``np.linalg.solve``, so each entry equals its scalar solve bit for bit.
 Floats give batch shape ``()``.
 
-The six policy/scheme device chains are built here from their transition
-tables; solving them is the independent oracle against the closed forms in
-:mod:`aoi_csma.closedform`.
+Chains are built from :class:`ShsChain` and :class:`Transition`, which check
+them on construction; the six policy/scheme device chains built here are the
+independent oracle against the closed forms in :mod:`aoi_csma.closedform`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,51 +279,3 @@ def average_aoi(ps: PolicyScheme, lam, mu, k, p) -> float | np.ndarray:
     pi = stationary(chain)
     return solve_age_system(chain, pi).avg_aoi
 
-
-# ---------------------------------------------------------------------------
-# Structured text representation (JSON), so tests can load written fixtures.
-
-def chain_to_dict(chain: ShsChain) -> dict:
-    if chain.batch_shape:
-        raise ValueError("only a chain with scalar rates has a document form")
-    return {
-        "states": chain.n_states,
-        "transitions": [
-            {
-                "from": tr.from_state,
-                "to": tr.to_state,
-                "rate": float(tr.rate),
-                "reset": tr.reset.astype(int).tolist(),
-            }
-            for tr in chain.transitions
-        ],
-        "growth": chain.growth.astype(int).tolist(),
-    }
-
-
-def chain_from_dict(doc: dict) -> ShsChain:
-    growth = np.asarray(doc["growth"], dtype=float)
-    transitions = tuple(
-        Transition(
-            from_state=int(t["from"]),
-            to_state=int(t["to"]),
-            rate=float(t["rate"]),
-            reset=np.asarray(t["reset"], dtype=float),
-        )
-        for t in doc["transitions"]
-    )
-    return ShsChain(
-        n_states=int(doc["states"]),
-        age_dim=growth.shape[1],
-        transitions=transitions,
-        growth=growth,
-    )
-
-
-def load_chain(text: str) -> ShsChain:
-    """Parse a chain from its JSON document form."""
-    return chain_from_dict(json.loads(text))
-
-
-def dump_chain(chain: ShsChain) -> str:
-    return json.dumps(chain_to_dict(chain), indent=2)

@@ -167,8 +167,8 @@ def _check_config(config: SimConfig) -> None:
         raise InvalidConfig("exactly one of stop_arrivals / stop_time must be set")
     if config.stop_arrivals is not None and config.stop_arrivals < 1:
         raise InvalidConfig(f"stop_arrivals must be >= 1, got {config.stop_arrivals}")
-    if config.stop_time is not None and not config.stop_time > 0:
-        raise InvalidConfig(f"stop_time must be positive, got {config.stop_time}")
+    if config.stop_time is not None and not 0 < config.stop_time < math.inf:
+        raise InvalidConfig(f"stop_time must be positive and finite, got {config.stop_time}")
     if not 0.0 <= config.warmup_fraction <= 0.5:
         raise InvalidConfig(f"warmup_fraction must lie in [0, 0.5], got {config.warmup_fraction}")
     if config.sample_dt is not None and not config.sample_dt > 0:
@@ -220,7 +220,9 @@ def run(config: SimConfig) -> SimResult:
         t_stop = config.stop_time
         t_warm = config.warmup_fraction * t_stop
 
-    stats_on = False
+    # The integrals accumulate from t = 0 and begin_stats zeroes them.
+    # ``t_pending`` is the warm-up boundary while it lies ahead in time, else inf.
+    t_pending = t_warm
     stats_t0 = 0.0
     ns_integral = 0.0
     last_t = 0.0
@@ -236,14 +238,15 @@ def run(config: SimConfig) -> SimResult:
         next_sample = sample_dt
 
     def begin_stats(tb: float) -> None:
-        nonlocal stats_on, stats_t0, ns_integral
+        nonlocal t_pending, stats_t0, ns_integral, last_t
         for i in range(n):
             aoi_value[i] += tb - aoi_time[i]
             aoi_time[i] = tb
             aoi_integral[i] = 0.0
-        stats_on = True
+        t_pending = math.inf
         stats_t0 = tb
         ns_integral = 0.0
+        last_t = tb
 
     if a_warm == 0:
         begin_stats(0.0)
@@ -264,12 +267,9 @@ def run(config: SimConfig) -> SimResult:
         if t > t_stop:
             end_time = t_stop
             break
-        if not stats_on and t >= t_warm:
-            begin_stats(t_warm)
-        if stats_on:
-            seg_from = last_t if last_t > stats_t0 else stats_t0
-            if t > seg_from:
-                ns_integral += n_serv * (t - seg_from)
+        if t >= t_pending:
+            begin_stats(t_pending)
+        ns_integral += n_serv * (t - last_t)
         while next_sample < t:
             _check_channels(occupied, n_serv)
             traj_times.append(next_sample)
@@ -320,9 +320,8 @@ def run(config: SimConfig) -> SimResult:
             if (q.pop() if q else refill(_P_SUCCESS, d)) < prob:
                 delivered += 1
                 heappop(heap)
-                if stats_on:
-                    dtau = t - aoi_time[d]
-                    aoi_integral[d] += aoi_value[d] * dtau + 0.5 * dtau * dtau
+                dtau = t - aoi_time[d]
+                aoi_integral[d] += aoi_value[d] * dtau + 0.5 * dtau * dtau
                 aoi_value[d] = t - stamp[d]
                 aoi_time[d] = t
                 occupied[chan[d]] = False
@@ -346,18 +345,15 @@ def run(config: SimConfig) -> SimResult:
                     q = draw_bo[d]
                     heapreplace(heap, (t + (q.pop() if q else refill(_P_BACKOFF, d)), d, _BACKOFF))
 
-    if not stats_on:
-        if t_warm < end_time:
-            begin_stats(t_warm)
-        else:
-            raise InvalidConfig("horizon ended before the warm-up window closed")
+    # A time horizon can end before any event reaches the boundary; an
+    # arrival horizon has always passed its boundary, as a_warm <= a_stop.
+    if t_pending < end_time:
+        begin_stats(t_pending)
     measured = end_time - stats_t0
     if measured <= 0.0:
         raise InvalidConfig("horizon too short: no time left after warm-up")
 
-    seg_from = last_t if last_t > stats_t0 else stats_t0
-    if end_time > seg_from:
-        ns_integral += n_serv * (end_time - seg_from)
+    ns_integral += n_serv * (end_time - last_t)
     if sampling:
         while next_sample <= end_time + 1e-12:
             _check_channels(occupied, n_serv)

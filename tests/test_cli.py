@@ -17,6 +17,8 @@ MF_ARGS = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--gamma", "5", "--p", "0
 ANALYTIC_POINT = ["--lambda", "1", "--mu", "1", "--k", "1", "--p", "1"]
 SIM_POINT = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7", "--n", "10", "--m", "2",
              "--arrivals", "100"]
+SIM_N20 = ["simulate", "--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7",
+           "--n", "20", "--m", "4"]
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +180,39 @@ def test_simulate_missing_channels_is_usage_error(capsys):
     assert "--m" in err
 
 
+@pytest.mark.parametrize("stop, message", [
+    (["--horizon", "inf"], "error: stop_time must be positive and finite, got inf\n"),
+    (["--arrivals", "1"], "error: horizon too short: no time left after warm-up\n"),
+])
+def test_simulate_unusable_horizon_is_usage_error(capsys, stop, message):
+    code, out, err = run_cli(capsys, "simulate", "--lambda", "0.8", "--mu", "1", "--w", "2",
+                             "--p", "0.7", "--n", "4", "--m", "2", *stop)
+    assert code == 1 and out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["meanfield", *MF_ARGS, "--trajectory", "--t-end", "inf"],
+    ["meanfield", *MF_ARGS, "--trajectory", "--t-end", "nan"],
+    ["meanfield", *MF_ARGS, "--trajectory", "--dt", "nan"],
+    ["reproduce", "accuracy", "--sample-dt", "inf"],
+    ["reproduce", "accuracy", "--sample-dt", "nan"],
+])
+def test_non_finite_time_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "must be positive and finite" in err
+
+
+def test_out_directory_is_created_only_when_a_file_is_written(tmp_path, capsys):
+    out_dir = tmp_path / "cv"
+    code, out, _ = run_cli(capsys, "crossvalidate", "--count", "3", "--out", str(out_dir))
+    assert code == 0 and out.endswith("OK\n")
+    assert not out_dir.exists()
+    assert run_cli(capsys, "analytic", *ANALYTIC_POINT, "--out", str(out_dir))[0] == 0
+    assert os.listdir(out_dir) == ["analytic.csv"]
+
+
 def test_seed_falls_back_to_environment(capsys, monkeypatch):
     monkeypatch.setenv("AOI_DENSE_SEED", "77")
     code, out_env, _ = run_cli(capsys, "crossvalidate", "--count", "3")
@@ -279,6 +314,8 @@ def test_every_long_flag_is_a_config_key(tmp_path):
     ["simulate", *SIM_POINT, "--gamma", "5"],
     ["crossvalidate", "--policy", "S"],
     ["presets", "--out", "listing"],
+    # a prefix of a flag name is not that flag
+    ["analytic", "--lam", "1", "--mu", "1", "--k", "1", "--p", "1", "--pol", "I", "--sch", "wp"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -416,6 +453,11 @@ PINNED_COMMANDS = {
                     "--p", "0.3"],
     "aoi-vs-lambda": ["reproduce", "aoi-vs-lambda"],
     "param-sweeps": ["reproduce", "param-sweeps"],
+    # no warm-up: statistics begin before the first event
+    "warmup0-arrivals": [*SIM_N20, "--arrivals", "1000", "--warmup", "0", "--reps", "2",
+                         "--seed", "13"],
+    "warmup0-horizon": [*SIM_N20, "--horizon", "200", "--warmup", "0", "--reps", "2",
+                        "--sample-dt", "10", "--seed", "17"],
 }
 PINNED_SHA256 = {
     "analytic/analytic.csv": "876b637490b19675a5bc685bcb70a8198136da40fba38ca52c62fe1365de53e3",
@@ -472,6 +514,36 @@ PINNED_SHA256 = {
     "param-sweeps/param_sweep_mu.csv": "c7425e3c2bf1d2d7e2cee426a2ba3b4973dfc0257cd73634257edf411c13f4b0",
     "param-sweeps/param_sweep_p.csv": "70536b5546cd7d1f3136335eadf9d07ab4a5d8434d5ac6be98f0b6d882fac309",
     "param-sweeps/param_sweep_w.csv": "51662e858f402f5fe06d959fa659aed1af6b8191a6eb404e495d0e7c52c21814",
+    "warmup0-arrivals/aoi_I-WOP.csv": "85d254c8bda1cc636ebad3de3f18c1dadb9b0266197a24c146335f74a3fe4761",
+    "warmup0-arrivals/aoi_I-WP.csv": "a9a156ee042cc5830c0d4c5425b9ef5f2cd1d179e05ec063c6003b9b57eec879",
+    "warmup0-arrivals/aoi_S-WOP.csv": "7f20b875203434778f40edaf6478ff3fe2c41e7f5f2878b8279d09882f026064",
+    "warmup0-arrivals/aoi_S-WP.csv": "b687c347e171d3b4130375585f3645e2d4ad05d50d134c8d1720ea59437f4431",
+    "warmup0-arrivals/aoi_W-WOP.csv": "f55a9763fe7a413e29113710dff996c560615d353a56e1f9e347e6cc5f0d5b2b",
+    "warmup0-arrivals/aoi_W-WP.csv": "d112547ddf1975a8e1325eebecaa056faf51bee2531297886d88fb542a0e9e16",
+    "warmup0-arrivals/summary_I-WOP.csv": "be3ede6f0d7c712008f85825f7d45781b785b1f98372b085033a861e80b86cdd",
+    "warmup0-arrivals/summary_I-WP.csv": "1d9fb8beb16c41a3a01cb47d6bd53f1e165107eb46b04220cc1b05e346459d21",
+    "warmup0-arrivals/summary_S-WOP.csv": "2b93ac1a53ec12fa122a856f592c4e4e291fcd5b7bbb4a5792dea60c26d5fd99",
+    "warmup0-arrivals/summary_S-WP.csv": "c0aa2f6283a6129e2c36645b24f183b6349786fe1172045021c5373d90b77fd6",
+    "warmup0-arrivals/summary_W-WOP.csv": "43ebac65c283bef09cc8f2674129ac832b4c11d90c471ea6bc0745c054962074",
+    "warmup0-arrivals/summary_W-WP.csv": "de58f4ad5400bc0cb326032a6c5239eb06ffe6dee89b4815a8e5e8e6ff6bcbb1",
+    "warmup0-horizon/aoi_I-WOP.csv": "707dc793e47af74f149d7bbc7e364f475028a6f678c9b80ce533243b5f39e55c",
+    "warmup0-horizon/aoi_I-WP.csv": "2040096a086ede71aa96df610cc2825f178e87c59fa116ba3d663d7494837883",
+    "warmup0-horizon/aoi_S-WOP.csv": "9fbbe17145a9c163be18633b01c2490955f0a9716110b0200bea7532f6daf084",
+    "warmup0-horizon/aoi_S-WP.csv": "cae35018f5c11453c1b496224b324fb06860d11232b6733a539fc805598fe57a",
+    "warmup0-horizon/aoi_W-WOP.csv": "2129e4824e7a3e24dd2a912bb47b325a1f361057bb13e4d9c3966a00d5aade89",
+    "warmup0-horizon/aoi_W-WP.csv": "0b40d77568fc3fbb25f141bcc0072b7aed381d5dd1e4650dadda8d8fbbead529",
+    "warmup0-horizon/summary_I-WOP.csv": "12d934f56b2338f53aa9d1e2f77e9c4557632a205c5ab7a4e025f8f8d27641ee",
+    "warmup0-horizon/summary_I-WP.csv": "2ad732ae5586fc5d4e18d4d763c5a67a66974e391c02e748f1bb2359fe7c2385",
+    "warmup0-horizon/summary_S-WOP.csv": "1d1ee9e275a3000235d345b96657a5a876ce79c5549ff3cb1599af8b74dfb4ee",
+    "warmup0-horizon/summary_S-WP.csv": "a103892b8cbfef954b7cb3dfa9836505581591aa1c4931259d190df065abe431",
+    "warmup0-horizon/summary_W-WOP.csv": "1c2785d0891a1c547bfd597c85b70459285bc0ebdc9a8b6e3e91a1e453423b6d",
+    "warmup0-horizon/summary_W-WP.csv": "cd35918bb6739b228b500749e75e26d988a89916c16642d0d7c7aa32b7904fa1",
+    "warmup0-horizon/traj_I-WOP.csv": "439d5700378d1bf6de9cf2d569a7f20705590cbb8ca7c43fe6b322c814be25ad",
+    "warmup0-horizon/traj_I-WP.csv": "439d5700378d1bf6de9cf2d569a7f20705590cbb8ca7c43fe6b322c814be25ad",
+    "warmup0-horizon/traj_S-WOP.csv": "17fa4bc86209fdd6e36393317f9e71ffcd40f48717231da869f9e490da1d1d2e",
+    "warmup0-horizon/traj_S-WP.csv": "17fa4bc86209fdd6e36393317f9e71ffcd40f48717231da869f9e490da1d1d2e",
+    "warmup0-horizon/traj_W-WOP.csv": "e5017a27248f0768e7e76bf40d684067865094313775e5c447ecd1ec8bf657ca",
+    "warmup0-horizon/traj_W-WP.csv": "e5017a27248f0768e7e76bf40d684067865094313775e5c447ecd1ec8bf657ca",
 }
 
 

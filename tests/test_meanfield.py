@@ -1,5 +1,7 @@
 """Tests for the mean-field ODE, equilibria, and monotonicity machinery."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +161,9 @@ def test_integrate_rejects_bad_inputs():
         mf.integrate(Policy.I, FIG3, StateFractions(0.6, 0.6, 0.0), t_end=1.0)
     with pytest.raises(InvalidParameter):
         mf.integrate(Policy.I, FIG3, StateFractions(1.0, 0.0, 0.0), t_end=1.0, dt=0.0)
+    for t_end, dt in ((math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(InvalidParameter, match="positive and finite"):
+            mf.integrate(Policy.I, FIG3, StateFractions(1.0, 0.0, 0.0), t_end=t_end, dt=dt)
 
 
 def test_trajectory_points_stay_on_simplex():

@@ -1,7 +1,5 @@
 """Tests for the generic chain solver and the six device chains."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from aoi_csma import closedform as cf
 from aoi_csma import shs
 from aoi_csma.core import Policy, PolicyScheme, Scheme
-
-DATA = Path(__file__).parent / "data"
 
 I_WP = PolicyScheme(Policy.I, Scheme.WP)
 I_WOP = PolicyScheme(Policy.I, Scheme.WOP)
@@ -145,20 +141,11 @@ def test_cross_check_at_figure_parameters():
     assert abs(via_chain - direct) / direct < 1e-9
 
 
-def test_chain_document_round_trip():
-    chain = shs.build_chain(W_WOP, lam=1.3, mu=0.7, k=2.1, p=0.4)
-    loaded = shs.load_chain(shs.dump_chain(chain))
-    assert loaded.n_states == chain.n_states
-    assert len(loaded.transitions) == len(chain.transitions)
-    pi = shs.stationary(loaded)
-    sol = shs.solve_age_system(loaded, pi)
-    assert sol.avg_aoi == pytest.approx(
-        shs.solve_age_system(chain, shs.stationary(chain)).avg_aoi, abs=1e-12)
-
-
 def test_hand_written_fixture_solves_to_renewal_value():
     # one state, delivery-at-arrival self-transition at rate 2: average AoI 2/rate
-    chain = shs.load_chain((DATA / "toy_chain.json").read_text())
+    deliver = np.array([[0.0, 0.0], [1.0, 0.0]])  # z0' = z1, z1' = 0
+    chain = shs.ShsChain(n_states=1, age_dim=2, growth=np.array([[1.0, 1.0]]),
+                         transitions=(shs.Transition(0, 0, 2.0, deliver),))
     assert chain.n_states == 1 and chain.age_dim == 2
     pi = shs.stationary(chain)
     assert pi == pytest.approx([1.0])
@@ -224,9 +211,3 @@ def test_batch_rejects_degenerate_entries():
         shs.average_aoi(S_WP, lam=lam, mu=mu, k=k, p=np.where(np.arange(8) == 5, 1.0, p))
     with pytest.raises(shs.DegenerateRate, match=r"batch index \(6,\)"):
         shs.average_aoi(W_WOP, lam=np.where(np.arange(8) == 6, -1.0, lam), mu=mu, k=k, p=p)
-
-
-def test_batched_chain_has_no_document_form():
-    lam, mu, k, p = _grid(3)
-    with pytest.raises(ValueError):
-        shs.dump_chain(shs.build_chain(W_WOP, lam=lam, mu=mu, k=k, p=p))

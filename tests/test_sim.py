@@ -1,5 +1,7 @@
 """Tests for the event-driven simulator: correctness, determinism, statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,8 @@ def test_config_validation():
     with pytest.raises(sim.InvalidConfig):
         sim.run(sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1,
                               stop_arrivals=10, sample_dt=-1.0))
+    with pytest.raises(sim.InvalidConfig, match="positive and finite"):  # would never end
+        sim.run(sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, stop_time=math.inf))
     with pytest.raises(sim.InvalidConfig):
         sim.replicate(good, n_reps=0)
 
