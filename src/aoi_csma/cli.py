@@ -32,8 +32,6 @@ from .core import (
     Scheme,
     StateFractions,
     SystemParams,
-    parse_policy,
-    parse_scheme,
 )
 from .meanfield import GridPointInvalid
 from .sim import InvalidConfig, SimConfig
@@ -44,10 +42,6 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_NUMERICAL = 2
 _EXIT_THRESHOLD = 3
-
-_SWEEP_ALIASES = {"lambda": "lam", "lam": "lam", "mu": "mu", "w": "w",
-                  "k": "k", "gamma": "gamma", "p": "p"}
-
 
 class UsageError(AoiError):
     """Bad command line or config file content."""
@@ -169,10 +163,25 @@ def _fractions(text: str) -> StateFractions:
     return StateFractions(xi, xw, xs)
 
 
+def _members(enum):
+    """An argparse type: a member's value in any case to a one-member tuple,
+    or ``all`` to every member in declaration order."""
+    def parse(text: str) -> tuple:
+        if text.lower() == "all":
+            return tuple(enum)
+        try:
+            return (enum(text.upper()),)
+        except ValueError:
+            names = ", ".join(member.value for member in enum)
+            raise argparse.ArgumentTypeError(
+                f"expected one of {names} or all, got {text!r}") from None
+    return parse
+
+
 # Every flag once.  A subcommand takes only the flags its command reads.
 _FLAGS = {
-    "policy": dict(default="all", help="I, W, S, or all"),
-    "scheme": dict(default="all", help="wp, wop, or all"),
+    "policy": dict(type=_members(Policy), default="all", help="I, W, S, or all"),
+    "scheme": dict(type=_members(Scheme), default="all", help="wp, wop, or all"),
     "lambda": dict(dest="lam", type=float, help="arrival rate"),
     "mu": dict(type=float, help="service rate"),
     "w": dict(type=float, help="waiting (backoff) rate"),
@@ -183,8 +192,6 @@ _FLAGS = {
     "m": dict(type=int, help="number of channels"),
     "sweep": dict(help="<param>=<start:end:count> inclusive grid"),
     "count": dict(type=int, default=1000, help="number of random tuples"),
-    "selftest-perturb": dict(type=float, default=0.0,
-                             help="inject a deviation to verify the harness detects it"),
     "trajectory": dict(action="store_true", help="integrate the ODE and emit the trajectory"),
     "t-end": dict(type=float, default=200.0, help="integration horizon"),
     "dt": dict(type=float, default=0.01, help="integration step"),
@@ -209,7 +216,7 @@ _SUBCOMMANDS = {
     "analytic": ("evaluate the closed forms",
                  "policy scheme lambda mu k p sweep gnuplot-script", {}),
     "crossvalidate": ("chain solver vs closed forms on a random grid",
-                      "count selftest-perturb", {}),
+                      "count", {}),
     "meanfield": ("equilibria, trajectories, sweeps, monotonicity",
                   "policy scheme lambda mu w gamma p sweep trajectory t-end dt x0 "
                   "monotonicity gnuplot-script", {}),
@@ -266,26 +273,15 @@ def _parse_sweep(text: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
     if "=" not in text:
         raise UsageError(f"sweep must be <param>=<start:end:count>, got {text!r}")
     name, grid_text = text.split("=", 1)
-    key = _SWEEP_ALIASES.get(name.strip().lower())
-    if key is None or key not in allowed:
+    key = name.strip().lower()
+    key = "lam" if key == "lambda" else key
+    if key not in allowed:
         raise UsageError(f"cannot sweep {name!r}; choose from {', '.join(allowed)}")
     return key, _parse_grid(grid_text)
 
 
-def _policies(args) -> list[Policy]:
-    if args.policy.lower() == "all":
-        return [Policy.I, Policy.W, Policy.S]
-    return [parse_policy(args.policy)]
-
-
-def _schemes(args) -> list[Scheme]:
-    if args.scheme.lower() == "all":
-        return [Scheme.WP, Scheme.WOP]
-    return [parse_scheme(args.scheme)]
-
-
 def _combos(args) -> list[PolicyScheme]:
-    return [PolicyScheme(pol, sch) for pol in _policies(args) for sch in _schemes(args)]
+    return [PolicyScheme(pol, sch) for pol in args.policy for sch in args.scheme]
 
 
 def _require(args, *names: str) -> None:
@@ -413,8 +409,8 @@ def _cmd_crossvalidate(args, output: _Output) -> int:
     for ps in PolicyScheme.all_combinations():
         via_chain = shs.average_aoi(ps, lam=lam, mu=mu, k=k, p=p)
         direct = np.array([closedform.avg_aoi(ps, lam=a, mu=b, k=c, p=d).total
-                           for a, b, c, d in tuples]) + args.selftest_perturb
-        with np.errstate(invalid="ignore"):  # an infinite perturbation gives inf/inf
+                           for a, b, c, d in tuples])
+        with np.errstate(invalid="ignore"):  # an infinite closed form gives inf/inf
             deviations.append(np.abs(via_chain - direct) / direct)
     # np.max propagates NaN, so a NaN deviation fails below
     worst = np.max(deviations)
@@ -426,7 +422,7 @@ def _cmd_crossvalidate(args, output: _Output) -> int:
     return _EXIT_OK
 
 
-def _equilibrium_lines(policies: list[Policy], params: SystemParams) -> list[str]:
+def _equilibrium_lines(policies: tuple[Policy, ...], params: SystemParams) -> list[str]:
     lines = ["policy,lambda,mu,w,gamma,p,x_I,x_W,x_S,k,delta,residual"]
     for pol in policies:
         eq = meanfield.equilibrium(pol, params)
@@ -456,29 +452,28 @@ def _sweep_lines(combos: list[PolicyScheme], params: SystemParams,
 
 def _cmd_meanfield(args, output: _Output) -> int:
     params = _mean_field_params(args)
-    policies = _policies(args)
     wants = [bool(args.sweep), bool(args.trajectory), bool(args.monotonicity)]
     if sum(wants) > 1 and args.out is None:
         raise UsageError("multiple outputs requested; give --out")
 
     if args.sweep:
-        which, grid = _parse_sweep(args.sweep, ("lam", "mu", "w", "gamma", "p"))
+        which, grid = _parse_sweep(args.sweep, meanfield.SWEEPABLE)
         output.add("sweep.csv", _sweep_lines(_combos(args), params, which, grid))
     if args.trajectory:
-        for pol in policies:
+        for pol in args.policy:
             traj = meanfield.integrate(pol, params, args.x0, t_end=args.t_end, dt=args.dt)
             output.add(f"trajectory_{pol.value}.csv", _trajectory_lines(traj.times, traj.states))
     if args.monotonicity:
-        which, grid = _parse_sweep(args.monotonicity, ("lam", "mu", "w", "gamma", "p"))
+        which, grid = _parse_sweep(args.monotonicity, meanfield.SWEEPABLE)
         for ps in _combos(args):
             report = meanfield.monotonicity_report(ps.policy, ps.scheme, params, which, grid)
             rows = [f"{which},{_fmt(v)},{_fmt(d)},{sign}"
-                    for v, d, sign in zip(report.values, report.d_aoi, report.aoi_signs())]
+                    for v, d, sign in zip(grid, report.d_aoi, report.aoi_signs())]
             output.add(f"monotonicity_{ps.label}_{which}.csv", ["param,value,dAoI,sign", *rows])
             verdicts = " ".join(f"{k}={v}" for k, v in report.verdicts.items())
             output.say(f"monotonicity {ps.label} d/d{which}: {verdicts}")
     if not any(wants):
-        output.add("equilibrium.csv", _equilibrium_lines(policies, params))
+        output.add("equilibrium.csv", _equilibrium_lines(args.policy, params))
     return _EXIT_OK
 
 

@@ -78,20 +78,6 @@ class PolicyScheme:
         return tuple(PolicyScheme(pol, sch) for pol in Policy for sch in Scheme)
 
 
-def parse_policy(text: str) -> Policy:
-    try:
-        return Policy(text.upper())
-    except ValueError:
-        raise InvalidParameter("policy", f"expected one of I/W/S, got {text!r}") from None
-
-
-def parse_scheme(text: str) -> Scheme:
-    try:
-        return Scheme(text.upper())
-    except ValueError:
-        raise InvalidParameter("scheme", f"expected one of WP/WOP, got {text!r}") from None
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Scalar rates and population parameters of one system instance.

@@ -155,6 +155,9 @@ def equilibrium(policy: Policy, params: SystemParams) -> Equilibrium:
     return Equilibrium(x_star=x_star, k_star=k, residual=residual, stability_margin=margin)
 
 
+_MAX_STEPS = 10_000_000  # 500 times the longest integration the package runs
+
+
 def integrate(
     policy: Policy,
     params: SystemParams,
@@ -173,6 +176,8 @@ def integrate(
         raise InvalidParameter("dt", "must be positive and finite")
     if not 0.0 < t_end < math.inf:
         raise InvalidParameter("t_end", "must be positive and finite")
+    if t_end / dt > _MAX_STEPS:  # checked before the step list is built
+        raise InvalidParameter("t_end", f"t_end / dt = {t_end / dt:g} steps exceed {_MAX_STEPS}")
     if not x0.on_simplex(1e-9):
         raise InvalidParameter("x0", f"not on the simplex: {x0}")
     # plain Python floats throughout: numpy scalars leaking in from array
@@ -248,27 +253,33 @@ def aoi_at_equilibrium(ps: PolicyScheme, params: SystemParams) -> float:
 # ---------------------------------------------------------------------------
 # Numerical monotonicity verification.
 
-_SWEEPABLE = ("lam", "mu", "w", "gamma", "p")
+SWEEPABLE = ("lam", "mu", "w", "gamma", "p")
 
-# Claimed derivative signs of the equilibrium fractions (+1 increasing,
-# -1 decreasing, 0 unchanged, None left open by the analysis).  The w and
-# gamma rows follow the fixed-point derivation: x_s solves x = F(x, w) with
-# F increasing in w and decreasing in x and gamma, so x_s rises with w and
-# falls with gamma (even though the busy probability gamma*x_s rises with
-# gamma, which is what drives the AoI signs).
-_X_CLAIMS: dict[tuple[str, str], dict[str, int | None]] = {
-    ("*", "lam"): {"x_i": -1, "x_w": +1, "x_s": +1},
-    ("*", "mu"): {"x_i": +1, "x_w": None, "x_s": -1},
-    ("*", "w"): {"x_i": +1, "x_w": -1, "x_s": +1},
-    ("*", "gamma"): {"x_i": -1, "x_w": +1, "x_s": -1},
-    ("I", "p"): {"x_i": 0, "x_w": 0, "x_s": 0},
-    ("W", "p"): {"x_i": +1, "x_w": -1, "x_s": -1},
-    ("S", "p"): {"x_i": +1, "x_w": None, "x_s": -1},
+# Claimed derivative signs of (x_i, x_w, x_s, AoI) per policy and swept
+# parameter: +1 increasing, -1 decreasing, 0 unchanged, None left open by the
+# analysis.  The w and gamma rows follow the fixed-point derivation: x_s
+# solves x = F(x, w) with F increasing in w and decreasing in x and gamma, so
+# x_s rises with w and falls with gamma (even though the busy probability
+# gamma*x_s rises with gamma, which is what drives the AoI signs).  AoI signs
+# are proved for policies (I) and (S) only; policy (W) and the arrival rate
+# are left to numerical reporting.
+_CLAIMS: dict[tuple[Policy, str], tuple[int | None, ...]] = {
+    (Policy.I, "lam"): (-1, +1, +1, None),
+    (Policy.I, "mu"): (+1, None, -1, -1),
+    (Policy.I, "w"): (+1, -1, +1, -1),
+    (Policy.I, "gamma"): (-1, +1, -1, +1),
+    (Policy.I, "p"): (0, 0, 0, -1),
+    (Policy.W, "lam"): (-1, +1, +1, None),
+    (Policy.W, "mu"): (+1, None, -1, None),
+    (Policy.W, "w"): (+1, -1, +1, None),
+    (Policy.W, "gamma"): (-1, +1, -1, None),
+    (Policy.W, "p"): (+1, -1, -1, None),
+    (Policy.S, "lam"): (-1, +1, +1, None),
+    (Policy.S, "mu"): (+1, None, -1, -1),
+    (Policy.S, "w"): (+1, -1, +1, -1),
+    (Policy.S, "gamma"): (-1, +1, -1, +1),
+    (Policy.S, "p"): (+1, None, -1, -1),
 }
-
-# Claimed AoI signs in the mean-field limit: proved for policies (I) and (S)
-# only; policy (W) and the arrival rate are left to numerical reporting.
-_AOI_CLAIMS: dict[str, int | None] = {"lam": None, "mu": -1, "w": -1, "p": -1, "gamma": +1}
 
 _ZERO_TOL = 1e-9
 _REL_STEP = 1e-4  # central-difference half-width, relative to the grid value
@@ -280,42 +291,22 @@ def _sign(value: float) -> int:
     return 1 if value > 0 else -1
 
 
-def claimed_x_signs(policy: Policy, which: str) -> dict[str, int | None]:
-    key = (policy.value, which) if (policy.value, which) in _X_CLAIMS else ("*", which)
-    return dict(_X_CLAIMS[key])
-
-
-def claimed_aoi_sign(policy: Policy, which: str) -> int | None:
-    if policy is Policy.W:
-        return None
-    return _AOI_CLAIMS[which]
-
-
 @dataclass(frozen=True)
 class MonotonicityReport:
     """Central finite-difference signs along one parameter grid.
 
     ``d_x`` holds the derivative estimates of (x_i, x_w, x_s) per grid point,
     ``d_aoi`` those of the mean-field AoI.  ``verdicts`` compares observed
-    signs against the claims: "match", "mismatch", or "report" where no sign
-    is claimed.
+    signs of x_i, x_w, x_s and aoi against the claims: "match", "mismatch",
+    or "report" where no sign is claimed.
     """
 
-    policy: Policy
-    scheme: Scheme
-    which: str
-    values: np.ndarray
     d_x: np.ndarray
     d_aoi: np.ndarray
-    x_claims: dict[str, int | None]
-    aoi_claim: int | None
     verdicts: dict[str, str]
 
     def aoi_signs(self) -> list[int]:
         return [_sign(d) for d in self.d_aoi]
-
-    def all_claims_match(self) -> bool:
-        return all(v != "mismatch" for v in self.verdicts.values())
 
 
 def with_param(params: SystemParams, which: str, value: float) -> SystemParams:
@@ -336,16 +327,15 @@ def monotonicity_report(
     its value in ``params``.  Raises :class:`GridPointInvalid` when a grid
     point or its central-difference stencil leaves the valid range.
     """
-    if which not in _SWEEPABLE:
+    if which not in SWEEPABLE:
         raise GridPointInvalid(f"unknown sweep parameter {which!r}")
     ps = PolicyScheme(policy, scheme)
-    values = np.asarray(list(grid), dtype=float)
-    if values.size == 0:
+    values = [float(v) for v in grid]
+    if not values:
         raise GridPointInvalid("empty grid")
 
-    d_x = np.empty((values.size, 3))
-    d_aoi = np.empty(values.size)
-    for idx, value in enumerate(values):
+    d_x, d_aoi = [], []
+    for value in values:
         h = _REL_STEP * abs(value)
         lo, hi = value - h, value + h
         if not (h > 0 and lo > 0):
@@ -360,32 +350,16 @@ def monotonicity_report(
             per_point.append((eq.x_star, aoi.total))
         (x_lo, aoi_lo), (x_hi, aoi_hi) = per_point
         scale = 2.0 * h
-        d_x[idx] = [
-            (x_hi.x_i - x_lo.x_i) / scale,
-            (x_hi.x_w - x_lo.x_w) / scale,
-            (x_hi.x_s - x_lo.x_s) / scale,
-        ]
-        d_aoi[idx] = (aoi_hi - aoi_lo) / scale
+        d_x.append([(b - a) / scale for a, b in zip(x_lo.as_tuple(), x_hi.as_tuple())])
+        d_aoi.append((aoi_hi - aoi_lo) / scale)
 
-    x_claims = claimed_x_signs(policy, which)
-    aoi_claim = claimed_aoi_sign(policy, which)
-    estimates = {"x_i": d_x[:, 0], "x_w": d_x[:, 1], "x_s": d_x[:, 2], "aoi": d_aoi}
     verdicts: dict[str, str] = {}
-    for quantity, claim in {**x_claims, "aoi": aoi_claim}.items():
+    columns = (*zip(*d_x), d_aoi)
+    for quantity, claim, column in zip(("x_i", "x_w", "x_s", "aoi"),
+                                       _CLAIMS[policy, which], columns):
         if claim is None:
             verdicts[quantity] = "report"
         else:
-            matched = all(_sign(d) == claim for d in estimates[quantity])
+            matched = all(_sign(d) == claim for d in column)
             verdicts[quantity] = "match" if matched else "mismatch"
-
-    return MonotonicityReport(
-        policy=policy,
-        scheme=scheme,
-        which=which,
-        values=values,
-        d_x=d_x,
-        d_aoi=d_aoi,
-        x_claims=x_claims,
-        aoi_claim=aoi_claim,
-        verdicts=verdicts,
-    )
+    return MonotonicityReport(d_x=np.array(d_x), d_aoi=np.array(d_aoi), verdicts=verdicts)

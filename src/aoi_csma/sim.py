@@ -171,8 +171,8 @@ def _check_config(config: SimConfig) -> None:
         raise InvalidConfig(f"stop_time must be positive and finite, got {config.stop_time}")
     if not 0.0 <= config.warmup_fraction <= 0.5:
         raise InvalidConfig(f"warmup_fraction must lie in [0, 0.5], got {config.warmup_fraction}")
-    if config.sample_dt is not None and not config.sample_dt > 0:
-        raise InvalidConfig(f"sample_dt must be positive, got {config.sample_dt}")
+    if config.sample_dt is not None and not 0 < config.sample_dt < math.inf:
+        raise InvalidConfig(f"sample_dt must be positive and finite, got {config.sample_dt}")
     validate(p)
 
 

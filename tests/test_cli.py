@@ -3,12 +3,15 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from aoi_csma import closedform
 from aoi_csma import meanfield as mf
 from aoi_csma.cli import PRESETS, build_parser, main
 from aoi_csma.core import Policy, StateFractions, SystemParams
@@ -70,20 +73,26 @@ def test_bad_sweep_syntax_is_usage_error(capsys):
     assert code == 1
 
 
-def test_crossvalidate_passes_and_detects_injected_error(capsys):
+def test_crossvalidate_passes_and_detects_injected_error(capsys, monkeypatch):
+    avg_aoi = closedform.avg_aoi
+
+    def perturb_closed_form(delta):
+        monkeypatch.setattr(closedform, "avg_aoi", lambda *args, **kwargs: SimpleNamespace(
+            total=avg_aoi(*args, **kwargs).total + delta))
+
     code, out, _ = run_cli(capsys, "crossvalidate", "--count", "40", "--seed", "5")
     assert code == 0
     assert "max_relative_deviation" in out and "OK" in out
-    code, out, _ = run_cli(capsys, "crossvalidate", "--count", "5", "--seed", "5",
-                           "--selftest-perturb", "1e-6")
+    perturb_closed_form(1e-6)
+    code, out, _ = run_cli(capsys, "crossvalidate", "--count", "5", "--seed", "5")
     assert code == 3
     assert "FAIL" in out
     code, _, _ = run_cli(capsys, "crossvalidate", "--count", "0")
     assert code == 1
     # a NaN or infinite deviation must fail, not be skipped by the maximum
-    for bad in ("nan", "inf"):
-        code, out, _ = run_cli(capsys, "crossvalidate", "--count", "5", "--seed", "5",
-                               "--selftest-perturb", bad)
+    for bad in (math.nan, math.inf):
+        perturb_closed_form(bad)
+        code, out, _ = run_cli(capsys, "crossvalidate", "--count", "5", "--seed", "5")
         assert code == 3
         assert "max_relative_deviation=nan" in out and "FAIL" in out
 
@@ -183,6 +192,8 @@ def test_simulate_missing_channels_is_usage_error(capsys):
 @pytest.mark.parametrize("stop, message", [
     (["--horizon", "inf"], "error: stop_time must be positive and finite, got inf\n"),
     (["--arrivals", "1"], "error: horizon too short: no time left after warm-up\n"),
+    (["--arrivals", "100", "--sample-dt", "inf"],
+     "error: sample_dt must be positive and finite, got inf\n"),
 ])
 def test_simulate_unusable_horizon_is_usage_error(capsys, stop, message):
     code, out, err = run_cli(capsys, "simulate", "--lambda", "0.8", "--mu", "1", "--w", "2",
@@ -202,6 +213,13 @@ def test_non_finite_time_arguments_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "must be positive and finite" in err
+
+
+def test_trajectory_step_count_is_bounded(capsys):
+    """A horizon of too many steps is refused before the step list is built."""
+    code, out, err = run_cli(capsys, "meanfield", *MF_ARGS, "--trajectory", "--t-end", "1e300")
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid parameter 't_end': ")
 
 
 def test_out_directory_is_created_only_when_a_file_is_written(tmp_path, capsys):
@@ -237,9 +255,22 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert out.strip().splitlines()[1].split(",")[5] == "0.5"
     config.write_text(json.dumps({"bogus": 1}))
     assert run_cli(capsys, "analytic", "--config", str(config))[0] == 1
-    config.write_text(json.dumps({"selftest-perturb": 1e-6}))
-    code, out, _ = run_cli(capsys, "crossvalidate", "--count", "5", "--config", str(config))
-    assert code == 3 and "FAIL" in out
+
+
+def test_parse_policy_and_scheme(tmp_path, capsys):
+    """--policy and --scheme take a name in any case or all, in a flag or a config file."""
+    for flag, text in (("--policy", "X"), ("--scheme", "np")):
+        code, out, err = run_cli(capsys, "analytic", *ANALYTIC_POINT, flag, text)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: argument {flag}: ")
+    code, out, _ = run_cli(capsys, "analytic", *ANALYTIC_POINT, "--policy", "s", "--scheme", "WOP")
+    assert code == 0
+    assert [row.split(",")[:2] for row in out.splitlines()[1:]] == [["S", "WOP"]]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"policy": "w"}))
+    code, out, _ = run_cli(capsys, "analytic", *ANALYTIC_POINT, "--config", str(config))
+    assert code == 0
+    assert [row.split(",")[:2] for row in out.splitlines()[1:]] == [["W", "WP"], ["W", "WOP"]]
 
 
 @pytest.mark.parametrize("command, doc, message", [
@@ -305,7 +336,7 @@ def test_every_long_flag_is_a_config_key(tmp_path):
             assert from_file == from_flag, (command, flag)
             assert getattr(from_file, action.dest) != getattr(defaults, action.dest)
             checked += 1
-    assert checked == 55
+    assert checked == 54
 
 
 @pytest.mark.parametrize("argv", [
@@ -555,3 +586,58 @@ def test_csv_bytes_are_pinned(tmp_path, capsys):
         for name in os.listdir(out_dir):
             digests[f"{key}/{name}"] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
     assert digests == PINNED_SHA256
+
+
+# meanfield --monotonicity at README's FIG5 point on criterion 11's grids:
+# the verdict lines, and the SHA-256 of the whole stdout (six CSVs per grid).
+FIG5_ARGS = ["--lambda", "0.8", "--mu", "1.5", "--w", "2", "--gamma", "5", "--p", "0.7"]
+PINNED_MONOTONICITY_SHA256 = {
+    "lam=0.1:2:20": "15d55c9c628784edb9e223c417081a2e1c0c552c22b7a8dc3dc94c9f0de039c1",
+    "mu=0.5:3:20": "81658986ec8779ed838afa731970400396439a59b758935a4083fcdab46ce4fb",
+    "w=0.5:5:20": "8f4d53eb28a2ef4b88ce9aac16e4b10d586cc0ce27955549fe86eeb30879dca8",
+    "gamma=1:10:20": "2cecfa6083f11fdf130fe3b094ba0817dc864e58cba1e68d32dbb08d355dad29",
+    "p=0.3:0.99:20": "f4f0d6b09cd9757cd8bcf76513c97103c89f2f13bb81ce392df7805bb6b8a48c",
+}
+PINNED_VERDICTS = """\
+monotonicity I-WP d/dlam: x_i=match x_w=match x_s=match aoi=report
+monotonicity I-WOP d/dlam: x_i=match x_w=match x_s=match aoi=report
+monotonicity W-WP d/dlam: x_i=match x_w=match x_s=match aoi=report
+monotonicity W-WOP d/dlam: x_i=match x_w=match x_s=match aoi=report
+monotonicity S-WP d/dlam: x_i=match x_w=match x_s=match aoi=report
+monotonicity S-WOP d/dlam: x_i=match x_w=match x_s=match aoi=report
+monotonicity I-WP d/dmu: x_i=match x_w=report x_s=match aoi=match
+monotonicity I-WOP d/dmu: x_i=match x_w=report x_s=match aoi=match
+monotonicity W-WP d/dmu: x_i=match x_w=report x_s=match aoi=report
+monotonicity W-WOP d/dmu: x_i=match x_w=report x_s=match aoi=report
+monotonicity S-WP d/dmu: x_i=match x_w=report x_s=match aoi=match
+monotonicity S-WOP d/dmu: x_i=match x_w=report x_s=match aoi=match
+monotonicity I-WP d/dw: x_i=match x_w=match x_s=match aoi=match
+monotonicity I-WOP d/dw: x_i=match x_w=match x_s=match aoi=match
+monotonicity W-WP d/dw: x_i=match x_w=match x_s=match aoi=report
+monotonicity W-WOP d/dw: x_i=match x_w=match x_s=match aoi=report
+monotonicity S-WP d/dw: x_i=match x_w=match x_s=match aoi=match
+monotonicity S-WOP d/dw: x_i=match x_w=match x_s=match aoi=match
+monotonicity I-WP d/dgamma: x_i=match x_w=match x_s=match aoi=match
+monotonicity I-WOP d/dgamma: x_i=match x_w=match x_s=match aoi=match
+monotonicity W-WP d/dgamma: x_i=match x_w=match x_s=match aoi=report
+monotonicity W-WOP d/dgamma: x_i=match x_w=match x_s=match aoi=report
+monotonicity S-WP d/dgamma: x_i=match x_w=match x_s=match aoi=match
+monotonicity S-WOP d/dgamma: x_i=match x_w=match x_s=match aoi=match
+monotonicity I-WP d/dp: x_i=match x_w=match x_s=match aoi=match
+monotonicity I-WOP d/dp: x_i=match x_w=match x_s=match aoi=match
+monotonicity W-WP d/dp: x_i=match x_w=match x_s=match aoi=report
+monotonicity W-WOP d/dp: x_i=match x_w=match x_s=match aoi=report
+monotonicity S-WP d/dp: x_i=match x_w=report x_s=match aoi=match
+monotonicity S-WOP d/dp: x_i=match x_w=report x_s=match aoi=match
+"""
+
+
+def test_monotonicity_verdicts_are_pinned(capsys):
+    digests, verdicts = {}, []
+    for grid in PINNED_MONOTONICITY_SHA256:
+        code, out, _ = run_cli(capsys, "meanfield", *FIG5_ARGS, "--monotonicity", grid)
+        assert code == 0
+        digests[grid] = hashlib.sha256(out.encode()).hexdigest()
+        verdicts += [line for line in out.splitlines() if line.startswith("monotonicity ")]
+    assert "\n".join(verdicts) + "\n" == PINNED_VERDICTS
+    assert digests == PINNED_MONOTONICITY_SHA256

@@ -10,13 +10,9 @@ import pytest
 
 from aoi_csma.core import (
     InvalidParameter,
-    Policy,
     PolicyScheme,
-    Scheme,
     StateFractions,
     SystemParams,
-    parse_policy,
-    parse_scheme,
     validate,
 )
 
@@ -63,15 +59,6 @@ def test_policy_scheme_combinations():
     assert {ps.label for ps in combos} == {
         "I-WP", "I-WOP", "W-WP", "W-WOP", "S-WP", "S-WOP",
     }
-
-
-def test_parse_policy_and_scheme():
-    assert parse_policy("i") is Policy.I
-    assert parse_scheme("wop") is Scheme.WOP
-    with pytest.raises(InvalidParameter):
-        parse_policy("X")
-    with pytest.raises(InvalidParameter):
-        parse_scheme("np")
 
 
 def test_state_fractions_simplex_check():

@@ -45,6 +45,9 @@ def test_config_validation():
     with pytest.raises(sim.InvalidConfig):
         sim.run(sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1,
                               stop_arrivals=10, sample_dt=-1.0))
+    with pytest.raises(sim.InvalidConfig, match="positive and finite"):  # only t = 0 sampled
+        sim.run(sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1,
+                              stop_arrivals=10, sample_dt=math.inf))
     with pytest.raises(sim.InvalidConfig, match="positive and finite"):  # would never end
         sim.run(sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, stop_time=math.inf))
     with pytest.raises(sim.InvalidConfig):
