@@ -211,6 +211,10 @@ _FLAGS = {
                            help="emit a gnuplot script next to the CSV output"),
 }
 
+# Flag name -> dest where the two differ ("lambda" -> "lam"), and back.
+_DEST_OF_FLAG = {name: spec["dest"] for name, spec in _FLAGS.items() if "dest" in spec}
+_FLAG_OF_DEST = {dest: name for name, dest in _DEST_OF_FLAG.items()}
+
 # subcommand: (help, its flags besides seed/out/config, dests whose default differs)
 _SUBCOMMANDS = {
     "analytic": ("evaluate the closed forms",
@@ -274,7 +278,7 @@ def _parse_sweep(text: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
         raise UsageError(f"sweep must be <param>=<start:end:count>, got {text!r}")
     name, grid_text = text.split("=", 1)
     key = name.strip().lower()
-    key = "lam" if key == "lambda" else key
+    key = _DEST_OF_FLAG.get(key, key)
     if key not in allowed:
         raise UsageError(f"cannot sweep {name!r}; choose from {', '.join(allowed)}")
     return key, _parse_grid(grid_text)
@@ -287,7 +291,7 @@ def _combos(args) -> list[PolicyScheme]:
 def _require(args, *names: str) -> None:
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
-        flags = ", ".join("--" + n.replace("_", "-").replace("lam", "lambda") for n in missing)
+        flags = ", ".join("--" + _FLAG_OF_DEST.get(n, n.replace("_", "-")) for n in missing)
         raise UsageError(f"missing required flags: {flags}")
 
 
@@ -439,7 +443,7 @@ def _equilibrium_lines(policies: tuple[Policy, ...], params: SystemParams) -> li
 def _sweep_lines(combos: list[PolicyScheme], params: SystemParams,
                  which: str, grid: np.ndarray) -> list[str]:
     lines = ["policy,scheme,param,value,k,aoi"]
-    name = "lambda" if which == "lam" else which
+    name = _FLAG_OF_DEST.get(which, which)
     for ps in combos:
         for value in grid:
             probe = meanfield.with_param(params, which, float(value))

@@ -20,18 +20,39 @@ shape (n_devices, BLOCK) with BLOCK = 64; device d consumes row d, so draw
 sequences are independent of event interleaving across devices and
 replications are reproducible under any parallelism.  BLOCK and the block
 shape are part of the contract: changing either changes every draw.
+
+Events on the heap: each device has exactly one pending event, its next
+arrival while idle, its backoff expiry while waiting, or its service
+completion while in service.  Two kinds of event that change no state never
+reach the heap, and both still consume the same per-device draws:
+
+- Arrivals at a waiting or transmitting device.  Each device's arrival
+  times are summed up front from its arrival-stream rows, in the order one
+  arrival at a time would add them.  When a device leaves waiting or
+  service, and for every device at the end, ``bisect_right`` over its
+  times applies the arrivals it skipped: the packet stamp and the
+  preempted or discarded count.  The times cost 8 bytes per arrival in the
+  horizon (1.6 MB at 200k arrivals), kept as one ``array('d')`` per device.
+- Backoff expiries that must find their channel busy.  A backoff's channel
+  is drawn when the backoff is scheduled.  While that channel's occupant is
+  due to complete after the backoff expires, the expiry would only schedule
+  the next backoff, so the next backoff and channel are drawn at once.  A
+  retry that might find its channel free is pushed, and its channel is
+  checked again when it expires.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heapreplace
 
 import numpy as np
 
-from .core import (FAILURE_TARGET, IDLE, SERVICE, WAITING, AoiError, PolicyScheme, Scheme,
+from .core import (FAILURE_TARGET, IDLE, SERVICE, AoiError, PolicyScheme, Scheme,
                    SystemParams, validate)
 
 
@@ -97,40 +118,43 @@ class SimResult:
         return self.trajectory_counts / float(self.n_devices)
 
 
+BLOCK = 64
+
+
+def _generator(seed: int, replication: int, purpose: int) -> np.random.Generator:
+    key = np.array([seed & _MASK64, (replication << 3) | purpose], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 class _Streams:
     """Blocked, counter-addressed random streams per (replication, purpose).
 
-    ``draws[purpose][d]`` holds device ``d``'s unread draws of its current
-    block row, reversed, so the next draw is ``draws[purpose][d].pop()``.
-    When that list is empty, :meth:`refill` moves the device to its row in
-    the next block, generating the block on first use.  The row is taken out
-    of its block as it is handed over, so consumed rows are freed during the
-    run rather than at its end.
+    Serves every purpose but arrivals, whose times :func:`_arrival_times`
+    computes up front.  ``draws[purpose][d]`` holds device ``d``'s unread
+    draws of its current block row, reversed, so the next draw is
+    ``draws[purpose][d].pop()``.  When that list is empty, :meth:`refill`
+    moves the device to its row in the next block, generating the block on
+    first use.  The row is taken out of its block as it is handed over, so
+    consumed rows are freed during the run rather than at its end.
     """
 
-    BLOCK = 64
-
-    def __init__(self, seed: int, replication: int, n: int, m: int,
-                 lam: float, w: float, mu: float):
-        if replication < 0:
-            raise InvalidConfig(f"replication index must be nonnegative, got {replication}")
+    def __init__(self, seed: int, replication: int, n: int, m: int, w: float, mu: float):
         self._n = n
         self._m = m
-        self._key_hi = seed & _MASK64
+        self._seed = seed
         self._rep = replication
-        self._scales = {_P_ARRIVAL: 1.0 / lam, _P_BACKOFF: 1.0 / w, _P_SERVICE: 1.0 / mu}
+        self._scales = {_P_BACKOFF: 1.0 / w, _P_SERVICE: 1.0 / mu}
         self._gens: dict[int, np.random.Generator] = {}
-        self._blocks: dict[int, list[list[list[float] | None]]] = {p: [] for p in range(5)}
-        self._next_row: dict[int, list[int]] = {p: [0] * n for p in range(5)}
-        self.draws: list[list[list[float]]] = [[[] for _ in range(n)] for _ in range(5)]
+        purposes = (_P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS)
+        self._blocks: dict[int, list[list[list[float] | None]]] = {p: [] for p in purposes}
+        self._next_row: dict[int, list[int]] = {p: [0] * n for p in purposes}
+        self.draws: dict[int, list[list[float]]] = {p: [[] for _ in range(n)] for p in purposes}
 
     def _extend(self, purpose: int) -> None:
         gen = self._gens.get(purpose)
         if gen is None:
-            key = np.array([self._key_hi, (self._rep << 3) | purpose], dtype=np.uint64)
-            gen = np.random.Generator(np.random.Philox(key=key))
-            self._gens[purpose] = gen
-        shape = (self._n, self.BLOCK)
+            gen = self._gens[purpose] = _generator(self._seed, self._rep, purpose)
+        shape = (self._n, BLOCK)
         if purpose == _P_CHANNEL:
             block = gen.integers(0, self._m, size=shape, dtype=np.int64)
         elif purpose == _P_SUCCESS:
@@ -155,6 +179,73 @@ class _Streams:
         return row.pop()
 
 
+def _first_blocks(per_device: float) -> int:
+    """Arrival blocks to draw at once for a mean of ``per_device`` arrivals per device.
+
+    Six standard deviations above the mean make a shortfall rare, and a
+    shortfall only costs a top-up.
+    """
+    return math.ceil((per_device + 6.0 * math.sqrt(per_device) + 8.0) / BLOCK)
+
+
+def _arrival_times(config: SimConfig) -> tuple[list[array], int, float, float]:
+    """Each device's arrival times up to the end of the run, and the run's limits.
+
+    Device d's inter-arrival draws are row d of the arrival stream's
+    consecutive (n, BLOCK) blocks.  Their running sum along the row, carried
+    from block to block, adds them in the order of ``t += draw``, so the
+    times are bit for bit those of drawing one arrival at a time.  The
+    blocks are drawn in one call; while some device's times end before the
+    horizon, as many blocks again as drawn so far are added.
+
+    An arrival horizon becomes a time: ``t_stop`` is the time of its
+    ``stop_arrivals``-th arrival and ``t_warm`` that of the warm-up's last
+    (0 without warm-up).  Each device's row keeps its times up to ``t_stop``
+    and ends with ``inf``.  Returns ``(rows, arrivals, t_warm, t_stop)``,
+    where ``arrivals`` counts the times up to ``t_stop``.
+    """
+    n, lam = config.params.n_devices, config.params.lam
+    a_stop = config.stop_arrivals
+    gen = _generator(config.seed, config.replication, _P_ARRIVAL)
+    k = _first_blocks(a_stop / n if a_stop is not None else lam * config.stop_time)
+    chunks: list[np.ndarray] = []
+    last = 0.0
+    while True:
+        times = gen.exponential(scale=1.0 / lam, size=(k, n, BLOCK)).transpose(1, 0, 2)
+        times = times.reshape(n, k * BLOCK)
+        times[:, 0] += last
+        np.cumsum(times, axis=1, out=times)
+        chunks.append(times)
+        last = times[:, -1]
+        covered = last.min()  # every arrival up to this time has been drawn
+        if a_stop is None:
+            if covered >= config.stop_time:
+                break
+        elif sum(np.count_nonzero(c <= covered) for c in chunks) >= a_stop:
+            break
+        k = sum(c.shape[1] for c in chunks) // BLOCK
+    times = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+    del chunks, last
+
+    if a_stop is None:
+        t_stop = config.stop_time
+        t_warm = config.warmup_fraction * t_stop
+    else:
+        a_warm = math.ceil(config.warmup_fraction * a_stop)
+        order = np.partition(times, [a_warm - 1, a_stop - 1] if a_warm else a_stop - 1,
+                             axis=None)
+        t_stop = float(order[a_stop - 1])
+        t_warm = float(order[a_warm - 1]) if a_warm else 0.0
+        del order
+    counts = np.count_nonzero(times <= t_stop, axis=1)
+    rows = []
+    for row, c in zip(times, counts.tolist()):
+        row_times = array("d", row[:c].tobytes())
+        row_times.append(math.inf)
+        rows.append(row_times)
+    return rows, int(counts.sum()), t_warm, t_stop
+
+
 def _check_config(config: SimConfig) -> None:
     p = config.params
     if p.n_devices is None or p.n_channels is None:
@@ -173,6 +264,8 @@ def _check_config(config: SimConfig) -> None:
         raise InvalidConfig(f"warmup_fraction must lie in [0, 0.5], got {config.warmup_fraction}")
     if config.sample_dt is not None and not 0 < config.sample_dt < math.inf:
         raise InvalidConfig(f"sample_dt must be positive and finite, got {config.sample_dt}")
+    if config.replication < 0:
+        raise InvalidConfig(f"replication index must be nonnegative, got {config.replication}")
     validate(p)
 
 
@@ -190,38 +283,35 @@ def run(config: SimConfig) -> SimResult:
     m: int = params.n_channels
     w, prob, gamma = params.w, params.p, params.gamma
     fail_to, wp = FAILURE_TARGET[config.ps.policy], config.ps.scheme is Scheme.WP
-    streams = _Streams(config.seed, config.replication, n, m, params.lam, w, params.mu)
+    arrival_times, arrivals, t_warm, t_stop = _arrival_times(config)
+    streams = _Streams(config.seed, config.replication, n, m, w, params.mu)
     refill = streams.refill
-    draw_arr, draw_bo, draw_svc, draw_ch, draw_ok = streams.draws  # in _P_* order
+    draw_bo, draw_svc, draw_ch, draw_ok = (streams.draws[p] for p in
+                                           (_P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS))
 
-    # Device state as parallel lists.  ``stamp`` (the held packet's arrival
-    # time) is meaningful only outside Idle and ``chan`` only in Service;
-    # ``aoi_time``/``aoi_value`` pin the sawtooth at the last reset (delivery
-    # or warm-up boundary) and ``aoi_integral`` accumulates its area.
-    mode = [IDLE] * n
+    # Device state as parallel lists.  ``stamp`` is the held packet's arrival
+    # time, up to date at a device's last event; ``applied[d]`` indexes the
+    # first arrival of ``arrival_times[d]`` not yet applied to it.  ``chan``
+    # is the channel a device holds in service, or will sense when its
+    # pending backoff expires.  ``aoi_time``/``aoi_value`` pin the sawtooth
+    # at the last reset (delivery or warm-up boundary) and ``aoi_integral``
+    # accumulates its area.  ``busy_until[c]`` is the scheduled completion
+    # of the device in service on channel ``c``, if ``occupied[c]``.
     stamp = [0.0] * n
+    applied = [0] * n
     chan = [-1] * n
     aoi_time = [0.0] * n
     aoi_value = [0.0] * n
     aoi_integral = [0.0] * n
     occupied = [False] * m
+    busy_until = [0.0] * m
     n_idle, n_wait, n_serv = n, 0, 0
-    arrivals = delivered = failed = preempted = discarded = 0
-
-    # Run to an arrival count or to a time; the other limit is never reached.
-    # ``arrivals`` counts up in steps of 1, so ``==`` finds the first arrival
-    # at which ``>=`` holds, and -1 is never reached.
-    if config.stop_arrivals is not None:
-        a_stop = config.stop_arrivals
-        a_warm = math.ceil(config.warmup_fraction * a_stop)
-        t_stop = t_warm = math.inf
-    else:
-        a_stop = a_warm = -1
-        t_stop = config.stop_time
-        t_warm = config.warmup_fraction * t_stop
+    delivered = failed = preempted = discarded = 0
 
     # The integrals accumulate from t = 0 and begin_stats zeroes them.
-    # ``t_pending`` is the warm-up boundary while it lies ahead in time, else inf.
+    # ``t_pending`` is the warm-up boundary while it lies ahead in time, else
+    # inf.  ``ns_integral`` integrates ``n_serv`` up to ``last_t``, the time
+    # of its last change, and is updated only where it changes.
     t_pending = t_warm
     stats_t0 = 0.0
     ns_integral = 0.0
@@ -248,110 +338,119 @@ def run(config: SimConfig) -> SimResult:
         ns_integral = 0.0
         last_t = tb
 
-    if a_warm == 0:
-        begin_stats(0.0)
-
-    # Every draw list starts empty, so each first arrival is a refill.
-    heap = [(refill(_P_ARRIVAL, d), d, _ARRIVAL) for d in range(n)]
+    heap = [(times[0], d, _ARRIVAL) for d, times in enumerate(arrival_times)]
     heapify(heap)
 
-    # The next event is read from heap[0] and left in place: the first event
-    # it schedules replaces it (heapreplace), a second one is pushed, and an
-    # event that schedules nothing is popped.  This pops the same sequence as
-    # pop-then-push because pending tuples (t, d, kind) are unique -- each
-    # device has at most one arrival and one backoff-or-completion pending --
-    # so the heap's order is total whatever its internal layout.
-    end_time: float | None = None
+    # Each device has exactly one pending event, so every event replaces
+    # itself at the top of the heap (heapreplace) with the device's next
+    # one.  Pending tuples (t, d, kind) are unique by device, so the heap
+    # pops them in one total order whatever its internal layout.
     while True:
         t, d, kind = heap[0]
         if t > t_stop:
-            end_time = t_stop
             break
         if t >= t_pending:
             begin_stats(t_pending)
-        ns_integral += n_serv * (t - last_t)
         while next_sample < t:
             _check_channels(occupied, n_serv)
             traj_times.append(next_sample)
             traj_counts.append((n_idle, n_wait, n_serv))
             next_sample += sample_dt
-        last_t = t
 
-        if kind == _ARRIVAL:
-            arrivals += 1
-            q = draw_arr[d]
-            heapreplace(heap, (t + (q.pop() if q else refill(_P_ARRIVAL, d)), d, _ARRIVAL))
-            md = mode[d]
-            if md == IDLE:
-                mode[d] = WAITING
-                stamp[d] = t
-                n_idle -= 1
-                n_wait += 1
-                q = draw_bo[d]
-                heappush(heap, (t + (q.pop() if q else refill(_P_BACKOFF, d)), d, _BACKOFF))
-            elif md == WAITING:
-                stamp[d] = t
-            elif wp:
-                stamp[d] = t
-                preempted += 1
-            else:
-                discarded += 1
-            if arrivals == a_warm:
-                begin_stats(t)
-            if arrivals == a_stop:
-                end_time = t
-                break
-        elif kind == _BACKOFF:
-            q = draw_ch[d]
-            c = q.pop() if q else refill(_P_CHANNEL, d)
-            if occupied[c]:
-                q = draw_bo[d]
-                heapreplace(heap, (t + (q.pop() if q else refill(_P_BACKOFF, d)), d, _BACKOFF))
-            else:
+        if kind == _BACKOFF:
+            c = chan[d]
+            if not occupied[c]:
+                times = arrival_times[d]
+                i = applied[d]
+                j = bisect_right(times, t, i)
+                if j > i:  # the newest arrival replaced the waiting packet
+                    stamp[d] = times[j - 1]
+                    applied[d] = j
                 occupied[c] = True
-                mode[d] = SERVICE
-                chan[d] = c
+                ns_integral += n_serv * (t - last_t)
+                last_t = t
                 n_wait -= 1
                 n_serv += 1
                 q = draw_svc[d]
-                heapreplace(heap, (t + (q.pop() if q else refill(_P_SERVICE, d)), d, _COMPLETE))
-        else:  # _COMPLETE
+                t_done = t + (q.pop() if q else refill(_P_SERVICE, d))
+                busy_until[c] = t_done
+                heapreplace(heap, (t_done, d, _COMPLETE))
+                continue
+            # the channel is busy: back off again, below
+        elif kind == _COMPLETE:
+            times = arrival_times[d]
+            i = applied[d]
+            j = bisect_right(times, t, i)
+            if j > i:  # arrivals during service preempt or are discarded
+                applied[d] = j
+                if wp:
+                    stamp[d] = times[j - 1]
+                    preempted += j - i
+                else:
+                    discarded += j - i
             q = draw_ok[d]
             if (q.pop() if q else refill(_P_SUCCESS, d)) < prob:
                 delivered += 1
-                heappop(heap)
                 dtau = t - aoi_time[d]
                 aoi_integral[d] += aoi_value[d] * dtau + 0.5 * dtau * dtau
                 aoi_value[d] = t - stamp[d]
                 aoi_time[d] = t
-                occupied[chan[d]] = False
-                mode[d] = IDLE
-                n_serv -= 1
-                n_idle += 1
+                next_state = IDLE
             else:
                 failed += 1
+                next_state = fail_to
                 if fail_to == SERVICE:
                     q = draw_svc[d]
-                    heapreplace(heap, (t + (q.pop() if q else refill(_P_SERVICE, d)), d, _COMPLETE))
+                    t_done = t + (q.pop() if q else refill(_P_SERVICE, d))
+                    busy_until[chan[d]] = t_done
+                    heapreplace(heap, (t_done, d, _COMPLETE))
                     continue
-                occupied[chan[d]] = False
-                mode[d] = fail_to
-                n_serv -= 1
-                if fail_to == IDLE:
-                    n_idle += 1
-                    heappop(heap)
-                else:  # re-contend with the undelivered packet
-                    n_wait += 1
-                    q = draw_bo[d]
-                    heapreplace(heap, (t + (q.pop() if q else refill(_P_BACKOFF, d)), d, _BACKOFF))
+            occupied[chan[d]] = False
+            ns_integral += n_serv * (t - last_t)
+            last_t = t
+            n_serv -= 1
+            if next_state == IDLE:
+                n_idle += 1
+                heapreplace(heap, (times[j], d, _ARRIVAL))
+                continue
+            n_wait += 1  # re-contend with the undelivered packet
+        else:  # _ARRIVAL at an idle device
+            stamp[d] = t
+            applied[d] += 1
+            n_idle -= 1
+            n_wait += 1
 
-    # A time horizon can end before any event reaches the boundary; an
-    # arrival horizon has always passed its boundary, as a_warm <= a_stop.
-    if t_pending < end_time:
+        # Schedule the next backoff expiry, skipping every one that would
+        # sense a channel whose occupant completes only after it.
+        q = draw_bo[d]
+        t += q.pop() if q else refill(_P_BACKOFF, d)
+        q = draw_ch[d]
+        c = q.pop() if q else refill(_P_CHANNEL, d)
+        while occupied[c] and t < busy_until[c]:
+            q = draw_bo[d]
+            t += q.pop() if q else refill(_P_BACKOFF, d)
+            q = draw_ch[d]
+            c = q.pop() if q else refill(_P_CHANNEL, d)
+        chan[d] = c
+        heapreplace(heap, (t, d, _BACKOFF))
+
+    # A time horizon can end before any event reaches the boundary, and an
+    # arrival horizon's boundary can be an arrival at a busy device.
+    end_time = t_stop
+    if t_pending <= end_time:
         begin_stats(t_pending)
     measured = end_time - stats_t0
     if measured <= 0.0:
         raise InvalidConfig("horizon too short: no time left after warm-up")
+
+    # Devices in service at the end preempt or discard their remaining arrivals.
+    for _, d, kind in heap:
+        if kind == _COMPLETE:
+            skipped = len(arrival_times[d]) - 1 - applied[d]
+            if wp:
+                preempted += skipped
+            else:
+                discarded += skipped
 
     ns_integral += n_serv * (end_time - last_t)
     if sampling:

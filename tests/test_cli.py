@@ -61,7 +61,19 @@ def test_analytic_grid_with_zero_p_flags_partial_failure(capsys):
 def test_analytic_missing_flags_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "analytic", "--policy", "I")
     assert code == 1
-    assert "missing required flags" in err
+    assert "missing required flags: --lambda, --mu, --k" in err
+
+
+def test_lambda_sweep_takes_the_flag_name_and_writes_it(tmp_path, capsys):
+    # the sweep key and the param column use the flag name, not the dest "lam"
+    for key in ("lambda", "lam"):
+        out_dir = tmp_path / key
+        code, _, _ = run_cli(capsys, "meanfield", "--policy", "W", "--scheme", "wp",
+                             "--lambda", "0.8", "--mu", "1", "--w", "2", "--gamma", "5",
+                             "--p", "0.7", "--sweep", f"{key}=0.5:1:2", "--out", str(out_dir))
+        assert code == 0
+        rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2:4] for row in rows] == [["lambda", "0.5"], ["lambda", "1"]]
 
 
 def test_bad_sweep_syntax_is_usage_error(capsys):

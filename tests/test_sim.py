@@ -1,5 +1,6 @@
 """Tests for the event-driven simulator: correctness, determinism, statistics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -199,3 +200,121 @@ def test_ensemble_mean_tracks_the_ode():
     worst = max(abs(mean_traj[i][0] - ode_at[round(t, 6)][0])
                 for i, t in enumerate(times))
     assert worst < 0.01
+
+
+# Raw results of sim.run pinned bit for bit.  Runs cycle through the eight
+# combinations of horizon (arrivals or time), warm-up (0 or 0.2) and
+# sampling (off or on).  Each digest covers per-device AoI, mean, stderr,
+# the five counts, end and measured time, and the trajectory;
+# effective_k_estimate is compared to 1e-12 relative, because it is a long
+# float sum whose last bits depend on how its intervals are grouped.
+_HORIZONS = [(h, warm, dt) for h in ("arrivals", "time") for warm in (0.0, 0.2)
+             for dt in (None, 1.25)]
+
+
+def _pin_configs(n, m):
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=n / m, n_devices=n, n_channels=m)
+    for i, ps in enumerate(PolicyScheme.all_combinations()):
+        horizon, warm, dt = _HORIZONS[(6 * n + i) % 8]
+        stop = dict(stop_arrivals=1000 + 40 * n) if horizon == "arrivals" else dict(stop_time=150.0)
+        yield sim.SimConfig(params=params, ps=ps, seed=n + i, warmup_fraction=warm,
+                            sample_dt=dt, **stop)
+
+
+def _final_arrival_configs():
+    # the last (stop_arrivals-th) arrival meets an idle device in the
+    # first run and a device in service in the other two
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0, n_devices=10, n_channels=2)
+    for scheme, seed, stop in ((Scheme.WP, 4, 37), (Scheme.WP, 3, 101), (Scheme.WOP, 3, 101)):
+        yield sim.SimConfig(params=params, ps=PolicyScheme(Policy.S, scheme), seed=seed,
+                            stop_arrivals=stop, warmup_fraction=0.2, sample_dt=0.5)
+
+
+def _digest(results):
+    h = hashlib.sha256()
+    for r in results:
+        h.update(r.avg_aoi_per_device.tobytes())
+        h.update(repr((r.avg_aoi_mean, r.avg_aoi_stderr, r.arrivals, r.delivered, r.failed,
+                       r.preempted, r.discarded, r.end_time, r.measured_time)).encode())
+        for traj in (r.trajectory_times, r.trajectory_counts):
+            h.update(b"-" if traj is None else traj.tobytes())
+    return h.hexdigest()
+
+
+_PINNED_RUNS = {
+    "n1": (
+        list(_pin_configs(1, 1)),
+        "0b2b4189274a6064d847d917f430ece639d8ee2e0adfdc59be80ce1fc81dfb9f",
+        (1.2292894502957137, 1.2038060845625171, 1.1245693368176757,
+         1.1490429671452675, 1.1453911072106377, 1.1119575149973127)),
+    "n4": (
+        list(_pin_configs(4, 1)),
+        "288d00fe9682b46432809c64ff4f559f4149aa87026c9cb9d9a309d5bedc52c9",
+        (0.3687511682244038, 0.3741806869387678, 0.31301852930602814,
+         0.28773366757272045, 0.2633888816043535, 0.2254657117402954)),
+    "n10": (
+        list(_pin_configs(10, 2)),
+        "df14d8e303da16478459bc0795e163b07524557e621b81199d7a25bd67c4b3f1",
+        (0.25409415905870136, 0.2707150758112422, 0.2352643197179063,
+         0.24514667713990845, 0.2020650123445562, 0.18672324941256857)),
+    "n30": (
+        list(_pin_configs(30, 6)),
+        "7e58fd4ea60d1f5082f20fb21c760a165dc814dd7bc55acebd1d940991484341",
+        (0.29818389604550544, 0.2715951142729467, 0.26536999382925486,
+         0.25038400301965114, 0.200737736159305, 0.2109517707988915)),
+    "n200": (
+        list(_pin_configs(200, 40)),
+        "5473ed403aec7760248cd8bc9756402f972cc5d72d63c8eefafa2545ebf2acb0",
+        (0.29294431954408884, 0.31463802404684227, 0.2555966674772643,
+         0.25649172956029465, 0.1932081162809547, 0.1918269865315998)),
+    "final-arrival": (
+        list(_final_arrival_configs()),
+        "a5a5c66d42872e47d4aa2920f941789201da72480c8f1c6cffcac1dca4493dd5",
+        (0.2664655788179835, 0.25571024847472823, 0.25571024847472823)),
+}
+
+
+@pytest.mark.parametrize("key", _PINNED_RUNS)
+def test_raw_results_are_pinned(key):
+    configs, digest, k_values = _PINNED_RUNS[key]
+    results = [sim.run(config) for config in configs]
+    assert _digest(results) == digest
+    assert [r.effective_k_estimate for r in results] == pytest.approx(k_values, rel=1e-12)
+
+
+@pytest.mark.parametrize("first_blocks", [None, 1], ids=["one-call", "top-up"])
+@pytest.mark.parametrize("n, stop", [(1, dict(stop_arrivals=500)), (7, dict(stop_arrivals=900)),
+                                     (7, dict(stop_time=150.0))])
+def test_arrival_times_are_one_draw_at_a_time(first_blocks, n, stop, monkeypatch):
+    # Randomness contract: device d's arrival times sum row d of successive
+    # (n, 64) blocks of the arrival stream, one draw at a time.
+    if first_blocks is not None:
+        monkeypatch.setattr(sim, "_first_blocks", lambda per_device: first_blocks)
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=float(n), n_devices=n,
+                          n_channels=1)
+    config = sim.SimConfig(params=params, ps=W_WP, seed=5, replication=2, warmup_fraction=0.2,
+                           **stop)
+    rows, arrivals, t_warm, t_stop = sim._arrival_times(config)
+
+    key = np.array([5, (2 << 3) | 0], dtype=np.uint64)  # replication 2, arrival purpose
+    gen = np.random.Generator(np.random.Philox(key=key))
+    blocks = [gen.exponential(scale=1.0 / 0.8, size=(n, 64)).tolist() for _ in range(20)]
+    expected = []
+    for d in range(n):
+        t, times = 0.0, []
+        for block in blocks:
+            for draw in block[d]:
+                t += draw
+                times.append(t)
+        expected.append(times)
+    in_order = sorted(t for times in expected for t in times)
+    if "stop_time" in stop:
+        assert (t_warm, t_stop) == (0.2 * 150.0, 150.0)
+    else:
+        a_stop = stop["stop_arrivals"]
+        assert t_stop == in_order[a_stop - 1]
+        assert t_warm == in_order[math.ceil(0.2 * a_stop) - 1]
+    assert t_stop < min(times[-1] for times in expected)  # the reference covers the horizon
+    assert [list(row) for row in rows] == [[t for t in times if t <= t_stop] + [math.inf]
+                                           for times in expected]
+    assert arrivals == sum(len(row) - 1 for row in rows)
