@@ -78,35 +78,29 @@ def _summary_lines(pooled: sim.PooledResult) -> list[str]:
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     description: str
     params: dict
 
 
 PRESETS: dict[str, Preset] = {
     "aoi-vs-p": Preset(
-        "aoi-vs-p",
         "average AoI versus p at a fixed stationary distribution",
         {"lam": 0.9, "mu": 1.0, "k": 2.0, "p_grid": (0.3, 1.0, 15)},
     ),
     "accuracy": Preset(
-        "accuracy",
         "empirical measure trajectories against the mean-field ODE for growing populations",
         {"lam": 0.8, "mu": 1.0, "w": 2.0, "gamma": 5.0, "p": 0.7,
          "populations": (10, 100, 1000)},
     ),
     "aoi-vs-lambda": Preset(
-        "aoi-vs-lambda",
         "mean-field average AoI versus the arrival rate",
         {"mu": 0.5, "w": 2.0, "gamma": 5.0, "p": 0.7},
     ),
     "param-sweeps": Preset(
-        "param-sweeps",
         "mean-field average AoI versus mu, w, gamma, and p",
         {"lam": 0.8, "mu": 1.5, "w": 2.0, "gamma": 5.0, "p": 0.7},
     ),
     "single-device": Preset(
-        "single-device",
         "single device desk check against the closed form",
         {"lam": 1.0, "mu": 1.0, "w": 1.0, "p": 1.0, "n": 1, "m": 1},
     ),
@@ -376,7 +370,7 @@ def _add_analytic(output: _Output, name: str, combos, points: list[dict]) -> int
                 aoi = closedform.avg_aoi(ps, lam=pt["lam"], mu=pt["mu"], k=pt["k"], p=pt["p"])
                 gap = closedform.preemption_gap(ps.policy, lam=pt["lam"], mu=pt["mu"],
                                                 k=pt["k"], p=pt["p"])
-                lines.append(f"{prefix},{_fmt(aoi.total)},{_fmt(gap)}")
+                lines.append(f"{prefix},{_fmt(aoi)},{_fmt(gap)}")
             except AoiError as exc:
                 failures += 1
                 lines.append(f"{prefix},{type(exc).__name__},{type(exc).__name__}")
@@ -412,7 +406,7 @@ def _cmd_crossvalidate(args, output: _Output) -> int:
     deviations = []
     for ps in PolicyScheme.all_combinations():
         via_chain = shs.average_aoi(ps, lam=lam, mu=mu, k=k, p=p)
-        direct = np.array([closedform.avg_aoi(ps, lam=a, mu=b, k=c, p=d).total
+        direct = np.array([closedform.avg_aoi(ps, lam=a, mu=b, k=c, p=d)
                            for a, b, c, d in tuples])
         with np.errstate(invalid="ignore"):  # an infinite closed form gives inf/inf
             deviations.append(np.abs(via_chain - direct) / direct)
@@ -450,7 +444,7 @@ def _sweep_lines(combos: list[PolicyScheme], params: SystemParams,
             eq = meanfield.equilibrium(ps.policy, probe)
             aoi = closedform.avg_aoi(ps, lam=probe.lam, mu=probe.mu, k=eq.k_star, p=probe.p)
             lines.append(f"{ps.policy.value},{ps.scheme.value},{name},{_fmt(value)},"
-                         f"{_fmt(eq.k_star)},{_fmt(aoi.total)}")
+                         f"{_fmt(eq.k_star)},{_fmt(aoi)}")
     return lines
 
 
@@ -529,11 +523,14 @@ def _cmd_reproduce(args, output: _Output) -> int:
     if args.preset == "accuracy":
         if not 0.0 < args.sample_dt < math.inf:
             raise UsageError(f"--sample-dt must be positive and finite, got {args.sample_dt}")
-        t_end = 10.0
+        t_end, ode_dt = 10.0, 0.01
+        stride = round(args.sample_dt / ode_dt)  # the ODE rows shared with the populations
+        if stride < 1 or abs(args.sample_dt / ode_dt - stride) > 1e-9:
+            raise UsageError(f"--sample-dt must be a whole multiple of the ODE step {ode_dt}, "
+                             f"got {args.sample_dt}")
         base = SystemParams(lam=pp["lam"], mu=pp["mu"], w=pp["w"], p=pp["p"], gamma=pp["gamma"])
         traj = meanfield.integrate(Policy.W, base, StateFractions(1.0, 0.0, 0.0),
-                                   t_end=t_end, dt=0.01)
-        stride = max(1, round(args.sample_dt / 0.01))
+                                   t_end=t_end, dt=ode_dt)
         output.add("accuracy_ode.csv",
                    _trajectory_lines(traj.times[::stride], traj.states[::stride]))
         for n in pp["populations"]:
@@ -581,7 +578,7 @@ def _cmd_reproduce(args, output: _Output) -> int:
     ps = PolicyScheme(Policy.I, Scheme.WP)
     config = SimConfig(params=params, ps=ps, seed=seed, stop_arrivals=args.arrivals)
     pooled = sim.replicate(config, n_reps=1)
-    expected = closedform.avg_aoi(ps, lam=pp["lam"], mu=pp["mu"], k=pp["w"], p=pp["p"]).total
+    expected = closedform.avg_aoi(ps, lam=pp["lam"], mu=pp["mu"], k=pp["w"], p=pp["p"])
     rel = (pooled.mean_aoi - expected) / expected
     output.add("single_device.csv", _summary_lines(pooled))
     output.say(f"single device: sim={_fmt(pooled.mean_aoi)} "
@@ -590,8 +587,8 @@ def _cmd_reproduce(args, output: _Output) -> int:
 
 
 def _cmd_presets(args, output: _Output) -> int:
-    for preset in PRESETS.values():
-        output.say(f"{preset.name}: {preset.description}")
+    for name, preset in PRESETS.items():
+        output.say(f"{name}: {preset.description}")
         for key, value in preset.params.items():
             output.say(f"    {key} = {value}")
     return _EXIT_OK

@@ -3,13 +3,12 @@
 Each of the six (policy, scheme) combinations has an explicit average-AoI
 expression in terms of (lam, mu, k, p), valid under a given stationary
 distribution with effective waiting rate k.  The expressions are coded
-term by term following their printed grouping (base + coupling + correction)
-so that individual terms stay testable; ``AoiBreakdown`` exposes them.
+term by term following their printed grouping (base + coupling + correction).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .core import AoiError, InvalidParameter, Policy, PolicyScheme, Scheme, StateFractions
 
@@ -18,19 +17,10 @@ class DivergentAoi(AoiError):
     """The average AoI is infinite (p = 0 or a rate is nonpositive)."""
 
 
-@dataclass(frozen=True)
-class AoiBreakdown:
-    """Average AoI split into the additive terms of its closed form.
-
-    ``total`` equals the sum of ``terms`` values to within roundoff; the
-    correction term is negative, the others positive.
-    """
-
-    total: float
-    terms: dict[str, float]
-
-
 def _check_rates(lam: float, mu: float, k: float, p: float) -> None:
+    for name, value in (("lam", lam), ("mu", mu), ("k", k), ("p", p)):
+        if not math.isfinite(value):
+            raise InvalidParameter(name, f"must be a positive finite number, got {value!r}")
     if p > 1.0:
         raise InvalidParameter("p", f"must lie in (0, 1], got {p!r}")
     if p <= 0.0:
@@ -40,7 +30,7 @@ def _check_rates(lam: float, mu: float, k: float, p: float) -> None:
             raise DivergentAoi(f"{name} = {value}: rate must be positive")
 
 
-def avg_aoi(ps: PolicyScheme, lam: float, mu: float, k: float, p: float) -> AoiBreakdown:
+def avg_aoi(ps: PolicyScheme, lam: float, mu: float, k: float, p: float) -> float:
     """Average AoI for one (policy, scheme) at effective waiting rate k."""
     _check_rates(lam, mu, k, p)
     pol, sch = ps.policy, ps.scheme
@@ -68,8 +58,7 @@ def avg_aoi(ps: PolicyScheme, lam: float, mu: float, k: float, p: float) -> AoiB
             base = 1.0 / lam + 1.0 / k + 2.0 / (mu * p)
             coupling = 1.0 / (lam + k)
 
-    terms = {"base": base, "coupling": coupling, "correction": correction}
-    return AoiBreakdown(total=base + coupling + correction, terms=terms)
+    return base + coupling + correction
 
 
 def stationary(policy: Policy, lam: float, mu: float, k: float, p: float) -> StateFractions:

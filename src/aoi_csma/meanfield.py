@@ -247,7 +247,7 @@ def integrate(
 def aoi_at_equilibrium(ps: PolicyScheme, params: SystemParams) -> float:
     """Average AoI in the mean-field limit: closed form evaluated at k*."""
     eq = equilibrium(ps.policy, params)
-    return closedform.avg_aoi(ps, lam=params.lam, mu=params.mu, k=eq.k_star, p=params.p).total
+    return closedform.avg_aoi(ps, lam=params.lam, mu=params.mu, k=eq.k_star, p=params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def monotonicity_report(
             probe = with_param(params, which, v)
             eq = equilibrium(policy, probe)
             aoi = closedform.avg_aoi(ps, lam=probe.lam, mu=probe.mu, k=eq.k_star, p=probe.p)
-            per_point.append((eq.x_star, aoi.total))
+            per_point.append((eq.x_star, aoi))
         (x_lo, aoi_lo), (x_hi, aoi_hi) = per_point
         scale = 2.0 * h
         d_x.append([(b - a) / scale for a, b in zip(x_lo.as_tuple(), x_hi.as_tuple())])

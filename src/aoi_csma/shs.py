@@ -114,13 +114,12 @@ class ShsChain:
 
 @dataclass(frozen=True)
 class AgeSolution:
-    """Stationary distribution, correlation matrix v, and the average AoI sum(v[..., 0]).
+    """Correlation matrix v and the average AoI sum(v[..., 0]).
 
-    ``pi``, ``v`` and ``avg_aoi`` lead with the chain's batch axes;
-    ``avg_aoi`` is a float for batch shape ``()``.
+    ``v`` and ``avg_aoi`` lead with the chain's batch axes; ``avg_aoi`` is a
+    float for batch shape ``()``.
     """
 
-    pi: np.ndarray
     v: np.ndarray
     avg_aoi: float | np.ndarray
 
@@ -266,7 +265,7 @@ def solve_age_system(chain: ShsChain, pi: np.ndarray) -> AgeSolution:
         i = _worst(-low)
         raise NegativeSolution(f"age system produced negative entries: {low[i]}{_at(i)}")
     avg = v[..., 0].sum(axis=-1)
-    return AgeSolution(pi=pi, v=v, avg_aoi=float(avg) if avg.ndim == 0 else avg)
+    return AgeSolution(v=v, avg_aoi=float(avg) if avg.ndim == 0 else avg)
 
 
 def average_aoi(ps: PolicyScheme, lam, mu, k, p) -> float | np.ndarray:

@@ -68,6 +68,7 @@ _ARRIVAL, _BACKOFF, _COMPLETE = 0, 1, 2
 _P_ARRIVAL, _P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS = range(5)
 
 _MASK64 = (1 << 64) - 1
+_MAX_SAMPLES = 10_000_000  # trajectory samples per run, as meanfield bounds its steps
 _NORMAL_95 = 1.959963984540054
 
 
@@ -107,7 +108,6 @@ class SimResult:
     measured_time: float
     end_time: float
     n_devices: int
-    n_channels: int
     trajectory_times: np.ndarray | None = None
     trajectory_counts: np.ndarray | None = None
 
@@ -264,9 +264,18 @@ def _check_config(config: SimConfig) -> None:
         raise InvalidConfig(f"warmup_fraction must lie in [0, 0.5], got {config.warmup_fraction}")
     if config.sample_dt is not None and not 0 < config.sample_dt < math.inf:
         raise InvalidConfig(f"sample_dt must be positive and finite, got {config.sample_dt}")
+    if config.stop_time is not None:
+        _check_samples(config.stop_time, config.sample_dt)
     if config.replication < 0:
         raise InvalidConfig(f"replication index must be nonnegative, got {config.replication}")
     validate(p)
+
+
+def _check_samples(t_stop: float, sample_dt: float | None) -> None:
+    """Refuse a trajectory of more than ``_MAX_SAMPLES`` samples before any is taken."""
+    if sample_dt is not None and t_stop / sample_dt > _MAX_SAMPLES:
+        raise InvalidConfig(f"sample_dt={sample_dt!r} asks for more than {_MAX_SAMPLES} "
+                            "samples over the horizon")
 
 
 def _check_channels(occupied: list[bool], n_serv: int) -> None:
@@ -284,6 +293,7 @@ def run(config: SimConfig) -> SimResult:
     w, prob, gamma = params.w, params.p, params.gamma
     fail_to, wp = FAILURE_TARGET[config.ps.policy], config.ps.scheme is Scheme.WP
     arrival_times, arrivals, t_warm, t_stop = _arrival_times(config)
+    _check_samples(t_stop, config.sample_dt)
     streams = _Streams(config.seed, config.replication, n, m, w, params.mu)
     refill = streams.refill
     draw_bo, draw_svc, draw_ch, draw_ok = (streams.draws[p] for p in
@@ -483,7 +493,6 @@ def run(config: SimConfig) -> SimResult:
         measured_time=measured,
         end_time=end_time,
         n_devices=n,
-        n_channels=m,
         trajectory_times=np.array(traj_times) if sampling else None,
         trajectory_counts=np.array(traj_counts, dtype=np.int64) if sampling else None,
     )

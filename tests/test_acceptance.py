@@ -40,7 +40,7 @@ def test_criterion_1_oracle_equivalence():
         for lam, mu, k, p in _random_tuples(1000):
             for ps in ALL6:
                 via_chain = shs.average_aoi(ps, lam=lam, mu=mu, k=k, p=p)
-                direct = cf.avg_aoi(ps, lam=lam, mu=mu, k=k, p=p).total
+                direct = cf.avg_aoi(ps, lam=lam, mu=mu, k=k, p=p)
                 worst = max(worst, abs(via_chain - direct) / direct)
     ok = worst < 1e-9 and t.elapsed < 5.0
     record(1, ok, f"chain solver vs closed forms: max rel dev {worst:.2e} "
@@ -55,8 +55,8 @@ def test_criterion_2_preemption_gap_identity():
     for lam, mu, k, p in _random_tuples(1000):
         for policy in Policy:
             gap = cf.preemption_gap(policy, lam=lam, mu=mu, k=k, p=p)
-            diff = (cf.avg_aoi(PolicyScheme(policy, Scheme.WOP), lam=lam, mu=mu, k=k, p=p).total
-                    - cf.avg_aoi(PolicyScheme(policy, Scheme.WP), lam=lam, mu=mu, k=k, p=p).total)
+            diff = (cf.avg_aoi(PolicyScheme(policy, Scheme.WOP), lam=lam, mu=mu, k=k, p=p)
+                    - cf.avg_aoi(PolicyScheme(policy, Scheme.WP), lam=lam, mu=mu, k=k, p=p))
             worst = max(worst, abs(gap - diff))
             min_gap = min(min_gap, gap)
     ok = worst < 1e-12 and min_gap > 0
@@ -72,7 +72,7 @@ def test_criterion_3_policy_collapse_at_p_one():
     for _ in range(100):
         lam, mu, k = rng.uniform(0.1, 5.0, size=3)
         for scheme in Scheme:
-            totals = [cf.avg_aoi(PolicyScheme(policy, scheme), lam=lam, mu=mu, k=k, p=1.0).total
+            totals = [cf.avg_aoi(PolicyScheme(policy, scheme), lam=lam, mu=mu, k=k, p=1.0)
                       for policy in Policy]
             worst = max(worst, abs(totals[0] - totals[1]), abs(totals[0] - totals[2]))
     ok = worst < 1e-12

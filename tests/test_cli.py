@@ -7,7 +7,6 @@ import math
 import os
 import runpy
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -58,6 +57,16 @@ def test_analytic_grid_with_zero_p_flags_partial_failure(capsys):
     assert any(row.endswith("2.75,0.75") for row in rows)
 
 
+@pytest.mark.parametrize("bad", [["--lambda", "nan"], ["--mu", "inf"], ["--p", "nan"]])
+def test_analytic_non_finite_input_flags_every_row(capsys, bad):
+    code, out, _ = run_cli(capsys, "analytic", *ANALYTIC_POINT, *bad)  # the last value wins
+    assert code == 2
+    rows = out.splitlines()[1:7]
+    assert len(rows) == 6 and all(row.endswith(",InvalidParameter,InvalidParameter")
+                                  for row in rows)
+    assert out.endswith("warning: 6 grid point(s) failed\n")
+
+
 def test_analytic_missing_flags_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "analytic", "--policy", "I")
     assert code == 1
@@ -89,8 +98,8 @@ def test_crossvalidate_passes_and_detects_injected_error(capsys, monkeypatch):
     avg_aoi = closedform.avg_aoi
 
     def perturb_closed_form(delta):
-        monkeypatch.setattr(closedform, "avg_aoi", lambda *args, **kwargs: SimpleNamespace(
-            total=avg_aoi(*args, **kwargs).total + delta))
+        monkeypatch.setattr(closedform, "avg_aoi",
+                            lambda *args, **kwargs: avg_aoi(*args, **kwargs) + delta)
 
     code, out, _ = run_cli(capsys, "crossvalidate", "--count", "40", "--seed", "5")
     assert code == 0
@@ -206,6 +215,13 @@ def test_simulate_missing_channels_is_usage_error(capsys):
     (["--arrivals", "1"], "error: horizon too short: no time left after warm-up\n"),
     (["--arrivals", "100", "--sample-dt", "inf"],
      "error: sample_dt must be positive and finite, got inf\n"),
+    # too many samples: refused before the first one, for either kind of horizon
+    (["--horizon", "1", "--sample-dt", "1e-17"],
+     "error: sample_dt=1e-17 asks for more than 10000000 samples over the horizon\n"),
+    (["--horizon", "1000", "--sample-dt", "1e-5"],
+     "error: sample_dt=1e-05 asks for more than 10000000 samples over the horizon\n"),
+    (["--arrivals", "100", "--sample-dt", "1e-300"],
+     "error: sample_dt=1e-300 asks for more than 10000000 samples over the horizon\n"),
 ])
 def test_simulate_unusable_horizon_is_usage_error(capsys, stop, message):
     code, out, err = run_cli(capsys, "simulate", "--lambda", "0.8", "--mu", "1", "--w", "2",
@@ -412,10 +428,21 @@ def test_reproduce_accuracy_small_scale(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "reproduce", "accuracy", "--reps", "3",
                          "--seed", "2", "--out", str(out_dir))
     assert code == 0
+    ode = (out_dir / "accuracy_ode.csv").read_text().splitlines()
     for n in (10, 100, 1000):
         lines = (out_dir / f"accuracy_N{n}.csv").read_text().splitlines()
         assert lines[0] == "t,x_I,mean_x_I"
-    assert (out_dir / "accuracy_ode.csv").exists()
+        # the populations are sampled at the ODE's rows
+        assert [row.split(",")[0] for row in lines] == ["t"] + [row.split(",")[0]
+                                                                for row in ode[1:]]
+    # a sampling interval off the ODE step's grid would misalign the two
+    for sample_dt in ("0.015", "0.001"):
+        code, out, err = run_cli(capsys, "reproduce", "accuracy", "--reps", "1",
+                                 "--sample-dt", sample_dt, "--out", str(tmp_path / sample_dt))
+        assert code == 1 and out == ""
+        assert err == ("error: --sample-dt must be a whole multiple of the ODE step 0.01, "
+                       f"got {sample_dt}\n")
+        assert not (tmp_path / sample_dt).exists()
     code, _, err = run_cli(capsys, "reproduce", "accuracy", "--reps", "2", "--parallelism", "0",
                            "--out", str(tmp_path / "zero"))
     assert code == 1

@@ -176,7 +176,7 @@ def test_trajectory_points_stay_on_simplex():
 def test_aoi_at_equilibrium_composition():
     ps = PolicyScheme(Policy.W, Scheme.WP)
     eq = mf.equilibrium(Policy.W, FIG3)
-    expected = cf.avg_aoi(ps, lam=FIG3.lam, mu=FIG3.mu, k=eq.k_star, p=FIG3.p).total
+    expected = cf.avg_aoi(ps, lam=FIG3.lam, mu=FIG3.mu, k=eq.k_star, p=FIG3.p)
     assert mf.aoi_at_equilibrium(ps, FIG3) == expected
 
 

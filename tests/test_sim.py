@@ -1,6 +1,7 @@
 """Tests for the event-driven simulator: correctness, determinism, statistics."""
 
 import hashlib
+import heapq
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from aoi_csma import closedform as cf
 from aoi_csma import meanfield as mf
-from aoi_csma import sim
-from aoi_csma.core import Policy, PolicyScheme, Scheme, StateFractions, SystemParams
+from aoi_csma import shs, sim
+from aoi_csma.core import (IDLE, SERVICE, WAITING, Policy, PolicyScheme, Scheme, StateFractions,
+                           SystemParams)
 
 FIG3 = dict(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0)
 
@@ -51,6 +53,11 @@ def test_config_validation():
                               stop_arrivals=10, sample_dt=math.inf))
     with pytest.raises(sim.InvalidConfig, match="positive and finite"):  # would never end
         sim.run(sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, stop_time=math.inf))
+    # more than 10^7 samples, over a time or an arrival horizon
+    for stop in (dict(stop_time=1.0, sample_dt=1e-17), dict(stop_time=1000.0, sample_dt=1e-5),
+                 dict(stop_arrivals=100, sample_dt=1e-300)):
+        with pytest.raises(sim.InvalidConfig, match="more than 10000000 samples"):
+            sim.run(sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, **stop))
     with pytest.raises(sim.InvalidConfig):
         sim.replicate(good, n_reps=0)
 
@@ -74,7 +81,7 @@ def test_single_device_failure_branch_matches_closed_form(ps):
     params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=1.0, n_devices=1, n_channels=1)
     config = sim.SimConfig(params=params, ps=ps, seed=1, stop_arrivals=5_000)
     pooled = sim.replicate(config, n_reps=8)
-    expected = cf.avg_aoi(ps, lam=0.8, mu=1.0, k=2.0, p=0.7).total
+    expected = cf.avg_aoi(ps, lam=0.8, mu=1.0, k=2.0, p=0.7)
     assert abs(pooled.mean_aoi - expected) < 5.0 * pooled.stderr
     assert all(r.failed > 0 for r in pooled.results)
 
@@ -318,3 +325,32 @@ def test_arrival_times_are_one_draw_at_a_time(first_blocks, n, stop, monkeypatch
     assert [list(row) for row in rows] == [[t for t in times if t <= t_stop] + [math.inf]
                                            for times in expected]
     assert arrivals == sum(len(row) - 1 for row in rows)
+
+
+@pytest.mark.parametrize("p", [0.7, 1.0])
+@pytest.mark.parametrize("ps", PolicyScheme.all_combinations(), ids=lambda ps: ps.label)
+def test_events_follow_the_shs_chain_edges(ps, p, monkeypatch):
+    """Each event moves its device along an edge of the device's SHS chain.
+
+    With N = M = 1 the channel is free at every backoff expiry, so every
+    event is one pending event replaced by the device's next one, and the
+    kinds of the two give the device's state before and after.  The chain's
+    lam-rate self-loops (replacement while waiting, preemption in service)
+    are arrivals the simulator applies without an event.
+    """
+    state_of = {sim._ARRIVAL: IDLE, sim._BACKOFF: WAITING, sim._COMPLETE: SERVICE}
+    moves = []
+
+    def recording_heapreplace(heap, item):
+        moves.append((state_of[heap[0][2]], state_of[item[2]]))
+        return heapq.heapreplace(heap, item)
+
+    monkeypatch.setattr(sim, "heapreplace", recording_heapreplace)
+    lam, mu, w = 0.8, 1.0, 2.0
+    params = SystemParams(lam=lam, mu=mu, w=w, p=p, gamma=1.0, n_devices=1, n_channels=1)
+    result = sim.run(sim.SimConfig(params=params, ps=ps, seed=3, stop_arrivals=3000))
+    chain = shs.build_chain(ps, lam=lam, mu=mu, k=w, p=p)
+    edges = {(tr.from_state, tr.to_state) for tr in chain.transitions
+             if not (tr.from_state == tr.to_state and tr.rate == lam)}
+    assert set(moves) == edges
+    assert sum(src == SERVICE for src, _ in moves) == result.delivered + result.failed
