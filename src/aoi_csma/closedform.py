@@ -14,19 +14,19 @@ from .core import AoiError, InvalidParameter, Policy, PolicyScheme, Scheme, Stat
 
 
 class DivergentAoi(AoiError):
-    """The average AoI is infinite (p = 0 or a rate is nonpositive)."""
+    """The average AoI is infinite (p = 0 or a rate is zero)."""
 
 
 def _check_rates(lam: float, mu: float, k: float, p: float) -> None:
     for name, value in (("lam", lam), ("mu", mu), ("k", k), ("p", p)):
-        if not math.isfinite(value):
+        if not (math.isfinite(value) and value >= 0.0):
             raise InvalidParameter(name, f"must be a positive finite number, got {value!r}")
     if p > 1.0:
         raise InvalidParameter("p", f"must lie in (0, 1], got {p!r}")
-    if p <= 0.0:
+    if p == 0.0:
         raise DivergentAoi(f"p = {p}: no packet is ever delivered")
     for name, value in (("lam", lam), ("mu", mu), ("k", k)):
-        if value <= 0.0:
+        if value == 0.0:
             raise DivergentAoi(f"{name} = {value}: rate must be positive")
 
 

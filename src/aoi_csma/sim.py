@@ -15,11 +15,12 @@ Statistics exclude a configurable warm-up window.
 
 Randomness contract: every draw is a pure function of
 (seed, replication, device, purpose, draw index).  One counter-keyed
-generator per (seed, replication, purpose) yields consecutive blocks of
-shape (n_devices, BLOCK) with BLOCK = 64; device d consumes row d, so draw
-sequences are independent of event interleaving across devices and
-replications are reproducible under any parallelism.  BLOCK and the block
-shape are part of the contract: changing either changes every draw.
+generator per (seed, replication, purpose), held by a ``_Stream``, yields
+consecutive blocks of shape (n_devices, BLOCK) with BLOCK = 64; device d
+consumes row d, so draw sequences are independent of event interleaving
+across devices and replications are reproducible under any parallelism.
+BLOCK and the block shape are part of the contract: changing either
+changes every draw.
 
 Events on the heap: each device has exactly one pending event, its next
 arrival while idle, its backoff expiry while waiting, or its service
@@ -46,6 +47,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from heapq import heapify, heapreplace
@@ -94,7 +96,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Per-device AoI averages, event counts, and optional trajectory."""
+    """Per-device AoI averages, event counts, and optional trajectory.
+
+    Every arrival up to the end ends one way: ``arrivals == delivered +
+    failed (policy I only) + preempted + discarded + replaced + held``.
+    ``replaced`` counts packets a newer arrival replaced while waiting, and
+    ``held`` the devices waiting or in service at the end, one packet each.
+    """
 
     avg_aoi_per_device: np.ndarray
     avg_aoi_mean: float
@@ -104,6 +112,8 @@ class SimResult:
     failed: int
     preempted: int
     discarded: int
+    replaced: int
+    held: int
     effective_k_estimate: float
     measured_time: float
     end_time: float
@@ -121,71 +131,49 @@ class SimResult:
 BLOCK = 64
 
 
-def _generator(seed: int, replication: int, purpose: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, (replication << 3) | purpose], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _Stream:
+    """One purpose's blocked, counter-addressed random stream.
 
-
-class _Streams:
-    """Blocked, counter-addressed random streams per (replication, purpose).
-
-    Serves every purpose but arrivals, whose times :func:`_arrival_times`
-    computes up front.  ``draws[purpose][d]`` holds device ``d``'s unread
-    draws of its current block row, reversed, so the next draw is
-    ``draws[purpose][d].pop()``.  When that list is empty, :meth:`refill`
-    moves the device to its row in the next block, generating the block on
-    first use.  The row is taken out of its block as it is handed over, so
-    consumed rows are freed during the run rather than at its end.
+    The key (seed, replication, purpose) seeds a Philox generator, built on
+    first use, from which ``sample(generator, shape)`` draws whole blocks.
+    :meth:`blocks` returns the next ``k`` blocks at once.  ``draws[d]``
+    holds device ``d``'s unread draws of its current block row, reversed, so
+    the next draw is ``draws[d].pop()``.  When that list is empty,
+    :meth:`refill` moves the device to its row in the next block, generating
+    the block on first use.  The row is taken out of its block as it is
+    handed over, so consumed rows are freed during the run rather than at
+    its end.
     """
 
-    def __init__(self, seed: int, replication: int, n: int, m: int, w: float, mu: float):
-        self._n = n
-        self._m = m
-        self._seed = seed
-        self._rep = replication
-        self._scales = {_P_BACKOFF: 1.0 / w, _P_SERVICE: 1.0 / mu}
-        self._gens: dict[int, np.random.Generator] = {}
-        purposes = (_P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS)
-        self._blocks: dict[int, list[list[list[float] | None]]] = {p: [] for p in purposes}
-        self._next_row: dict[int, list[int]] = {p: [0] * n for p in purposes}
-        self.draws: dict[int, list[list[float]]] = {p: [[] for _ in range(n)] for p in purposes}
+    def __init__(self, config: SimConfig, purpose: int,
+                 sample: Callable[[np.random.Generator, tuple[int, int, int]], np.ndarray]):
+        self._key = (config.seed & _MASK64, (config.replication << 3) | purpose)
+        self._sample = sample
+        self._gen: np.random.Generator | None = None
+        self._n = n = config.params.n_devices
+        self._rows: list[list[list | None]] = []
+        self._next_row = [0] * n
+        self.draws: list[list] = [[] for _ in range(n)]
 
-    def _extend(self, purpose: int) -> None:
-        gen = self._gens.get(purpose)
-        if gen is None:
-            gen = self._gens[purpose] = _generator(self._seed, self._rep, purpose)
-        shape = (self._n, BLOCK)
-        if purpose == _P_CHANNEL:
-            block = gen.integers(0, self._m, size=shape, dtype=np.int64)
-        elif purpose == _P_SUCCESS:
-            block = gen.random(size=shape)
-        else:
-            block = gen.exponential(scale=self._scales[purpose], size=shape)
-        self._blocks[purpose].append(block.tolist())
+    def blocks(self, k: int) -> np.ndarray:
+        """The stream's next ``k`` blocks, as one ``(k, n, BLOCK)`` array."""
+        if self._gen is None:
+            key = np.array(self._key, dtype=np.uint64)
+            self._gen = np.random.Generator(np.random.Philox(key=key))
+        return self._sample(self._gen, (k, self._n, BLOCK))
 
-    def refill(self, purpose: int, device: int):
+    def refill(self, device: int):
         """Move ``device`` to its next block row and return that row's first draw."""
-        next_row = self._next_row[purpose]
-        j = next_row[device]
-        next_row[device] = j + 1
-        blocks = self._blocks[purpose]
-        if j == len(blocks):
-            self._extend(purpose)
-        block = blocks[j]
+        j = self._next_row[device]
+        self._next_row[device] = j + 1
+        if j == len(self._rows):
+            self._rows.append(self.blocks(1)[0].tolist())
+        block = self._rows[j]
         row = block[device]
         block[device] = None
         row.reverse()
-        self.draws[purpose][device] = row
+        self.draws[device] = row
         return row.pop()
-
-
-def _first_blocks(per_device: float) -> int:
-    """Arrival blocks to draw at once for a mean of ``per_device`` arrivals per device.
-
-    Six standard deviations above the mean make a shortfall rare, and a
-    shortfall only costs a top-up.
-    """
-    return math.ceil((per_device + 6.0 * math.sqrt(per_device) + 8.0) / BLOCK)
 
 
 def _arrival_times(config: SimConfig) -> tuple[list[array], int, float, float]:
@@ -194,9 +182,9 @@ def _arrival_times(config: SimConfig) -> tuple[list[array], int, float, float]:
     Device d's inter-arrival draws are row d of the arrival stream's
     consecutive (n, BLOCK) blocks.  Their running sum along the row, carried
     from block to block, adds them in the order of ``t += draw``, so the
-    times are bit for bit those of drawing one arrival at a time.  The
-    blocks are drawn in one call; while some device's times end before the
-    horizon, as many blocks again as drawn so far are added.
+    times are bit for bit those of drawing one arrival at a time.  The first
+    round draws one block; while some device's times end before the horizon,
+    each round draws as many blocks again as drawn so far.
 
     An arrival horizon becomes a time: ``t_stop`` is the time of its
     ``stop_arrivals``-th arrival and ``t_warm`` that of the warm-up's last
@@ -206,26 +194,21 @@ def _arrival_times(config: SimConfig) -> tuple[list[array], int, float, float]:
     """
     n, lam = config.params.n_devices, config.params.lam
     a_stop = config.stop_arrivals
-    gen = _generator(config.seed, config.replication, _P_ARRIVAL)
-    k = _first_blocks(a_stop / n if a_stop is not None else lam * config.stop_time)
-    chunks: list[np.ndarray] = []
+    stream = _Stream(config, _P_ARRIVAL, lambda gen, shape: gen.exponential(1.0 / lam, shape))
+    times = np.empty((n, 0))
     last = 0.0
     while True:
-        times = gen.exponential(scale=1.0 / lam, size=(k, n, BLOCK)).transpose(1, 0, 2)
-        times = times.reshape(n, k * BLOCK)
-        times[:, 0] += last
-        np.cumsum(times, axis=1, out=times)
-        chunks.append(times)
+        more = stream.blocks(max(1, times.shape[1] // BLOCK)).transpose(1, 0, 2).reshape(n, -1)
+        more[:, 0] += last
+        np.cumsum(more, axis=1, out=more)
+        times = np.concatenate((times, more), axis=1)
         last = times[:, -1]
         covered = last.min()  # every arrival up to this time has been drawn
         if a_stop is None:
             if covered >= config.stop_time:
                 break
-        elif sum(np.count_nonzero(c <= covered) for c in chunks) >= a_stop:
+        elif np.count_nonzero(times <= covered) >= a_stop:
             break
-        k = sum(c.shape[1] for c in chunks) // BLOCK
-    times = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
-    del chunks, last
 
     if a_stop is None:
         t_stop = config.stop_time
@@ -290,14 +273,19 @@ def run(config: SimConfig) -> SimResult:
     params = config.params
     n: int = params.n_devices
     m: int = params.n_channels
-    w, prob, gamma = params.w, params.p, params.gamma
+    w, mu, prob, gamma = params.w, params.mu, params.p, params.gamma
     fail_to, wp = FAILURE_TARGET[config.ps.policy], config.ps.scheme is Scheme.WP
     arrival_times, arrivals, t_warm, t_stop = _arrival_times(config)
     _check_samples(t_stop, config.sample_dt)
-    streams = _Streams(config.seed, config.replication, n, m, w, params.mu)
-    refill = streams.refill
-    draw_bo, draw_svc, draw_ch, draw_ok = (streams.draws[p] for p in
-                                           (_P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS))
+    backoff = _Stream(config, _P_BACKOFF, lambda gen, shape: gen.exponential(1.0 / w, shape))
+    service = _Stream(config, _P_SERVICE, lambda gen, shape: gen.exponential(1.0 / mu, shape))
+    channel = _Stream(config, _P_CHANNEL,
+                      lambda gen, shape: gen.integers(0, m, shape, dtype=np.int64))
+    success = _Stream(config, _P_SUCCESS, lambda gen, shape: gen.random(shape))
+    draw_bo, refill_bo = backoff.draws, backoff.refill
+    draw_svc, refill_svc = service.draws, service.refill
+    draw_ch, refill_ch = channel.draws, channel.refill
+    draw_ok, refill_ok = success.draws, success.refill
 
     # Device state as parallel lists.  ``stamp`` is the held packet's arrival
     # time, up to date at a device's last event; ``applied[d]`` indexes the
@@ -316,7 +304,7 @@ def run(config: SimConfig) -> SimResult:
     occupied = [False] * m
     busy_until = [0.0] * m
     n_idle, n_wait, n_serv = n, 0, 0
-    delivered = failed = preempted = discarded = 0
+    delivered = failed = preempted = discarded = replaced = 0
 
     # The integrals accumulate from t = 0 and begin_stats zeroes them.
     # ``t_pending`` is the warm-up boundary while it lies ahead in time, else
@@ -330,11 +318,11 @@ def run(config: SimConfig) -> SimResult:
     sampling = config.sample_dt is not None
     sample_dt = config.sample_dt or 0.0
     next_sample = math.inf
-    traj_times: list[float] = []
-    traj_counts: list[tuple[int, int, int]] = []
+    traj_times = array("d")
+    traj_counts = array("q")  # (idle, waiting, service) per sample, flat
     if sampling:
         traj_times.append(0.0)
-        traj_counts.append((n_idle, n_wait, n_serv))
+        traj_counts.extend((n_idle, n_wait, n_serv))
         next_sample = sample_dt
 
     def begin_stats(tb: float) -> None:
@@ -364,7 +352,7 @@ def run(config: SimConfig) -> SimResult:
         while next_sample < t:
             _check_channels(occupied, n_serv)
             traj_times.append(next_sample)
-            traj_counts.append((n_idle, n_wait, n_serv))
+            traj_counts.extend((n_idle, n_wait, n_serv))
             next_sample += sample_dt
 
         if kind == _BACKOFF:
@@ -376,13 +364,14 @@ def run(config: SimConfig) -> SimResult:
                 if j > i:  # the newest arrival replaced the waiting packet
                     stamp[d] = times[j - 1]
                     applied[d] = j
+                    replaced += j - i
                 occupied[c] = True
                 ns_integral += n_serv * (t - last_t)
                 last_t = t
                 n_wait -= 1
                 n_serv += 1
                 q = draw_svc[d]
-                t_done = t + (q.pop() if q else refill(_P_SERVICE, d))
+                t_done = t + (q.pop() if q else refill_svc(d))
                 busy_until[c] = t_done
                 heapreplace(heap, (t_done, d, _COMPLETE))
                 continue
@@ -399,7 +388,7 @@ def run(config: SimConfig) -> SimResult:
                 else:
                     discarded += j - i
             q = draw_ok[d]
-            if (q.pop() if q else refill(_P_SUCCESS, d)) < prob:
+            if (q.pop() if q else refill_ok(d)) < prob:
                 delivered += 1
                 dtau = t - aoi_time[d]
                 aoi_integral[d] += aoi_value[d] * dtau + 0.5 * dtau * dtau
@@ -411,7 +400,7 @@ def run(config: SimConfig) -> SimResult:
                 next_state = fail_to
                 if fail_to == SERVICE:
                     q = draw_svc[d]
-                    t_done = t + (q.pop() if q else refill(_P_SERVICE, d))
+                    t_done = t + (q.pop() if q else refill_svc(d))
                     busy_until[chan[d]] = t_done
                     heapreplace(heap, (t_done, d, _COMPLETE))
                     continue
@@ -433,14 +422,14 @@ def run(config: SimConfig) -> SimResult:
         # Schedule the next backoff expiry, skipping every one that would
         # sense a channel whose occupant completes only after it.
         q = draw_bo[d]
-        t += q.pop() if q else refill(_P_BACKOFF, d)
+        t += q.pop() if q else refill_bo(d)
         q = draw_ch[d]
-        c = q.pop() if q else refill(_P_CHANNEL, d)
+        c = q.pop() if q else refill_ch(d)
         while occupied[c] and t < busy_until[c]:
             q = draw_bo[d]
-            t += q.pop() if q else refill(_P_BACKOFF, d)
+            t += q.pop() if q else refill_bo(d)
             q = draw_ch[d]
-            c = q.pop() if q else refill(_P_CHANNEL, d)
+            c = q.pop() if q else refill_ch(d)
         chan[d] = c
         heapreplace(heap, (t, d, _BACKOFF))
 
@@ -453,11 +442,14 @@ def run(config: SimConfig) -> SimResult:
     if measured <= 0.0:
         raise InvalidConfig("horizon too short: no time left after warm-up")
 
-    # Devices in service at the end preempt or discard their remaining arrivals.
+    # A device waiting at the end had its packet replaced by each arrival it
+    # skipped; one in service preempted or discarded them.
     for _, d, kind in heap:
-        if kind == _COMPLETE:
+        if kind != _ARRIVAL:
             skipped = len(arrival_times[d]) - 1 - applied[d]
-            if wp:
+            if kind == _BACKOFF:
+                replaced += skipped
+            elif wp:
                 preempted += skipped
             else:
                 discarded += skipped
@@ -467,7 +459,7 @@ def run(config: SimConfig) -> SimResult:
         while next_sample <= end_time + 1e-12:
             _check_channels(occupied, n_serv)
             traj_times.append(next_sample)
-            traj_counts.append((n_idle, n_wait, n_serv))
+            traj_counts.extend((n_idle, n_wait, n_serv))
             next_sample += sample_dt
     _check_channels(occupied, n_serv)
 
@@ -489,12 +481,15 @@ def run(config: SimConfig) -> SimResult:
         failed=failed,
         preempted=preempted,
         discarded=discarded,
+        replaced=replaced,
+        held=n - n_idle,
         effective_k_estimate=k_est,
         measured_time=measured,
         end_time=end_time,
         n_devices=n,
-        trajectory_times=np.array(traj_times) if sampling else None,
-        trajectory_counts=np.array(traj_counts, dtype=np.int64) if sampling else None,
+        trajectory_times=np.frombuffer(traj_times) if sampling else None,
+        trajectory_counts=(np.frombuffer(traj_counts, dtype=np.int64).reshape(-1, 3)
+                           if sampling else None),
     )
 
 

@@ -67,6 +67,15 @@ def test_analytic_non_finite_input_flags_every_row(capsys, bad):
     assert out.endswith("warning: 6 grid point(s) failed\n")
 
 
+def test_analytic_negative_p_is_invalid_like_p_above_one(capsys):
+    for p in ("-0.5", "1.5"):
+        code, out, _ = run_cli(capsys, "analytic", *ANALYTIC_POINT, f"--p={p}")
+        assert code == 2
+        rows = out.splitlines()[1:7]
+        assert len(rows) == 6 and all(row.endswith(",InvalidParameter,InvalidParameter")
+                                      for row in rows)
+
+
 def test_analytic_missing_flags_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "analytic", "--policy", "I")
     assert code == 1

@@ -118,6 +118,15 @@ def test_divergent_and_invalid_inputs():
         cf.preemption_gap(Policy.S, lam=1, mu=1, k=0.0, p=0.5)
     with pytest.raises(InvalidParameter):
         cf.avg_aoi(I_WP, lam=1, mu=1, k=1, p=1.5)
+    # a negative input is out of the domain, not a divergence, and is named
+    for name in ("lam", "mu", "k", "p"):
+        args = dict(dict(lam=1, mu=1, k=1, p=0.5), **{name: -0.5})
+        with pytest.raises(InvalidParameter) as exc:
+            cf.avg_aoi(W_WP, **args)
+        assert exc.value.field == name
+        with pytest.raises(InvalidParameter) as exc:
+            cf.preemption_gap(Policy.S, **args)
+        assert exc.value.field == name
     # a non-finite input is refused, not carried into a nan or inf AoI
     for bad in (dict(lam=math.nan), dict(mu=math.inf), dict(k=-math.inf), dict(p=math.nan)):
         args = dict(dict(lam=1, mu=1, k=1, p=0.5), **bad)

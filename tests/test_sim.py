@@ -3,6 +3,8 @@
 import hashlib
 import heapq
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,14 +291,45 @@ def test_raw_results_are_pinned(key):
     assert [r.effective_k_estimate for r in results] == pytest.approx(k_values, rel=1e-12)
 
 
-@pytest.mark.parametrize("first_blocks", [None, 1], ids=["one-call", "top-up"])
+def test_stream_hands_device_d_row_d_of_each_block():
+    # Randomness contract: whatever order the devices read in, device d gets
+    # row d of consecutive (n, 64) blocks of its (seed, replication,
+    # purpose) Philox stream.
+    n, counts = 3, (200, 70, 131)
+    config = sim.SimConfig(params=_params(n, 1, gamma=3.0), ps=W_WP, seed=11, replication=5)
+    stream = sim._Stream(config, sim._P_SUCCESS, lambda gen, shape: gen.random(shape))
+    order = [d for d, count in enumerate(counts) for _ in range(count)]
+    random.Random(0).shuffle(order)
+    got = [[] for _ in range(n)]
+    for d in order:
+        q = stream.draws[d]
+        got[d].append(q.pop() if q else stream.refill(d))
+
+    key = np.array([11, (5 << 3) | sim._P_SUCCESS], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    blocks = [gen.random((n, 64)).tolist() for _ in range(4)]
+    for d, count in enumerate(counts):
+        assert got[d] == [draw for block in blocks for draw in block[d]][:count]
+
+
+@pytest.mark.parametrize("rounds", ["one-call", "top-up"])
 @pytest.mark.parametrize("n, stop", [(1, dict(stop_arrivals=500)), (7, dict(stop_arrivals=900)),
                                      (7, dict(stop_time=150.0))])
-def test_arrival_times_are_one_draw_at_a_time(first_blocks, n, stop, monkeypatch):
+def test_arrival_times_are_one_draw_at_a_time(rounds, n, stop, monkeypatch):
     # Randomness contract: device d's arrival times sum row d of successive
-    # (n, 64) blocks of the arrival stream, one draw at a time.
-    if first_blocks is not None:
-        monkeypatch.setattr(sim, "_first_blocks", lambda per_device: first_blocks)
+    # (n, 64) blocks of the arrival stream, one draw at a time.  A tenth of
+    # each horizon is drawn in one round of blocks, the whole horizon only in
+    # several.
+    if rounds == "one-call":
+        stop = {key: value // 10 for key, value in stop.items()}
+    sizes = []
+    draw_blocks = sim._Stream.blocks
+
+    def recording_blocks(stream, k):
+        sizes.append(k)
+        return draw_blocks(stream, k)
+
+    monkeypatch.setattr(sim._Stream, "blocks", recording_blocks)
     params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=float(n), n_devices=n,
                           n_channels=1)
     config = sim.SimConfig(params=params, ps=W_WP, seed=5, replication=2, warmup_fraction=0.2,
@@ -316,7 +349,7 @@ def test_arrival_times_are_one_draw_at_a_time(first_blocks, n, stop, monkeypatch
         expected.append(times)
     in_order = sorted(t for times in expected for t in times)
     if "stop_time" in stop:
-        assert (t_warm, t_stop) == (0.2 * 150.0, 150.0)
+        assert (t_warm, t_stop) == (0.2 * stop["stop_time"], stop["stop_time"])
     else:
         a_stop = stop["stop_arrivals"]
         assert t_stop == in_order[a_stop - 1]
@@ -325,6 +358,7 @@ def test_arrival_times_are_one_draw_at_a_time(first_blocks, n, stop, monkeypatch
     assert [list(row) for row in rows] == [[t for t in times if t <= t_stop] + [math.inf]
                                            for times in expected]
     assert arrivals == sum(len(row) - 1 for row in rows)
+    assert (len(sizes) == 1) == (rounds == "one-call")
 
 
 @pytest.mark.parametrize("p", [0.7, 1.0])
@@ -354,3 +388,39 @@ def test_events_follow_the_shs_chain_edges(ps, p, monkeypatch):
              if not (tr.from_state == tr.to_state and tr.rate == lam)}
     assert set(moves) == edges
     assert sum(src == SERVICE for src, _ in moves) == result.delivered + result.failed
+
+
+@pytest.mark.parametrize("p", [0.7, 1.0])
+@pytest.mark.parametrize("n", [1, 4, 10, 30, 200])
+def test_every_arrival_is_accounted_for(n, p):
+    # Every arrival up to the end is delivered, lost to a failure under
+    # policy I, preempted, discarded, replaced while waiting, or still held.
+    m = max(1, n // 5)
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=p, gamma=n / m, n_devices=n, n_channels=m)
+    for ps in PolicyScheme.all_combinations():
+        for stop in (dict(stop_arrivals=20 * n + 200), dict(stop_time=25.0)):
+            r = sim.run(sim.SimConfig(params=params, ps=ps, seed=n, **stop))
+            dropped = r.failed if ps.policy is Policy.I else 0
+            assert r.arrivals == (r.delivered + dropped + r.preempted + r.discarded
+                                  + r.replaced + r.held), (ps.label, stop)
+            assert 0 <= r.held <= n
+
+
+def test_trajectory_memory_per_sample_is_flat():
+    # A sampled trajectory costs its 32 bytes per sample (one time and three
+    # counts), not a Python object per sample.
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=1.0, n_devices=1, n_channels=1)
+
+    def traced_peak(stop_time):
+        config = sim.SimConfig(params=params, ps=W_WP, seed=1, stop_time=stop_time,
+                               sample_dt=0.1)
+        tracemalloc.start()
+        try:
+            sim.run(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1000.0)  # warm-up
+    slope = (traced_peak(3000.0) - traced_peak(1000.0)) / 20_000
+    assert slope < 64
