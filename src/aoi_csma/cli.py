@@ -52,11 +52,20 @@ def _fmt(x: float) -> str:
 
 
 def _trajectory_lines(times, states) -> list[str]:
-    """Rows of a trajectory of (x_I, x_W, x_S), mean-field or empirical."""
-    lines = ["t,x_I,x_W,x_S"]
-    for t, (xi, xw, xs) in zip(times, states):
-        lines.append(f"{_fmt(t)},{_fmt(xi)},{_fmt(xw)},{_fmt(xs)}")
-    return lines
+    """Rows of a trajectory of (x_I, x_W, x_S), mean-field or empirical.
+
+    Each row is formatted from its Python floats with one ``%``, which gives
+    the text of ``_fmt`` per field.  Rows are converted one at a time, so
+    no list of every value is held.
+    """
+    rows = np.column_stack((times, states))
+    return ["t,x_I,x_W,x_S"] + ["%.9g,%.9g,%.9g,%.9g" % tuple(row.tolist()) for row in rows]
+
+
+def _aoi_lines(avg_aoi_per_device: np.ndarray) -> list[str]:
+    """One row per device of its average AoI, formatted as ``_trajectory_lines``."""
+    return ["device_id,avg_aoi"] + ["%d,%.9g" % row
+                                    for row in enumerate(avg_aoi_per_device.tolist())]
 
 
 def _summary_lines(pooled: sim.PooledResult) -> list[str]:
@@ -497,8 +506,7 @@ def _cmd_simulate(args, output: _Output) -> int:
         first = pooled.results[0]
         tag = "" if single else f"_{ps.label}"
         output.add(f"summary{tag}.csv", _summary_lines(pooled))
-        output.add(f"aoi{tag}.csv", ["device_id,avg_aoi"] + [
-            f"{d},{_fmt(v)}" for d, v in enumerate(first.avg_aoi_per_device)])
+        output.add(f"aoi{tag}.csv", _aoi_lines(first.avg_aoi_per_device))
         if args.sample_dt is not None:
             output.add(f"traj{tag}.csv",
                        _trajectory_lines(first.trajectory_times, first.trajectory_fractions))

@@ -225,13 +225,14 @@ def integrate(
         xs += sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
         t += h
         total = xi + xw + xs
-        deviation = max(abs(total - 1.0), -min(xi, xw, xs, 0.0))
-        if deviation > 1e-3:
+        off = abs(total - 1.0)
+        if off > 1e-3 or xi < -1e-3 or xw < -1e-3 or xs < -1e-3:
+            deviation = max(off, -min(xi, xw, xs, 0.0))
             raise StepTooLarge(
                 f"state left the simplex by {deviation} at t={t}; use a smaller dt"
             )
-        if abs(total - 1.0) > 1e-12:
-            max_corr = max(max_corr, abs(total - 1.0))
+        if off > 1e-12:
+            max_corr = max(max_corr, off)
             xi /= total
             xw /= total
             xs /= total

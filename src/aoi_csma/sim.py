@@ -20,7 +20,9 @@ consecutive blocks of shape (n_devices, BLOCK) with BLOCK = 64; device d
 consumes row d, so draw sequences are independent of event interleaving
 across devices and replications are reproducible under any parallelism.
 BLOCK and the block shape are part of the contract: changing either
-changes every draw.
+changes every draw.  A stream keeps a block as C values in one ``array``
+until every device has taken its row, and a draw becomes a Python number
+only when it is read.
 
 Events on the heap: each device has exactly one pending event, its next
 arrival while idle, its backoff expiry while waiting, or its service
@@ -138,11 +140,13 @@ class _Stream:
     first use, from which ``sample(generator, shape)`` draws whole blocks.
     :meth:`blocks` returns the next ``k`` blocks at once.  ``draws[d]``
     holds device ``d``'s unread draws of its current block row, reversed, so
-    the next draw is ``draws[d].pop()``.  When that list is empty,
-    :meth:`refill` moves the device to its row in the next block, generating
-    the block on first use.  The row is taken out of its block as it is
-    handed over, so consumed rows are freed during the run rather than at
-    its end.
+    the next draw is ``draws[d].pop()``.  When that is empty, :meth:`refill`
+    moves the device to its row in the next block, generating the block on
+    first use.  A block is kept as one flat ``array`` of C values of the
+    block's dtype, each row reversed, so a Python number is made only for a
+    draw that is read.  A device takes a copy of its row, and the block is
+    dropped once every device has taken its row.  Block 0 is handed to every
+    device at once, on the first refill of any of them.
     """
 
     def __init__(self, config: SimConfig, purpose: int,
@@ -151,9 +155,9 @@ class _Stream:
         self._sample = sample
         self._gen: np.random.Generator | None = None
         self._n = n = config.params.n_devices
-        self._rows: list[list[list | None]] = []
+        self._blocks: dict[int, list] = {}  # index -> [flat block, devices yet to take a row]
         self._next_row = [0] * n
-        self.draws: list[list] = [[] for _ in range(n)]
+        self.draws: list[array | tuple] = [()] * n  # () until the device's first refill
 
     def blocks(self, k: int) -> np.ndarray:
         """The stream's next ``k`` blocks, as one ``(k, n, BLOCK)`` array."""
@@ -165,14 +169,20 @@ class _Stream:
     def refill(self, device: int):
         """Move ``device`` to its next block row and return that row's first draw."""
         j = self._next_row[device]
+        entry = self._blocks.get(j)
+        if entry is None:  # no device has reached block j yet
+            block = self.blocks(1)[0]
+            flat = array(block.dtype.char, block[:, ::-1].tobytes())
+            if j == 0:  # every device is still on block 0: hand out all its rows
+                self.draws[:] = [flat[d * BLOCK:(d + 1) * BLOCK] for d in range(self._n)]
+                self._next_row[:] = [1] * self._n
+                return self.draws[device].pop()
+            entry = self._blocks[j] = [flat, self._n]
         self._next_row[device] = j + 1
-        if j == len(self._rows):
-            self._rows.append(self.blocks(1)[0].tolist())
-        block = self._rows[j]
-        row = block[device]
-        block[device] = None
-        row.reverse()
-        self.draws[device] = row
+        row = self.draws[device] = entry[0][device * BLOCK:(device + 1) * BLOCK]
+        entry[1] -= 1
+        if not entry[1]:
+            del self._blocks[j]
         return row.pop()
 
 

@@ -8,11 +8,12 @@ import os
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aoi_csma import closedform
 from aoi_csma import meanfield as mf
-from aoi_csma.cli import PRESETS, build_parser, main
+from aoi_csma.cli import PRESETS, _aoi_lines, _fmt, _trajectory_lines, build_parser, main
 from aoi_csma.core import Policy, StateFractions, SystemParams
 
 MF_ARGS = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--gamma", "5", "--p", "0.7"]
@@ -489,6 +490,20 @@ def test_simulate_csv_serialization(tmp_path, capsys):
     assert len(summary) == 2
     traj = (out_dir / "traj.csv").read_text().splitlines()
     assert traj[0] == "t,x_I,x_W,x_S"
+
+
+def test_csv_rows_format_each_field_like_fmt():
+    # Rows are built from Python floats with one "%" per row; each field is
+    # the text _fmt gives the value, numpy scalars and edge values included.
+    values = [-0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, 0.1, 1 / 3, 123456789.5,
+              np.float64(2.5e-7), np.float32(0.1), np.int64(3)]
+    states = [[values[i - 1], values[i - 2], values[i - 3]] for i in range(len(values))]
+    lines = _trajectory_lines(values, states)
+    assert lines[0] == "t,x_I,x_W,x_S"
+    assert lines[1:] == [",".join(_fmt(v) for v in (t, *row)) for t, row in zip(values, states)]
+    avgs = np.array(values, dtype=float)
+    assert _aoi_lines(avgs) == ["device_id,avg_aoi"] + [f"{d},{_fmt(v)}"
+                                                        for d, v in enumerate(avgs)]
 
 
 def test_meanfield_csv_serialization_formats(tmp_path, capsys):

@@ -166,6 +166,15 @@ def test_integrate_rejects_bad_inputs():
             mf.integrate(Policy.I, FIG3, StateFractions(1.0, 0.0, 0.0), t_end=t_end, dt=dt)
 
 
+def test_step_too_large_names_the_deviation():
+    # At dt = 2 the first step keeps the component sum near 1 but drives a
+    # component far below 0; the message reports how far, and when.
+    with pytest.raises(mf.StepTooLarge) as err:
+        mf.integrate(Policy.W, FIG3, StateFractions(1.0, 0.0, 0.0), t_end=20.0, dt=2.0)
+    assert str(err.value) == ("state left the simplex by 4687.650133333334 at t=2.0; "
+                              "use a smaller dt")
+
+
 def test_trajectory_points_stay_on_simplex():
     traj = mf.integrate(Policy.S, FIG3, StateFractions(0.2, 0.78, 0.02), t_end=50.0, dt=0.01)
     sums = traj.states.sum(axis=1)

@@ -291,25 +291,60 @@ def test_raw_results_are_pinned(key):
     assert [r.effective_k_estimate for r in results] == pytest.approx(k_values, rel=1e-12)
 
 
+_SAMPLERS = {
+    "exponential": lambda gen, shape: gen.exponential(0.5, shape),
+    "integers": lambda gen, shape: gen.integers(0, 7, shape, dtype=np.int64),
+    "random": lambda gen, shape: gen.random(shape),
+}
+
+
 def test_stream_hands_device_d_row_d_of_each_block():
     # Randomness contract: whatever order the devices read in, device d gets
     # row d of consecutive (n, 64) blocks of its (seed, replication,
-    # purpose) Philox stream.
+    # purpose) Philox stream, as the Python numbers ``tolist`` makes, for
+    # each sampler ``run`` uses.
     n, counts = 3, (200, 70, 131)
     config = sim.SimConfig(params=_params(n, 1, gamma=3.0), ps=W_WP, seed=11, replication=5)
-    stream = sim._Stream(config, sim._P_SUCCESS, lambda gen, shape: gen.random(shape))
     order = [d for d, count in enumerate(counts) for _ in range(count)]
     random.Random(0).shuffle(order)
-    got = [[] for _ in range(n)]
-    for d in order:
-        q = stream.draws[d]
-        got[d].append(q.pop() if q else stream.refill(d))
+    for name, sample in _SAMPLERS.items():
+        stream = sim._Stream(config, sim._P_SUCCESS, sample)
+        got = [[] for _ in range(n)]
+        for d in order:
+            q = stream.draws[d]
+            got[d].append(q.pop() if q else stream.refill(d))
 
-    key = np.array([11, (5 << 3) | sim._P_SUCCESS], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    blocks = [gen.random((n, 64)).tolist() for _ in range(4)]
-    for d, count in enumerate(counts):
-        assert got[d] == [draw for block in blocks for draw in block[d]][:count]
+        key = np.array([11, (5 << 3) | sim._P_SUCCESS], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        blocks = [sample(gen, (n, 64)).tolist() for _ in range(4)]
+        for d, count in enumerate(counts):
+            want = [draw for block in blocks for draw in block[d]][:count]
+            assert got[d] == want, name
+            assert [type(draw) for draw in got[d]] == [type(draw) for draw in want], name
+
+
+def test_stream_frees_blocks_every_device_has_left():
+    # With every device moving through the blocks in step, a block is freed
+    # as soon as the last device takes its row: traced memory stays flat.
+    n = 1000
+    config = sim.SimConfig(params=_params(n, 200), ps=W_WP, seed=3)
+    stream = sim._Stream(config, sim._P_BACKOFF, _SAMPLERS["exponential"])
+
+    def next_block():
+        for d in range(n):
+            stream.refill(d)
+
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            next_block()
+        at_4 = tracemalloc.get_traced_memory()[0]
+        for _ in range(36):
+            next_block()
+        at_40 = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert at_40 - at_4 < 64 * 1024
 
 
 @pytest.mark.parametrize("rounds", ["one-call", "top-up"])
