@@ -54,12 +54,22 @@ def _fmt(x: float) -> str:
 def _trajectory_lines(times, states) -> list[str]:
     """Rows of a trajectory of (x_I, x_W, x_S), mean-field or empirical.
 
-    Each row is formatted from its Python floats with one ``%``, which gives
-    the text of ``_fmt`` per field.  Rows are converted one at a time, so
-    no list of every value is held.
+    Each row is formatted from its Python floats with ``%``, which gives the
+    text of ``_fmt`` per field.  Rows are converted 1024 at a time, so no
+    list of every value is held.  A state equal to the row before, with every
+    component positive (so equal means the same bits), reuses that row's
+    text; the time is formatted for every row.
     """
     rows = np.column_stack((times, states))
-    return ["t,x_I,x_W,x_S"] + ["%.9g,%.9g,%.9g,%.9g" % tuple(row.tolist()) for row in rows]
+    lines = ["t,x_I,x_W,x_S"]
+    last = text = None
+    for start in range(0, len(rows), 1024):
+        for t, xi, xw, xs in rows[start:start + 1024].tolist():
+            if not ((xi, xw, xs) == last and xi > 0.0 and xw > 0.0 and xs > 0.0):
+                last = xi, xw, xs
+                text = ",%.9g,%.9g,%.9g" % (xi, xw, xs)
+            lines.append("%.9g" % t + text)
+    return lines
 
 
 def _aoi_lines(avg_aoi_per_device: np.ndarray) -> list[str]:
@@ -416,7 +426,7 @@ def _cmd_crossvalidate(args, output: _Output) -> int:
     for ps in PolicyScheme.all_combinations():
         via_chain = shs.average_aoi(ps, lam=lam, mu=mu, k=k, p=p)
         direct = np.array([closedform.avg_aoi(ps, lam=a, mu=b, k=c, p=d)
-                           for a, b, c, d in tuples])
+                           for a, b, c, d in tuples.tolist()])
         with np.errstate(invalid="ignore"):  # an infinite closed form gives inf/inf
             deviations.append(np.abs(via_chain - direct) / direct)
     # np.max propagates NaN, so a NaN deviation fails below

@@ -170,6 +170,14 @@ def integrate(
     Samples every dt.  The state is renormalized onto the simplex whenever
     roundoff pushes the component sum off by more than 1e-12; the largest
     such correction is recorded on the trajectory.
+
+    The trajectory settles on the equilibrium, where in floating point the
+    step map of a full step reaches a state it maps to itself bit for bit.
+    Once a full step returns its own state, every later full step would
+    compute the same numbers again, so those steps only advance ``t`` and
+    repeat the state (one numpy fill); a final partial step is computed.
+    Equal counts as identical only when every component is positive, which
+    rules out -0.0 == 0.0 and NaN.
     """
     validate(params)
     if not 0.0 < dt < math.inf:
@@ -195,7 +203,12 @@ def integrate(
     points = [(xi, xw, xs)]
     max_corr = 0.0
     t = 0.0
+    tail_at = 0  # the row from which full steps repeat the fixed point
     for h in steps:
+        if tail_at and h == dt:
+            t += h
+            times.append(t)
+            continue
         # RK4 stages inlined; this loop dominates long integrations
         if gamma * xs > 1.0:
             raise InfeasibleOccupancy(f"gamma * x_s = {gamma * xs} > 1 during integration")
@@ -238,9 +251,17 @@ def integrate(
             xs /= total
         times.append(t)
         points.append((xi, xw, xs))
+        if (h == dt and points[-1] == points[-2]
+                and xi > 0.0 and xw > 0.0 and xs > 0.0):
+            tail_at = len(points)
+    states = np.array(points)
+    n_tail = len(times) - len(points)
+    if n_tail:
+        states = np.concatenate((states[:tail_at], np.full((n_tail, 3), states[tail_at - 1]),
+                                 states[tail_at:]))
     return Trajectory(
         times=np.array(times),
-        states=np.array(points),
+        states=states,
         max_simplex_correction=max_corr,
     )
 

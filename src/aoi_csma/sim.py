@@ -231,11 +231,16 @@ def _arrival_times(config: SimConfig) -> tuple[list[array], int, float, float]:
         t_warm = float(order[a_warm - 1]) if a_warm else 0.0
         del order
     counts = np.count_nonzero(times <= t_stop, axis=1)
-    rows = []
-    for row, c in zip(times, counts.tolist()):
-        row_times = array("d", row[:c].tobytes())
-        row_times.append(math.inf)
-        rows.append(row_times)
+    if counts.max() == times.shape[1]:  # a full row needs a column for its inf
+        times = np.concatenate((times, np.empty((n, 1))), axis=1)
+    times[np.arange(n), counts] = math.inf
+    width = times.shape[1]
+    del more, last  # at most one copy of the draws next to times, then none
+    flat = array("d")
+    flat.frombytes(memoryview(times).cast("B"))
+    del times
+    rows = [flat[start:start + c + 1]
+            for start, c in zip(range(0, n * width, width), counts.tolist())]
     return rows, int(counts.sum()), t_warm, t_stop
 
 

@@ -506,6 +506,22 @@ def test_csv_rows_format_each_field_like_fmt():
                                                         for d, v in enumerate(avgs)]
 
 
+def test_csv_rows_reuse_a_repeated_state_only_when_its_bits_repeat():
+    # A state equal to the row before reuses that row's text, but only when
+    # equal means the same bits: 0.0 == -0.0 prints differently, and NaN
+    # never equals itself.
+    nan = math.nan
+    states = [[0.25, 0.5, 0.25], [0.25, 0.5, 0.25], [0.25, 0.5, 0.25],
+              [0.5, 0.5, 0.0], [0.5, 0.5, -0.0], [0.5, 0.5, 0.0],
+              [-0.0, 0.5, 0.5], [0.0, 0.5, 0.5],
+              [nan, 0.5, 0.5], [nan, 0.5, 0.5], [0.5, nan, nan], [0.5, nan, nan],
+              [0.1, 0.2, 0.7], [0.1, 0.2, 0.7]]
+    times = [0.01 * i for i in range(len(states))]
+    lines = _trajectory_lines(times, states)
+    assert lines[1:] == [",".join(_fmt(v) for v in (t, *row)) for t, row in zip(times, states)]
+    assert lines[4].endswith(",0") and lines[5].endswith(",-0")
+
+
 def test_meanfield_csv_serialization_formats(tmp_path, capsys):
     out_dir = tmp_path / "mf"
     code, _, _ = run_cli(capsys, "meanfield", "--policy", "W", *MF_ARGS, "--trajectory",

@@ -1,5 +1,6 @@
 """Tests for the mean-field ODE, equilibria, and monotonicity machinery."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -154,6 +155,46 @@ def test_integrate_fixed_point_is_constant():
     eq = mf.equilibrium(Policy.W, FIG3)
     traj = mf.integrate(Policy.W, FIG3, eq.x_star, t_end=10.0, dt=0.01)
     assert np.abs(traj.states - traj.states[0]).max() < 1e-9
+
+
+# Trajectories that reach the step map's fixed point: (policy, params,
+# start (None: the equilibrium), t_end, dt) and the SHA-256 of their times
+# and states as computed step by step.  Every max_simplex_correction is 0.0.
+_PINNED_INTEGRATE = {
+    "I": ((Policy.I, FIG3, (1.0, 0.0, 0.0), 200.0, 0.01),
+          "54169221c84d84d68de6cc4d6290fcca598905358dc649034e13e38663563585",
+          "c2a082aaa2d19ef20fc9ca81fb81aa049c74aaa38b8b001f4368fe159de97821"),
+    "W": ((Policy.W, FIG3, (1.0, 0.0, 0.0), 200.0, 0.01),
+          "54169221c84d84d68de6cc4d6290fcca598905358dc649034e13e38663563585",
+          "62814e016a93a77b86ed9aad9a9545959569c4e429091373a5fcf0fbcc0d25ef"),
+    "S": ((Policy.S, FIG3, (1.0, 0.0, 0.0), 200.0, 0.01),
+          "54169221c84d84d68de6cc4d6290fcca598905358dc649034e13e38663563585",
+          "56ad501ce95f1a5f6265fea1c3fad16dd0e25602d835fbd55d95cc0fe514d655"),
+    "W-partial-last-step": ((Policy.W, FIG3, (1.0, 0.0, 0.0), 200.005, 0.01),
+                            "8b7b1f7bb01134cb63f284ae0aa96c806df486d2286f4bb6c704339e71da5be9",
+                            "45550e9cf350f6dac20eead98910988a3a3f44e58b6b4eb8f605e68c8d03f5bf"),
+    "W-from-equilibrium": ((Policy.W, FIG3, None, 200.0, 0.01),
+                           "54169221c84d84d68de6cc4d6290fcca598905358dc649034e13e38663563585",
+                           "c94643e679c0db1d2db467d06d356fc6c66cede19a2254939ece21c06866032d"),
+    "S-dt-0.003": ((Policy.S, FIG3, (0.2, 0.78, 0.02), 200.0, 0.003),
+                   "c0c5949feab80890d1b7de77372d5c4a9247228ea6b3667518206e645900f02c",
+                   "5f8e92797496c6cab71f521560ae7a7ffe1bf923933cbe904314891c00e3a218"),
+    # the last, partial step moves x_s by one ulp off the full step's fixed point
+    "S-partial-step-moves": ((Policy.S, SystemParams(lam=0.8, mu=2.0, w=3.0, p=0.7, gamma=10.0),
+                              None, 1.05, 0.1),
+                             "f1235a1b5634c8b3ecabc2ec9c481380574ef2c9ffd786d2a1c1713295ae9ac2",
+                             "7abfab63cb3437d081e6d12053b64c7d4b78f1fa17383f615938998be1c9afe1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_INTEGRATE))
+def test_integrate_bytes_are_pinned_through_the_fixed_point(case):
+    (policy, params, start, t_end, dt), *expected = _PINNED_INTEGRATE[case]
+    x0 = mf.equilibrium(policy, params).x_star if start is None else StateFractions(*start)
+    traj = mf.integrate(policy, params, x0, t_end=t_end, dt=dt)
+    assert [hashlib.sha256(data).hexdigest()
+            for data in (traj.times.tobytes(), traj.states.tobytes())] == expected
+    assert repr(traj.max_simplex_correction) == "0.0"
 
 
 def test_integrate_rejects_bad_inputs():
