@@ -262,15 +262,20 @@ def build_parser() -> _Parser:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    """The seed from --seed (or --config), else the environment, else 1."""
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return 1
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"${SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 1
+        source = "$" + SEED_ENV_VAR
+    if seed < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -401,14 +406,11 @@ def _add_analytic(output: _Output, name: str, combos, points: list[dict]) -> int
 
 
 def _cmd_analytic(args, output: _Output) -> int:
-    _require(args, "lam", "mu", "k")
-    base = {"lam": args.lam, "mu": args.mu, "k": args.k, "p": args.p}
-    if args.sweep:
-        which, grid = _parse_sweep(args.sweep, ("lam", "mu", "k", "p"))
-        points = [dict(base, **{which: v}) for v in grid]
-    else:
-        _require(args, "p")
-        points = [base]
+    names = ("lam", "mu", "k", "p")
+    which, grid = _parse_sweep(args.sweep, names) if args.sweep else (None, None)
+    _require(args, *(n for n in names if n != which))
+    base = {n: getattr(args, n) for n in names}
+    points = [base] if which is None else [dict(base, **{which: v}) for v in grid]
     return _add_analytic(output, "analytic.csv", _combos(args), points)
 
 

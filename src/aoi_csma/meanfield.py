@@ -81,31 +81,33 @@ class Trajectory:
         return StateFractions(float(x[0]), float(x[1]), float(x[2]))
 
 
-def _flow_rates(policy: Policy, mu: float, p: float) -> tuple[float, float]:
-    """Per-x_s outflow rates of the service state: (to idle, to waiting)."""
+def _drift(policy: Policy, params: SystemParams):
+    """The mean-field drift as a function of (x_i, x_w, x_s) to three floats.
+
+    The rates are taken as plain Python floats once: numpy scalars leaking in
+    from array sources slow the RK4 loop several-fold.  The service component
+    is the exact negation of the other two, so the three components sum to
+    zero in floating point, not just in exact arithmetic.
+    """
+    lam, mu, w, p, gamma = map(float, (params.lam, params.mu, params.w, params.p, params.gamma))
     target = FAILURE_TARGET[policy]
-    if target == IDLE:
-        return mu, 0.0
-    if target == WAITING:
-        return mu * p, mu * (1.0 - p)
-    return mu * p, 0.0
+    succ = mu if target == IDLE else mu * p              # service -> idle, per x_s
+    fail = mu * (1.0 - p) if target == WAITING else 0.0  # service -> waiting, per x_s
+
+    def rates(xi: float, xw: float, xs: float) -> tuple[float, float, float]:
+        arrivals = lam * xi
+        d_i = succ * xs - arrivals
+        d_w = (arrivals - w * (1.0 - gamma * xs) * xw) + fail * xs
+        return d_i, d_w, -(d_i + d_w)
+
+    return rates
 
 
 def drift(policy: Policy, params: SystemParams, x: StateFractions) -> np.ndarray:
-    """Right-hand side of the mean-field ODE at x.
-
-    The service component is defined as the exact negation of the other two,
-    so the three components sum to zero in floating point, not just in exact
-    arithmetic.
-    """
+    """Right-hand side of the mean-field ODE at x; its components sum to 0.0."""
     if params.gamma * x.x_s > 1.0:
         raise InfeasibleOccupancy(f"gamma * x_s = {params.gamma * x.x_s} > 1")
-    succ, fail = _flow_rates(policy, params.mu, params.p)
-    arrivals = params.lam * x.x_i
-    access = params.w * (1.0 - params.gamma * x.x_s) * x.x_w
-    d_i = succ * x.x_s - arrivals
-    d_w = (arrivals - access) + fail * x.x_s
-    return np.array([d_i, d_w, -(d_i + d_w)])
+    return np.array(_drift(policy, params)(x.x_i, x.x_w, x.x_s))
 
 
 def equilibrium(policy: Policy, params: SystemParams) -> Equilibrium:
@@ -155,7 +157,7 @@ def equilibrium(policy: Policy, params: SystemParams) -> Equilibrium:
     return Equilibrium(x_star=x_star, k_star=k, residual=residual, stability_margin=margin)
 
 
-_MAX_STEPS = 10_000_000  # 500 times the longest integration the package runs
+_MAX_STEPS = 10_000_000  # bounds the samples kept; 500 times the longest run the package makes
 
 
 def integrate(
@@ -167,76 +169,51 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step 4th-order integration of the mean-field ODE.
 
-    Samples every dt.  The state is renormalized onto the simplex whenever
-    roundoff pushes the component sum off by more than 1e-12; the largest
-    such correction is recorded on the trajectory.
+    Samples every dt, with a final partial step up to t_end.  The state is
+    renormalized onto the simplex whenever roundoff pushes the component sum
+    off by more than 1e-12; the largest such correction is recorded on the
+    trajectory.
 
-    The trajectory settles on the equilibrium, where in floating point the
-    step map of a full step reaches a state it maps to itself bit for bit.
-    Once a full step returns its own state, every later full step would
-    compute the same numbers again, so those steps only advance ``t`` and
-    repeat the state (one numpy fill); a final partial step is computed.
-    Equal counts as identical only when every component is positive, which
-    rules out -0.0 == 0.0 and NaN.
+    The trajectory settles on the equilibrium, where in floating point a
+    full step reaches a state it maps to itself bit for bit.  Once a full
+    step returns its own state, every later full step would compute the same
+    numbers again, so the loop stops there: the remaining sample times are
+    still accumulated with ``t += dt``, their rows repeat the state (one numpy
+    fill), and a final partial step is computed.  Equal counts as identical
+    only when every component is positive, which rules out -0.0 == 0.0 and
+    NaN.
     """
     validate(params)
     if not 0.0 < dt < math.inf:
         raise InvalidParameter("dt", "must be positive and finite")
     if not 0.0 < t_end < math.inf:
         raise InvalidParameter("t_end", "must be positive and finite")
-    if t_end / dt > _MAX_STEPS:  # checked before the step list is built
+    if t_end / dt > _MAX_STEPS:
         raise InvalidParameter("t_end", f"t_end / dt = {t_end / dt:g} steps exceed {_MAX_STEPS}")
     if not x0.on_simplex(1e-9):
         raise InvalidParameter("x0", f"not on the simplex: {x0}")
-    # plain Python floats throughout: numpy scalars leaking in from array
-    # sources slow the step loop several-fold
-    lam, w, gamma = float(params.lam), float(params.w), float(params.gamma)
-    succ, fail = _flow_rates(policy, float(params.mu), float(params.p))
-    dt = float(dt)
-
+    rates = _drift(policy, params)
+    gamma, dt = float(params.gamma), float(dt)
     n_full = int(t_end / dt)
     h_last = t_end - n_full * dt
-    steps = [dt] * n_full + ([h_last] if h_last > 1e-12 * t_end else [])
-
-    xi, xw, xs = float(x0.x_i), float(x0.x_w), float(x0.x_s)
-    times = [0.0]
-    points = [(xi, xw, xs)]
+    partial = h_last > 1e-12 * t_end
     max_corr = 0.0
-    t = 0.0
-    tail_at = 0  # the row from which full steps repeat the fixed point
-    for h in steps:
-        if tail_at and h == dt:
-            t += h
-            times.append(t)
-            continue
-        # RK4 stages inlined; this loop dominates long integrations
+
+    def step(x: tuple[float, float, float], h: float, t: float) -> tuple[float, float, float]:
+        """One RK4 step of size h from x, ending at time t, back on the simplex."""
+        nonlocal max_corr
+        xi, xw, xs = x
         if gamma * xs > 1.0:
             raise InfeasibleOccupancy(f"gamma * x_s = {gamma * xs} > 1 during integration")
-        a = lam * xi
-        k1i = succ * xs - a
-        k1w = (a - w * (1.0 - gamma * xs) * xw) + fail * xs
-        k1s = -(k1i + k1w)
         half = 0.5 * h
-        yi, yw, ys = xi + half * k1i, xw + half * k1w, xs + half * k1s
-        a = lam * yi
-        k2i = succ * ys - a
-        k2w = (a - w * (1.0 - gamma * ys) * yw) + fail * ys
-        k2s = -(k2i + k2w)
-        yi, yw, ys = xi + half * k2i, xw + half * k2w, xs + half * k2s
-        a = lam * yi
-        k3i = succ * ys - a
-        k3w = (a - w * (1.0 - gamma * ys) * yw) + fail * ys
-        k3s = -(k3i + k3w)
-        yi, yw, ys = xi + h * k3i, xw + h * k3w, xs + h * k3s
-        a = lam * yi
-        k4i = succ * ys - a
-        k4w = (a - w * (1.0 - gamma * ys) * yw) + fail * ys
-        k4s = -(k4i + k4w)
+        k1i, k1w, k1s = rates(xi, xw, xs)
+        k2i, k2w, k2s = rates(xi + half * k1i, xw + half * k1w, xs + half * k1s)
+        k3i, k3w, k3s = rates(xi + half * k2i, xw + half * k2w, xs + half * k2s)
+        k4i, k4w, k4s = rates(xi + h * k3i, xw + h * k3w, xs + h * k3s)
         sixth = h / 6.0
         xi += sixth * (k1i + 2.0 * (k2i + k3i) + k4i)
         xw += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
         xs += sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
-        t += h
         total = xi + xw + xs
         off = abs(total - 1.0)
         if off > 1e-3 or xi < -1e-3 or xw < -1e-3 or xs < -1e-3:
@@ -246,19 +223,30 @@ def integrate(
             )
         if off > 1e-12:
             max_corr = max(max_corr, off)
-            xi /= total
-            xw /= total
-            xs /= total
+            return xi / total, xw / total, xs / total
+        return xi, xw, xs
+
+    x = (float(x0.x_i), float(x0.x_w), float(x0.x_s))
+    times = [0.0]
+    points = [x]
+    t = 0.0
+    for _ in range(n_full):
+        t += dt
+        x, before = step(x, dt, t), x
         times.append(t)
-        points.append((xi, xw, xs))
-        if (h == dt and points[-1] == points[-2]
-                and xi > 0.0 and xw > 0.0 and xs > 0.0):
-            tail_at = len(points)
-    states = np.array(points)
-    n_tail = len(times) - len(points)
-    if n_tail:
-        states = np.concatenate((states[:tail_at], np.full((n_tail, 3), states[tail_at - 1]),
-                                 states[tail_at:]))
+        points.append(x)
+        if x == before and min(x) > 0.0:  # fresh floats compare equal only without NaN
+            break
+    for _ in range(n_full + 1 - len(points)):
+        t += dt
+        times.append(t)
+    states = np.empty((n_full + 1 + partial, 3))
+    states[:len(points)] = points
+    states[len(points):n_full + 1] = x
+    if partial:
+        t += h_last
+        times.append(t)
+        states[-1] = step(x, h_last, t)
     return Trajectory(
         times=np.array(times),
         states=states,

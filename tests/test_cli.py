@@ -80,7 +80,14 @@ def test_analytic_negative_p_is_invalid_like_p_above_one(capsys):
 def test_analytic_missing_flags_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "analytic", "--policy", "I")
     assert code == 1
-    assert "missing required flags: --lambda, --mu, --k" in err
+    assert "missing required flags: --lambda, --mu, --k, --p" in err
+    # every point flag but the swept one is required
+    code, out, err = run_cli(capsys, "analytic", "--lambda", "1", "--mu", "1", "--k", "2",
+                             "--sweep", "mu=1:2:3")
+    assert (code, out, err) == (1, "", "error: missing required flags: --p\n")
+    code, out, _ = run_cli(capsys, "analytic", "--mu", "1", "--k", "2", "--p", "1",
+                           "--sweep", "lambda=1:2:3")
+    assert code == 0 and len(out.splitlines()) == 1 + 6 * 3
 
 
 def test_lambda_sweep_takes_the_flag_name_and_writes_it(tmp_path, capsys):
@@ -174,6 +181,12 @@ def test_meanfield_sweep_through_p_zero_is_numerical_failure(capsys):
                            "--sweep", "p=0.0:1.0:3")
     assert code == 2
     assert "numerical failure" in err
+
+
+def test_meanfield_trajectory_leaving_the_channel_bound_is_numerical_failure(capsys):
+    code, _, err = run_cli(capsys, "meanfield", "--policy", "W", *MF_ARGS,
+                           "--trajectory", "--x0", "0,0,1")
+    assert (code, err) == (2, "numerical failure: gamma * x_s = 5.0 > 1 during integration\n")
 
 
 def test_meanfield_trajectory(tmp_path, capsys):
@@ -278,6 +291,20 @@ def test_seed_falls_back_to_environment(capsys, monkeypatch):
     assert out_env == out_flag
     monkeypatch.setenv("AOI_DENSE_SEED", "not-a-number")
     assert run_cli(capsys, "crossvalidate", "--count", "3")[0] == 1
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": -2}))
+    for argv in (["crossvalidate", "--count", "3", "--seed", "-1"],
+                 ["crossvalidate", "--count", "3", "--config", str(config)],
+                 [*SIM_N20, "--arrivals", "10", "--seed", "-1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --seed must be a non-negative integer, got -")
+    monkeypatch.setenv("AOI_DENSE_SEED", "-3")
+    code, _, err = run_cli(capsys, "crossvalidate", "--count", "3")
+    assert (code, err) == (1, "error: $AOI_DENSE_SEED must be a non-negative integer, got -3\n")
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
@@ -563,6 +590,7 @@ PINNED_COMMANDS = {
                     "--p", "0.3"],
     "aoi-vs-lambda": ["reproduce", "aoi-vs-lambda"],
     "param-sweeps": ["reproduce", "param-sweeps"],
+    "accuracy": ["reproduce", "accuracy", "--reps", "2", "--seed", "2"],
     # no warm-up: statistics begin before the first event
     "warmup0-arrivals": [*SIM_N20, "--arrivals", "1000", "--warmup", "0", "--reps", "2",
                          "--seed", "13"],
@@ -618,6 +646,10 @@ PINNED_SHA256 = {
     "horizon/traj_S-WP.csv": "1258525e512702278fd6093dad6062f0955dc2cb30f08f3fb0f7c54a405d7047",
     "horizon/traj_W-WOP.csv": "4048b75b011ad080dcdae6711946e48ba6fc690a8a48687943396ff284235fb2",
     "horizon/traj_W-WP.csv": "4048b75b011ad080dcdae6711946e48ba6fc690a8a48687943396ff284235fb2",
+    "accuracy/accuracy_N10.csv": "5b3745bea7f6dcc80ce9c8f1d69cd47523be0d92abc79146357758b15c824fdd",
+    "accuracy/accuracy_N100.csv": "bd3aba59af81f796176d1625f5e1d2b15bc1a22629fd998ee5fd75f231642b8d",
+    "accuracy/accuracy_N1000.csv": "71de183fa5a4207d0bf4deee8090019cf2219d659a2b4985ebb3f8ab8a91e483",
+    "accuracy/accuracy_ode.csv": "6329349836d50b134a7396cd4dc171e079b73564f91e52d66b43e741edd19edf",
     "equilibrium/equilibrium.csv": "1d804b96c7c8a66a84eef7c6a5602cb350e1e966927e427045918744553cad74",
     "aoi-vs-lambda/aoi_vs_lambda.csv": "ab8bf500c02ae4a6e86cfa0de18ba08c3533c3e73134de00064e125f553b24db",
     "param-sweeps/param_sweep_gamma.csv": "e1ff9cc2b067b63f826518891a06a15225deedfc4e1603f8f94c18b8c64beb4c",

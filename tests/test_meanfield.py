@@ -207,6 +207,11 @@ def test_integrate_rejects_bad_inputs():
             mf.integrate(Policy.I, FIG3, StateFractions(1.0, 0.0, 0.0), t_end=t_end, dt=dt)
 
 
+def test_integrate_rejects_infeasible_occupancy():
+    with pytest.raises(InfeasibleOccupancy, match="during integration"):
+        mf.integrate(Policy.W, FIG3, StateFractions(0.0, 0.0, 1.0), t_end=1.0)
+
+
 def test_step_too_large_names_the_deviation():
     # At dt = 2 the first step keeps the component sum near 1 but drives a
     # component far below 0; the message reports how far, and when.
