@@ -6,7 +6,8 @@ Usage:
 
 Writes one subdirectory per preset.  By default the population-accuracy
 preset averages 100 trajectory replications per population size; --reps 10000
-(slow) matches the published ensemble size.
+(slow) matches the published ensemble size.  --reps, --parallelism 2 and
+--gnuplot-script go to each preset whose PRESETS entry lists the flag.
 """
 
 import argparse
@@ -26,12 +27,14 @@ def main() -> int:
                         help="trajectory replications for the accuracy preset")
     args = parser.parse_args()
 
+    # passed to each preset that reads the flag
+    extra = {"reps": [str(args.reps)], "parallelism": ["2"], "gnuplot-script": []}
     for name in sorted(PRESETS):
         out_dir = Path(args.out) / name
-        argv = ["reproduce", name, "--out", str(out_dir), "--seed", str(args.seed),
-                "--gnuplot-script"]
-        if name == "accuracy":
-            argv += ["--reps", str(args.reps), "--parallelism", "2"]
+        argv = ["reproduce", name, "--out", str(out_dir), "--seed", str(args.seed)]
+        for flag in PRESETS[name].flags:
+            if flag in extra:
+                argv += ["--" + flag, *extra[flag]]
         print(f"==> {name} -> {out_dir}")
         code = cli_main(argv)
         if code != 0:

@@ -19,7 +19,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -90,40 +92,6 @@ def _summary_lines(pooled: sim.PooledResult) -> list[str]:
               for f in ("arrivals", "delivered", "failed", "preempted", "discarded")]
     return ["mean,stderr,arrivals,delivered,failed,preempted,discarded,k_estimate",
             ",".join([_fmt(pooled.mean_aoi), _fmt(stderr), *counts, _fmt(k_est)])]
-
-
-# ---------------------------------------------------------------------------
-# Reproduction presets: parameters exactly as printed in the figure captions.
-
-@dataclass(frozen=True)
-class Preset:
-    description: str
-    params: dict
-
-
-PRESETS: dict[str, Preset] = {
-    "aoi-vs-p": Preset(
-        "average AoI versus p at a fixed stationary distribution",
-        {"lam": 0.9, "mu": 1.0, "k": 2.0, "p_grid": (0.3, 1.0, 15)},
-    ),
-    "accuracy": Preset(
-        "empirical measure trajectories against the mean-field ODE for growing populations",
-        {"lam": 0.8, "mu": 1.0, "w": 2.0, "gamma": 5.0, "p": 0.7,
-         "populations": (10, 100, 1000)},
-    ),
-    "aoi-vs-lambda": Preset(
-        "mean-field average AoI versus the arrival rate",
-        {"mu": 0.5, "w": 2.0, "gamma": 5.0, "p": 0.7},
-    ),
-    "param-sweeps": Preset(
-        "mean-field average AoI versus mu, w, gamma, and p",
-        {"lam": 0.8, "mu": 1.5, "w": 2.0, "gamma": 5.0, "p": 0.7},
-    ),
-    "single-device": Preset(
-        "single device desk check against the closed form",
-        {"lam": 1.0, "mu": 1.0, "w": 1.0, "p": 1.0, "n": 1, "m": 1},
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -228,35 +196,38 @@ _FLAGS = {
 _DEST_OF_FLAG = {name: spec["dest"] for name, spec in _FLAGS.items() if "dest" in spec}
 _FLAG_OF_DEST = {dest: name for name, dest in _DEST_OF_FLAG.items()}
 
-# subcommand: (help, its flags besides seed/out/config, dests whose default differs)
+# subcommand: (help, its flags besides seed/out/config)
 _SUBCOMMANDS = {
     "analytic": ("evaluate the closed forms",
-                 "policy scheme lambda mu k p sweep gnuplot-script", {}),
-    "crossvalidate": ("chain solver vs closed forms on a random grid",
-                      "count", {}),
+                 "policy scheme lambda mu k p sweep gnuplot-script"),
+    "crossvalidate": ("chain solver vs closed forms on a random grid", "count"),
     "meanfield": ("equilibria, trajectories, sweeps, monotonicity",
                   "policy scheme lambda mu w gamma p sweep trajectory t-end dt x0 "
-                  "monotonicity gnuplot-script", {}),
+                  "monotonicity gnuplot-script"),
     "simulate": ("event-driven finite-N simulation",
                  "policy scheme lambda mu w p n m arrivals horizon warmup reps parallelism "
-                 "sample-dt compare gnuplot-script", {}),
-    "reproduce": ("figure-data reproduction presets",
-                  "arrivals reps parallelism sample-dt gnuplot-script",
-                  {"arrivals": 200_000, "reps": 100, "sample_dt": 0.1}),
+                 "sample-dt compare gnuplot-script"),
 }
+
+
+def _add_command(sub, command: str, help_text: str, flags: dict) -> None:
+    """A subcommand taking seed, out, config and flags: name -> default (None: _FLAGS's)."""
+    p_cmd = sub.add_parser(command, help=help_text,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    for name, default in [*flags.items(), ("seed", None), ("out", None), ("config", None)]:
+        spec = _FLAGS[name] if default is None else dict(_FLAGS[name], default=default)
+        p_cmd.add_argument("--" + name, **spec)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="aoi-csma", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, names, defaults) in _SUBCOMMANDS.items():
-        p_cmd = sub.add_parser(command, help=help_text,
-                               formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        if command == "reproduce":
-            p_cmd.add_argument("preset", choices=sorted(PRESETS), help="preset name")
-        for name in names.split() + ["seed", "out", "config"]:
-            p_cmd.add_argument("--" + name, **_FLAGS[name])
-        p_cmd.set_defaults(**defaults)
+    for command, (help_text, names) in _SUBCOMMANDS.items():
+        _add_command(sub, command, help_text, dict.fromkeys(names.split()))
+    presets = sub.add_parser("reproduce", help="figure-data reproduction presets")
+    presets = presets.add_subparsers(dest="preset", required=True)
+    for name, preset in PRESETS.items():
+        _add_command(presets, name, preset.description, preset.flags)
     sub.add_parser("presets", help="describe the reproduction presets")
     return parser
 
@@ -341,39 +312,38 @@ class _Output:
                 path = os.path.join(self.out_dir, name)
                 with open(path, "w", newline="\n") as fh:
                     fh.write("\n".join(lines) + "\n")
-            if self.gnuplot and self.documents:
+            if self.gnuplot and (script := self._gnuplot_script()) is not None:
                 with open(os.path.join(self.out_dir, "plot.gp"), "w", newline="\n") as fh:
-                    fh.write(self._gnuplot_script())
+                    fh.write(script)
         else:
-            for i, (name, lines) in enumerate(self.documents):
+            for name, lines in self.documents:
                 if len(self.documents) > 1:
                     sys.stdout.write(f"# {name}\n")
                 sys.stdout.write("\n".join(lines) + "\n")
         for message in self.messages:
             sys.stdout.write(message + "\n")
 
-    def _gnuplot_script(self) -> str:
-        out = ["set datafile separator ','", "set key autotitle columnhead outside", ""]
+    def _gnuplot_script(self) -> str | None:
+        """One plot per AoI table or trajectory; None when no document is one."""
+        plots = []
         for name, lines in self.documents:
             header = lines[0].split(",")
             if header[:2] == ["policy", "scheme"] and "aoi" in header:
                 xname = "value" if "value" in header else "p"
                 xcol = header.index(xname) + 1
                 ycol = header.index("aoi") + 1
-                plots = []
+                curves = []
                 for ps in PolicyScheme.all_combinations():
                     cond = (f"(strcol(1) eq '{ps.policy.value}' && "
                             f"strcol(2) eq '{ps.scheme.value}')")
-                    plots.append(f"'{name}' using {xcol}:({cond} ? column({ycol}) : NaN) "
-                                 f"with linespoints title '{ps.label}'")
-                out.append("plot " + ", \\\n     ".join(plots))
+                    curves.append(f"'{name}' using {xcol}:({cond} ? column({ycol}) : NaN) "
+                                  f"with linespoints title '{ps.label}'")
+                plots.append("plot " + ", \\\n     ".join(curves))
             elif header[0] == "t":
-                cols = ", ".join(
-                    f"'{name}' using 1:{i + 2} with lines" for i in range(len(header) - 1)
-                )
-                out.append(f"plot {cols}")
-            out.append("pause -1")
-        return "\n".join(out) + "\n"
+                plots.append("plot " + ", ".join(
+                    f"'{name}' using 1:{i + 2} with lines" for i in range(len(header) - 1)))
+        head = ["set datafile separator ','", "set key autotitle columnhead outside", ""]
+        return "\n".join(head + [f"{plot}\npause -1" for plot in plots]) + "\n" if plots else None
 
 
 # ---------------------------------------------------------------------------
@@ -531,74 +501,59 @@ def _cmd_simulate(args, output: _Output) -> int:
     return _EXIT_OK
 
 
-def _cmd_reproduce(args, output: _Output) -> int:
-    preset = PRESETS[args.preset]
+# ---------------------------------------------------------------------------
+# Reproduction presets.  A writer takes the parsed flags, the output and its entry's
+# params as keywords; a `<param>_grid` is (start, end, count) for np.linspace.
+
+def _write_aoi_vs_p(args, output: _Output, *, lam, mu, k, p_grid) -> int:
+    points = [dict(lam=lam, mu=mu, k=k, p=p) for p in np.linspace(*p_grid)]
+    return _add_analytic(output, "aoi_vs_p.csv", PolicyScheme.all_combinations(), points)
+
+
+def _write_sweeps(csv_name: str, args, output: _Output, **params) -> int:
+    """Mean-field AoI of the six pairs along each grid, the other params held;
+    one CSV per grid, named ``csv_name.format(param)``."""
+    fixed = {key: value for key, value in params.items() if not key.endswith("_grid")}
+    for key, grid in params.items():
+        if key.endswith("_grid"):
+            which = key.removesuffix("_grid")
+            base = SystemParams(**{**fixed, which: grid[0]})  # _sweep_lines sets each grid value
+            output.add(csv_name.format(which), _sweep_lines(
+                list(PolicyScheme.all_combinations()), base, which, np.linspace(*grid)))
+    return _EXIT_OK
+
+
+def _write_accuracy(args, output: _Output, *, populations, t_end, ode_dt, pair, **rates) -> int:
     seed = _resolve_seed(args)
-    pp = preset.params
-    if args.preset == "aoi-vs-p":
-        points = [dict(lam=pp["lam"], mu=pp["mu"], k=pp["k"], p=p)
-                  for p in np.linspace(*pp["p_grid"])]
-        return _add_analytic(output, "aoi_vs_p.csv", PolicyScheme.all_combinations(), points)
+    if not 0.0 < args.sample_dt < math.inf:
+        raise UsageError(f"--sample-dt must be positive and finite, got {args.sample_dt}")
+    stride = round(args.sample_dt / ode_dt)  # the ODE rows shared with the populations
+    if stride < 1 or abs(args.sample_dt / ode_dt - stride) > 1e-9:
+        raise UsageError(f"--sample-dt must be a whole multiple of the ODE step {ode_dt}, "
+                         f"got {args.sample_dt}")
+    traj = meanfield.integrate(pair.policy, SystemParams(**rates), StateFractions(1.0, 0.0, 0.0),
+                               t_end=t_end, dt=ode_dt)  # every simulated device starts idle
+    output.add("accuracy_ode.csv", _trajectory_lines(traj.times[::stride], traj.states[::stride]))
+    for n in populations:
+        params = SystemParams(**rates, n_devices=n, n_channels=int(round(n / rates["gamma"])))
+        config = SimConfig(params=params, ps=pair, seed=seed, stop_time=t_end,
+                           warmup_fraction=0.0, sample_dt=args.sample_dt)
+        pooled = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
+        one = pooled.results[0]
+        mean_xi = np.mean([r.trajectory_fractions[:, 0] for r in pooled.results], axis=0)
+        output.add(f"accuracy_N{n}.csv", ["t,x_I,mean_x_I"] + [
+            f"{_fmt(t)},{_fmt(row[0])},{_fmt(mx)}"
+            for t, row, mx in zip(one.trajectory_times, one.trajectory_fractions, mean_xi)])
+    return _EXIT_OK
 
-    if args.preset == "accuracy":
-        if not 0.0 < args.sample_dt < math.inf:
-            raise UsageError(f"--sample-dt must be positive and finite, got {args.sample_dt}")
-        t_end, ode_dt = 10.0, 0.01
-        stride = round(args.sample_dt / ode_dt)  # the ODE rows shared with the populations
-        if stride < 1 or abs(args.sample_dt / ode_dt - stride) > 1e-9:
-            raise UsageError(f"--sample-dt must be a whole multiple of the ODE step {ode_dt}, "
-                             f"got {args.sample_dt}")
-        base = SystemParams(lam=pp["lam"], mu=pp["mu"], w=pp["w"], p=pp["p"], gamma=pp["gamma"])
-        traj = meanfield.integrate(Policy.W, base, StateFractions(1.0, 0.0, 0.0),
-                                   t_end=t_end, dt=ode_dt)
-        output.add("accuracy_ode.csv",
-                   _trajectory_lines(traj.times[::stride], traj.states[::stride]))
-        for n in pp["populations"]:
-            m = int(round(n / pp["gamma"]))
-            params = SystemParams(lam=pp["lam"], mu=pp["mu"], w=pp["w"], p=pp["p"],
-                                  gamma=pp["gamma"], n_devices=n, n_channels=m)
-            config = SimConfig(params=params, ps=PolicyScheme(Policy.W, Scheme.WP),
-                               seed=seed, stop_time=t_end, warmup_fraction=0.0,
-                               sample_dt=args.sample_dt)
-            pooled = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
-            one = pooled.results[0]
-            mean_xi = np.mean(
-                [r.trajectory_fractions[:, 0] for r in pooled.results], axis=0
-            )
-            lines = ["t,x_I,mean_x_I"]
-            for t, row, mx in zip(one.trajectory_times, one.trajectory_fractions, mean_xi):
-                lines.append(f"{_fmt(t)},{_fmt(row[0])},{_fmt(mx)}")
-            output.add(f"accuracy_N{n}.csv", lines)
-        return _EXIT_OK
 
-    if args.preset == "aoi-vs-lambda":
-        params = SystemParams(lam=1.0, mu=pp["mu"], w=pp["w"], p=pp["p"], gamma=pp["gamma"])
-        grid = np.linspace(0.1, 2.0, 40)
-        output.add("aoi_vs_lambda.csv",
-                   _sweep_lines(list(PolicyScheme.all_combinations()), params, "lam", grid))
-        return _EXIT_OK
-
-    if args.preset == "param-sweeps":
-        params = SystemParams(lam=pp["lam"], mu=pp["mu"], w=pp["w"], p=pp["p"],
-                              gamma=pp["gamma"])
-        grids = {
-            "mu": np.linspace(0.5, 3.0, 20),
-            "w": np.linspace(0.5, 5.0, 20),
-            "gamma": np.linspace(1.0, 10.0, 20),
-            "p": np.linspace(0.3, 1.0, 20),
-        }
-        combos = list(PolicyScheme.all_combinations())
-        for which, grid in grids.items():
-            output.add(f"param_sweep_{which}.csv", _sweep_lines(combos, params, which, grid))
-        return _EXIT_OK
-
-    # single-device
-    params = SystemParams(lam=pp["lam"], mu=pp["mu"], w=pp["w"], p=pp["p"], gamma=1.0,
-                          n_devices=pp["n"], n_channels=pp["m"])
-    ps = PolicyScheme(Policy.I, Scheme.WP)
-    config = SimConfig(params=params, ps=ps, seed=seed, stop_arrivals=args.arrivals)
+def _write_single_device(args, output: _Output, *, lam, mu, w, p, gamma, n, m, pair) -> int:
+    params = SystemParams(lam=lam, mu=mu, w=w, p=p, gamma=gamma, n_devices=n, n_channels=m)
+    config = SimConfig(params=params, ps=pair, seed=_resolve_seed(args),
+                       stop_arrivals=args.arrivals)
     pooled = sim.replicate(config, n_reps=1)
-    expected = closedform.avg_aoi(ps, lam=pp["lam"], mu=pp["mu"], k=pp["w"], p=pp["p"])
+    # a lone device always finds its channel free, so its waiting rate is w
+    expected = closedform.avg_aoi(pair, lam=lam, mu=mu, k=w, p=p)
     rel = (pooled.mean_aoi - expected) / expected
     output.add("single_device.csv", _summary_lines(pooled))
     output.say(f"single device: sim={_fmt(pooled.mean_aoi)} "
@@ -606,11 +561,56 @@ def _cmd_reproduce(args, output: _Output) -> int:
     return _EXIT_OK
 
 
+@dataclass(frozen=True)
+class Preset:
+    description: str
+    params: dict  # every value the writer reads, the figure captions' where they give one
+    flags: dict  # each flag the writer reads besides seed/out/config -> its default
+    write: Callable[..., int]
+
+
+PRESETS: dict[str, Preset] = {
+    "aoi-vs-p": Preset(
+        "average AoI versus p at a fixed stationary distribution",
+        {"lam": 0.9, "mu": 1.0, "k": 2.0, "p_grid": (0.3, 1.0, 15)},
+        {"gnuplot-script": False}, _write_aoi_vs_p),
+    "accuracy": Preset(
+        "empirical measure trajectories against the mean-field ODE for growing populations",
+        {"lam": 0.8, "mu": 1.0, "w": 2.0, "gamma": 5.0, "p": 0.7, "populations": (10, 100, 1000),
+         "t_end": 10.0, "ode_dt": 0.01, "pair": PolicyScheme(Policy.W, Scheme.WP)},
+        {"reps": 100, "parallelism": 1, "sample-dt": 0.1, "gnuplot-script": False},
+        _write_accuracy),
+    "aoi-vs-lambda": Preset(
+        "mean-field average AoI versus the arrival rate",
+        {"mu": 0.5, "w": 2.0, "gamma": 5.0, "p": 0.7, "lam_grid": (0.1, 2.0, 40)},
+        {"gnuplot-script": False}, partial(_write_sweeps, "aoi_vs_lambda.csv")),
+    "param-sweeps": Preset(
+        "mean-field average AoI versus mu, w, gamma, and p",
+        {"lam": 0.8, "mu": 1.5, "w": 2.0, "gamma": 5.0, "p": 0.7, "mu_grid": (0.5, 3.0, 20),
+         "w_grid": (0.5, 5.0, 20), "gamma_grid": (1.0, 10.0, 20), "p_grid": (0.3, 1.0, 20)},
+        {"gnuplot-script": False}, partial(_write_sweeps, "param_sweep_{}.csv")),
+    "single-device": Preset(
+        "single device desk check against the closed form",
+        {"lam": 1.0, "mu": 1.0, "w": 1.0, "p": 1.0, "n": 1, "m": 1, "gamma": 1.0,
+         "pair": PolicyScheme(Policy.I, Scheme.WP)},
+        {"arrivals": 200_000}, _write_single_device),
+}
+
+
+def _cmd_reproduce(args, output: _Output) -> int:
+    preset = PRESETS[args.preset]
+    return preset.write(args, output, **preset.params)
+
+
 def _cmd_presets(args, output: _Output) -> int:
     for name, preset in PRESETS.items():
         output.say(f"{name}: {preset.description}")
         for key, value in preset.params.items():
-            output.say(f"    {key} = {value}")
+            if key.endswith("_grid"):
+                value = "%g:%g:%d" % value
+            output.say(f"    {key} = {getattr(value, 'label', value)}")
+        for flag, default in preset.flags.items():
+            output.say(f"    --{flag} (default {default})")
     return _EXIT_OK
 
 

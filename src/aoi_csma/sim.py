@@ -539,11 +539,13 @@ def replicate(config: SimConfig, n_reps: int, parallelism: int = 1) -> PooledRes
     if parallelism < 1:
         raise InvalidConfig(f"parallelism must be >= 1, got {parallelism}")
     jobs = [(config, config.replication + j) for j in range(n_reps)]
-    if parallelism == 1 or n_reps == 1:
+    # Under fork, the pool starts all its workers at the first submit.
+    workers = min(parallelism, n_reps)
+    if workers == 1:
         results = [_run_replication(job) for job in jobs]
     else:
-        chunk = max(1, n_reps // (4 * parallelism))
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        chunk = max(1, n_reps // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replication, jobs, chunksize=chunk))
     means = np.array([r.avg_aoi_mean for r in results])
     mean = float(means.mean())

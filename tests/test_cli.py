@@ -6,6 +6,7 @@ import json
 import math
 import os
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from aoi_csma import closedform
 from aoi_csma import meanfield as mf
 from aoi_csma.cli import PRESETS, _aoi_lines, _fmt, _trajectory_lines, build_parser, main
-from aoi_csma.core import Policy, StateFractions, SystemParams
+from aoi_csma.core import Policy, PolicyScheme, Scheme, StateFractions, SystemParams
 
 MF_ARGS = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--gamma", "5", "--p", "0.7"]
 ANALYTIC_POINT = ["--lambda", "1", "--mu", "1", "--k", "1", "--p", "1"]
@@ -375,14 +376,26 @@ _FLAG_TEXT = {"--policy": "S", "--scheme": "wop", "--sweep": "p=0.3:1:8",
 _TYPE_TEXT = {float: "0.25", int: "3"}
 
 
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _command_parsers():
+    """(argv, parser) of every subcommand, with each reproduce preset as its own."""
+    for command, sub in _subparsers(build_parser()).items():
+        if command == "reproduce":
+            for preset, preset_parser in _subparsers(sub).items():
+                yield [command, preset], preset_parser
+        else:
+            yield [command], sub
+
+
 def test_every_long_flag_is_a_config_key(tmp_path):
     """The config file {K: V} parses to the same Namespace as the flag --K V."""
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
     config = tmp_path / "run.json"
     checked = 0
-    for command, sub in subparsers.choices.items():
-        argv = [command] + (["aoi-vs-p"] if command == "reproduce" else [])
+    for argv, sub in _command_parsers():
+        command = " ".join(argv)
         defaults = build_parser().parse_args(argv)
         for action in sub._actions:
             flags = [s for s in action.option_strings if s.startswith("--")]
@@ -401,7 +414,7 @@ def test_every_long_flag_is_a_config_key(tmp_path):
             assert from_file == from_flag, (command, flag)
             assert getattr(from_file, action.dest) != getattr(defaults, action.dest)
             checked += 1
-    assert checked == 54
+    assert checked == 65
 
 
 @pytest.mark.parametrize("argv", [
@@ -412,6 +425,10 @@ def test_every_long_flag_is_a_config_key(tmp_path):
     ["presets", "--out", "listing"],
     # a prefix of a flag name is not that flag
     ["analytic", "--lam", "1", "--mu", "1", "--k", "1", "--p", "1", "--pol", "I", "--sch", "wp"],
+    # a preset takes only the flags its writer reads
+    ["reproduce", "aoi-vs-p", "--reps", "5"],
+    ["reproduce", "single-device", "--parallelism", "2"],
+    ["reproduce", "param-sweeps", "--arrivals", "1"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -436,6 +453,12 @@ def test_gnuplot_script_emitted(tmp_path, capsys):
     assert code == 0
     script = (out_dir / "plot.gp").read_text()
     assert "aoi_vs_p.csv" in script
+    # a summary and per-device AoI have nothing to plot, so no script is written
+    out_dir = tmp_path / "sim"
+    code, _, _ = run_cli(capsys, "simulate", "--policy", "W", "--scheme", "wp", *SIM_POINT,
+                         "--out", str(out_dir), "--gnuplot-script")
+    assert code == 0
+    assert sorted(os.listdir(out_dir)) == ["aoi.csv", "summary.csv"]
 
 
 def test_preset_parameters_match_the_figure_captions():
@@ -443,13 +466,33 @@ def test_preset_parameters_match_the_figure_captions():
         "lam": 0.9, "mu": 1.0, "k": 2.0, "p_grid": (0.3, 1.0, 15)}
     assert PRESETS["accuracy"].params == {
         "lam": 0.8, "mu": 1.0, "w": 2.0, "gamma": 5.0, "p": 0.7,
-        "populations": (10, 100, 1000)}
+        "populations": (10, 100, 1000), "t_end": 10.0, "ode_dt": 0.01,
+        "pair": PolicyScheme(Policy.W, Scheme.WP)}
     assert PRESETS["aoi-vs-lambda"].params == {
-        "mu": 0.5, "w": 2.0, "gamma": 5.0, "p": 0.7}
+        "mu": 0.5, "w": 2.0, "gamma": 5.0, "p": 0.7, "lam_grid": (0.1, 2.0, 40)}
     assert PRESETS["param-sweeps"].params == {
-        "lam": 0.8, "mu": 1.5, "w": 2.0, "gamma": 5.0, "p": 0.7}
+        "lam": 0.8, "mu": 1.5, "w": 2.0, "gamma": 5.0, "p": 0.7,
+        "mu_grid": (0.5, 3.0, 20), "w_grid": (0.5, 5.0, 20),
+        "gamma_grid": (1.0, 10.0, 20), "p_grid": (0.3, 1.0, 20)}
     assert PRESETS["single-device"].params == {
-        "lam": 1.0, "mu": 1.0, "w": 1.0, "p": 1.0, "n": 1, "m": 1}
+        "lam": 1.0, "mu": 1.0, "w": 1.0, "p": 1.0, "n": 1, "m": 1, "gamma": 1.0,
+        "pair": PolicyScheme(Policy.I, Scheme.WP)}
+    assert {name: preset.flags for name, preset in PRESETS.items()} == {
+        "aoi-vs-p": {"gnuplot-script": False},
+        "accuracy": {"reps": 100, "parallelism": 1, "sample-dt": 0.1, "gnuplot-script": False},
+        "aoi-vs-lambda": {"gnuplot-script": False},
+        "param-sweeps": {"gnuplot-script": False},
+        "single-device": {"arrivals": 200_000},
+    }
+
+
+def test_reproduce_reads_its_grid_from_the_preset(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(PRESETS["aoi-vs-lambda"].params, "lam_grid", (0.1, 2.0, 3))
+    out_dir = tmp_path / "lam"
+    assert run_cli(capsys, "reproduce", "aoi-vs-lambda", "--out", str(out_dir))[0] == 0
+    lines = (out_dir / "aoi_vs_lambda.csv").read_text().splitlines()
+    assert len(lines) == 1 + 6 * 3
+    assert [row.split(",")[3] for row in lines[1:4]] == ["0.1", "1.05", "2"]
 
 
 def test_reproduce_single_device_prints_relative_error(capsys):
@@ -500,6 +543,28 @@ def test_presets_listing(capsys):
     assert code == 0
     for name in PRESETS:
         assert name in out
+    # every value a preset reads, grids as start:end:count, and its flags
+    for line in ("    lam_grid = 0.1:2:40", "    gamma_grid = 1:10:20", "    ode_dt = 0.01",
+                 "    pair = W-WP", "    pair = I-WP", "    --sample-dt (default 0.1)",
+                 "    --arrivals (default 200000)"):
+        assert line + "\n" in out
+
+
+def test_reproduce_figures_script_writes_every_preset(tmp_path, capsys, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path), "--reps", "2"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exited.value.code == 0
+    assert {d.name: sorted(os.listdir(d)) for d in tmp_path.iterdir()} == {
+        "accuracy": ["accuracy_N10.csv", "accuracy_N100.csv", "accuracy_N1000.csv",
+                     "accuracy_ode.csv", "plot.gp"],
+        "aoi-vs-lambda": ["aoi_vs_lambda.csv", "plot.gp"],
+        "aoi-vs-p": ["aoi_vs_p.csv", "plot.gp"],
+        "param-sweeps": ["param_sweep_gamma.csv", "param_sweep_mu.csv", "param_sweep_p.csv",
+                         "param_sweep_w.csv", "plot.gp"],
+        "single-device": ["single_device.csv"],
+    }
 
 
 def test_simulate_csv_serialization(tmp_path, capsys):

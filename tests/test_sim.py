@@ -107,6 +107,33 @@ def test_replicate_parallelism_is_bitwise_identical():
         assert np.array_equal(r_s.avg_aoi_per_device, r_p.avg_aoi_per_device)
 
 
+def test_replicate_starts_no_more_workers_than_replications(monkeypatch):
+    """Under fork a pool starts all its workers at once, so a parallelism far
+    above the replication count must not reach the pool."""
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    config = sim.SimConfig(params=_params(20, 4), ps=W_WP, seed=3, stop_arrivals=200)
+    capped = sim.replicate(config, n_reps=2, parallelism=5000)
+    assert seen == [2]
+    serial = sim.replicate(config, n_reps=2, parallelism=1)
+    assert seen == [2]  # a single worker runs in this process
+    assert capped.mean_aoi == serial.mean_aoi and capped.stderr == serial.stderr
+
+
 def test_policies_collapse_with_error_free_channels():
     # with p = 1 the failure branch is never taken, so all three policies
     # see identical event sequences under the same seed
