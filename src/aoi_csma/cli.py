@@ -196,42 +196,6 @@ _FLAGS = {
 _DEST_OF_FLAG = {name: spec["dest"] for name, spec in _FLAGS.items() if "dest" in spec}
 _FLAG_OF_DEST = {dest: name for name, dest in _DEST_OF_FLAG.items()}
 
-# subcommand: (help, its flags besides seed/out/config)
-_SUBCOMMANDS = {
-    "analytic": ("evaluate the closed forms",
-                 "policy scheme lambda mu k p sweep gnuplot-script"),
-    "crossvalidate": ("chain solver vs closed forms on a random grid", "count"),
-    "meanfield": ("equilibria, trajectories, sweeps, monotonicity",
-                  "policy scheme lambda mu w gamma p sweep trajectory t-end dt x0 "
-                  "monotonicity gnuplot-script"),
-    "simulate": ("event-driven finite-N simulation",
-                 "policy scheme lambda mu w p n m arrivals horizon warmup reps parallelism "
-                 "sample-dt compare gnuplot-script"),
-}
-
-
-def _add_command(sub, command: str, help_text: str, flags: dict) -> None:
-    """A subcommand taking seed, out, config and flags: name -> default (None: _FLAGS's)."""
-    p_cmd = sub.add_parser(command, help=help_text,
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    for name, default in [*flags.items(), ("seed", None), ("out", None), ("config", None)]:
-        spec = _FLAGS[name] if default is None else dict(_FLAGS[name], default=default)
-        p_cmd.add_argument("--" + name, **spec)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="aoi-csma", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, names) in _SUBCOMMANDS.items():
-        _add_command(sub, command, help_text, dict.fromkeys(names.split()))
-    presets = sub.add_parser("reproduce", help="figure-data reproduction presets")
-    presets = presets.add_subparsers(dest="preset", required=True)
-    for name, preset in PRESETS.items():
-        _add_command(presets, name, preset.description, preset.flags)
-    sub.add_parser("presets", help="describe the reproduction presets")
-    return parser
-
-
 def _resolve_seed(args: argparse.Namespace) -> int:
     """The seed from --seed (or --config), else the environment, else 1."""
     seed, source = args.seed, "--seed"
@@ -297,6 +261,10 @@ class _Output:
     gnuplot: bool = False
     documents: list[tuple[str, list[str]]] = field(default_factory=list)
     messages: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.gnuplot and self.out_dir is None:
+            raise UsageError("--gnuplot-script needs --out")
 
     def add(self, name: str, lines: list[str]) -> None:
         self.documents.append((name, lines))
@@ -547,10 +515,11 @@ def _write_accuracy(args, output: _Output, *, populations, t_end, ode_dt, pair, 
     return _EXIT_OK
 
 
-def _write_single_device(args, output: _Output, *, lam, mu, w, p, gamma, n, m, pair) -> int:
+def _write_single_device(args, output: _Output, *, lam, mu, w, p, gamma, n, m, pair,
+                         warmup) -> int:
     params = SystemParams(lam=lam, mu=mu, w=w, p=p, gamma=gamma, n_devices=n, n_channels=m)
     config = SimConfig(params=params, ps=pair, seed=_resolve_seed(args),
-                       stop_arrivals=args.arrivals)
+                       stop_arrivals=args.arrivals, warmup_fraction=warmup)
     pooled = sim.replicate(config, n_reps=1)
     # a lone device always finds its channel free, so its waiting rate is w
     expected = closedform.avg_aoi(pair, lam=lam, mu=mu, k=w, p=p)
@@ -567,6 +536,9 @@ class Preset:
     params: dict  # every value the writer reads, the figure captions' where they give one
     flags: dict  # each flag the writer reads besides seed/out/config -> its default
     write: Callable[..., int]
+
+    def run(self, args, output: _Output) -> int:
+        return self.write(args, output, **self.params)
 
 
 PRESETS: dict[str, Preset] = {
@@ -592,14 +564,9 @@ PRESETS: dict[str, Preset] = {
     "single-device": Preset(
         "single device desk check against the closed form",
         {"lam": 1.0, "mu": 1.0, "w": 1.0, "p": 1.0, "n": 1, "m": 1, "gamma": 1.0,
-         "pair": PolicyScheme(Policy.I, Scheme.WP)},
+         "pair": PolicyScheme(Policy.I, Scheme.WP), "warmup": 0.1},
         {"arrivals": 200_000}, _write_single_device),
 }
-
-
-def _cmd_reproduce(args, output: _Output) -> int:
-    preset = PRESETS[args.preset]
-    return preset.write(args, output, **preset.params)
 
 
 def _cmd_presets(args, output: _Output) -> int:
@@ -614,14 +581,44 @@ def _cmd_presets(args, output: _Output) -> int:
     return _EXIT_OK
 
 
-_COMMANDS = {
-    "analytic": _cmd_analytic,
-    "crossvalidate": _cmd_crossvalidate,
-    "meanfield": _cmd_meanfield,
-    "simulate": _cmd_simulate,
-    "reproduce": _cmd_reproduce,
-    "presets": _cmd_presets,
+# subcommand: (help, its flags besides seed/out/config, the handler main calls as run)
+_SUBCOMMANDS = {
+    "analytic": ("evaluate the closed forms",
+                 "policy scheme lambda mu k p sweep gnuplot-script", _cmd_analytic),
+    "crossvalidate": ("chain solver vs closed forms on a random grid", "count",
+                      _cmd_crossvalidate),
+    "meanfield": ("equilibria, trajectories, sweeps, monotonicity",
+                  "policy scheme lambda mu w gamma p sweep trajectory t-end dt x0 "
+                  "monotonicity gnuplot-script", _cmd_meanfield),
+    "simulate": ("event-driven finite-N simulation",
+                 "policy scheme lambda mu w p n m arrivals horizon warmup reps parallelism "
+                 "sample-dt compare gnuplot-script", _cmd_simulate),
 }
+
+
+def _add_command(sub, command: str, help_text: str, flags: dict,
+                 run: Callable[..., int]) -> None:
+    """A subcommand taking seed, out, config and flags: name -> default (None: _FLAGS's)."""
+    p_cmd = sub.add_parser(command, help=help_text,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p_cmd.set_defaults(run=run)
+    for name, default in [*flags.items(), ("seed", None), ("out", None), ("config", None)]:
+        spec = _FLAGS[name] if default is None else dict(_FLAGS[name], default=default)
+        p_cmd.add_argument("--" + name, **spec)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="aoi-csma", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, names, run) in _SUBCOMMANDS.items():
+        _add_command(sub, command, help_text, dict.fromkeys(names.split()), run)
+    presets = sub.add_parser("reproduce", help="figure-data reproduction presets")
+    presets = presets.add_subparsers(dest="preset", required=True)
+    for name, preset in PRESETS.items():
+        _add_command(presets, name, preset.description, preset.flags, preset.run)
+    sub.add_parser("presets", help="describe the reproduction presets").set_defaults(
+        run=_cmd_presets)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -629,7 +626,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         output = _Output(out_dir=getattr(args, "out", None),
                          gnuplot=bool(getattr(args, "gnuplot_script", False)))
-        code = _COMMANDS[args.command](args, output)
+        code = args.run(args, output)
         output.flush()
         return code
     except (UsageError, InvalidParameter, InvalidConfig, GridPointInvalid) as exc:

@@ -47,6 +47,7 @@ reach the heap, and both still consume the same per-device draws:
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable
@@ -539,8 +540,11 @@ def replicate(config: SimConfig, n_reps: int, parallelism: int = 1) -> PooledRes
     if parallelism < 1:
         raise InvalidConfig(f"parallelism must be >= 1, got {parallelism}")
     jobs = [(config, config.replication + j) for j in range(n_reps)]
-    # Under fork, the pool starts all its workers at the first submit.
-    workers = min(parallelism, n_reps)
+    # Under fork, the pool starts all its workers at the first submit, so the
+    # count is capped by the replications and by the CPUs this process may use.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(parallelism, n_reps, cpus)
     if workers == 1:
         results = [_run_replication(job) for job in jobs]
     else:

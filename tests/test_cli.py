@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -104,12 +105,16 @@ def test_lambda_sweep_takes_the_flag_name_and_writes_it(tmp_path, capsys):
 
 
 def test_bad_sweep_syntax_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "analytic", "--lambda", "1", "--mu", "1", "--k", "1",
-                         "--sweep", "p=1:0:5")
-    assert code == 1
-    code, _, _ = run_cli(capsys, "analytic", "--lambda", "1", "--mu", "1", "--k", "1",
-                         "--sweep", "nope=0:1:5")
-    assert code == 1
+    for sweep, message in [
+        ("p=1:0:5", "grid must be strictly increasing with count >= 2, got '1:0:5'"),
+        ("nope=0:1:5", "cannot sweep 'nope'; choose from lam, mu, k, p"),
+        ("p=0:1", "grid must be start:end:count, got '0:1'"),
+        ("p=0:1:x", "malformed grid '0:1:x'"),
+        ("p", "sweep must be <param>=<start:end:count>, got 'p'"),
+    ]:
+        code, out, err = run_cli(capsys, "analytic", "--lambda", "1", "--mu", "1", "--k", "1",
+                                 "--sweep", sweep)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), sweep
 
 
 def test_crossvalidate_passes_and_detects_injected_error(capsys, monkeypatch):
@@ -190,6 +195,16 @@ def test_meanfield_trajectory_leaving_the_channel_bound_is_numerical_failure(cap
     assert (code, err) == (2, "numerical failure: gamma * x_s = 5.0 > 1 during integration\n")
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--trajectory", "--x0", "0.5,0.5"],
+     "argument --x0: must be i,w,s fractions, got '0.5,0.5'"),
+    (["--sweep", "p=0.3:1:3", "--trajectory"], "multiple outputs requested; give --out"),
+])
+def test_meanfield_usage_errors(capsys, extra, message):
+    code, out, err = run_cli(capsys, "meanfield", *MF_ARGS, *extra)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_meanfield_trajectory(tmp_path, capsys):
     out_dir = tmp_path / "traj"
     code, _, _ = run_cli(capsys, "meanfield", "--policy", "W", "--lambda", "0.8",
@@ -232,6 +247,8 @@ def test_simulate_missing_channels_is_usage_error(capsys):
                            "--n", "20", "--arrivals", "1000")
     assert code == 1
     assert "--m" in err
+    code, out, err = run_cli(capsys, *SIM_N20, "--m", "0", "--arrivals", "1000")
+    assert (code, out, err) == (1, "", "error: --m must be positive\n")
 
 
 @pytest.mark.parametrize("stop, message", [
@@ -246,6 +263,7 @@ def test_simulate_missing_channels_is_usage_error(capsys):
      "error: sample_dt=1e-05 asks for more than 10000000 samples over the horizon\n"),
     (["--arrivals", "100", "--sample-dt", "1e-300"],
      "error: sample_dt=1e-300 asks for more than 10000000 samples over the horizon\n"),
+    ([], "error: give a stop criterion: --arrivals or --horizon\n"),
 ])
 def test_simulate_unusable_horizon_is_usage_error(capsys, stop, message):
     code, out, err = run_cli(capsys, "simulate", "--lambda", "0.8", "--mu", "1", "--w", "2",
@@ -321,6 +339,12 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert out.strip().splitlines()[1].split(",")[5] == "0.5"
     config.write_text(json.dumps({"bogus": 1}))
     assert run_cli(capsys, "analytic", "--config", str(config))[0] == 1
+    # a file that cannot be read or parsed
+    config.write_text("{")
+    for path in (config, tmp_path / "missing.json"):
+        code, out, err = run_cli(capsys, "analytic", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read config file {path}: ")
 
 
 def test_parse_policy_and_scheme(tmp_path, capsys):
@@ -353,6 +377,7 @@ def test_parse_policy_and_scheme(tmp_path, capsys):
     (["analytic", *ANALYTIC_POINT], {"lambda": True},
      "config file key 'lambda' takes a string or a number"),
     (["analytic", *ANALYTIC_POINT], {"out": None}, "config file key 'out' takes a string or a number"),
+    (["crossvalidate"], [1, 2], "config file must hold a JSON object of flag values"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, command, doc, message):
     config = tmp_path / "run.json"
@@ -459,6 +484,10 @@ def test_gnuplot_script_emitted(tmp_path, capsys):
                          "--out", str(out_dir), "--gnuplot-script")
     assert code == 0
     assert sorted(os.listdir(out_dir)) == ["aoi.csv", "summary.csv"]
+    # without --out there is nowhere to write the script
+    for argv in (["analytic", *ANALYTIC_POINT], ["reproduce", "aoi-vs-p"]):
+        code, out, err = run_cli(capsys, *argv, "--gnuplot-script")
+        assert (code, out, err) == (1, "", "error: --gnuplot-script needs --out\n")
 
 
 def test_preset_parameters_match_the_figure_captions():
@@ -476,7 +505,7 @@ def test_preset_parameters_match_the_figure_captions():
         "gamma_grid": (1.0, 10.0, 20), "p_grid": (0.3, 1.0, 20)}
     assert PRESETS["single-device"].params == {
         "lam": 1.0, "mu": 1.0, "w": 1.0, "p": 1.0, "n": 1, "m": 1, "gamma": 1.0,
-        "pair": PolicyScheme(Policy.I, Scheme.WP)}
+        "pair": PolicyScheme(Policy.I, Scheme.WP), "warmup": 0.1}
     assert {name: preset.flags for name, preset in PRESETS.items()} == {
         "aoi-vs-p": {"gnuplot-script": False},
         "accuracy": {"reps": 100, "parallelism": 1, "sample-dt": 0.1, "gnuplot-script": False},
@@ -546,7 +575,7 @@ def test_presets_listing(capsys):
     # every value a preset reads, grids as start:end:count, and its flags
     for line in ("    lam_grid = 0.1:2:40", "    gamma_grid = 1:10:20", "    ode_dt = 0.01",
                  "    pair = W-WP", "    pair = I-WP", "    --sample-dt (default 0.1)",
-                 "    --arrivals (default 200000)"):
+                 "    warmup = 0.1", "    --arrivals (default 200000)"):
         assert line + "\n" in out
 
 
@@ -644,7 +673,7 @@ PINNED_COMMANDS = {
     "monotonicity": ["meanfield", *MF_ARGS, "--monotonicity", "w=1:3:4"],
     "simulate": ["simulate", "--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7",
                  "--n", "20", "--m", "4", "--arrivals", "1000", "--reps", "2",
-                 "--sample-dt", "5", "--seed", "9"],
+                 "--sample-dt", "5", "--seed", "9", "--compare"],
     "single-device": ["reproduce", "single-device", "--arrivals", "20000", "--seed", "4"],
     "horizon": ["simulate", "--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7",
                 "--n", "20", "--m", "4", "--horizon", "400", "--warmup", "0.2", "--reps", "2",
@@ -762,6 +791,21 @@ def test_csv_bytes_are_pinned(tmp_path, capsys):
         for name in os.listdir(out_dir):
             digests[f"{key}/{name}"] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
     assert digests == PINNED_SHA256
+
+
+def test_simulate_compare_prints_one_line_per_pair(tmp_path, capsys):
+    """The pinned simulate run's --compare lines, in the form the benchmark parses."""
+    code, out, _ = run_cli(capsys, *PINNED_COMMANDS["simulate"], "--out", str(tmp_path))
+    assert code == 0
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0, n_devices=20, n_channels=4)
+    pattern = re.compile(r"^(\S+): sim=\S+ meanfield=(\S+) rel_error=([-+]?[\d.]+)%")
+    pairs = PolicyScheme.all_combinations()
+    matches = [pattern.match(line) for line in out.splitlines()]
+    assert [m and m[1] for m in matches] == [ps.label for ps in pairs]
+    for ps, m in zip(pairs, matches):
+        assert m[2] == _fmt(mf.aoi_at_equilibrium(ps, params))
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5c5451a3e80f23a7207a7d472bc7ede8db142cfc44fa6eba9c6aa82cc8c59816")
 
 
 # meanfield --monotonicity at README's FIG5 point on criterion 11's grids:

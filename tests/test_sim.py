@@ -3,6 +3,7 @@
 import hashlib
 import heapq
 import math
+import os
 import random
 import tracemalloc
 
@@ -109,8 +110,11 @@ def test_replicate_parallelism_is_bitwise_identical():
 
 def test_replicate_starts_no_more_workers_than_replications(monkeypatch):
     """Under fork a pool starts all its workers at once, so a parallelism far
-    above the replication count must not reach the pool."""
+    above the replication count or the CPU count must not reach the pool."""
     seen = []
+    cpus = [2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus[0])), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus[0])
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -132,6 +136,18 @@ def test_replicate_starts_no_more_workers_than_replications(monkeypatch):
     serial = sim.replicate(config, n_reps=2, parallelism=1)
     assert seen == [2]  # a single worker runs in this process
     assert capped.mean_aoi == serial.mean_aoi and capped.stderr == serial.stderr
+    # 5000 replications stand in for 5000 runs: one result, handed back each time
+    first = serial.results[0]
+    monkeypatch.setattr(sim, "_run_replication", lambda job: first)
+    sim.replicate(config, n_reps=5000, parallelism=5000)
+    assert seen == [2, 2]
+    cpus[0] = 1  # one CPU runs in this process
+    sim.replicate(config, n_reps=5000, parallelism=5000)
+    assert seen == [2, 2]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity: the CPU count
+    cpus[0] = 3
+    sim.replicate(config, n_reps=5000, parallelism=5000)
+    assert seen == [2, 2, 3]
 
 
 def test_policies_collapse_with_error_free_channels():
@@ -460,7 +476,10 @@ def test_every_arrival_is_accounted_for(n, p):
     m = max(1, n // 5)
     params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=p, gamma=n / m, n_devices=n, n_channels=m)
     for ps in PolicyScheme.all_combinations():
-        for stop in (dict(stop_arrivals=20 * n + 200), dict(stop_time=25.0)):
+        # 64 arrivals fill a device's whole first block at N = 1, so its row
+        # needs one more column for the closing inf
+        for stop in (dict(stop_arrivals=20 * n + 200), dict(stop_time=25.0),
+                     dict(stop_arrivals=64)):
             r = sim.run(sim.SimConfig(params=params, ps=ps, seed=n, **stop))
             dropped = r.failed if ps.policy is Policy.I else 0
             assert r.arrivals == (r.delivered + dropped + r.preempted + r.discarded
