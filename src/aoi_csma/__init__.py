@@ -1,6 +1,6 @@
 """Average AoI of dense CSMA random access over noisy channels.
 
-Subpackages: :mod:`aoi_csma.core` (types and validation),
+Subpackages: :mod:`aoi_csma.core` (types that check themselves),
 :mod:`aoi_csma.closedform` (explicit AoI expressions),
 :mod:`aoi_csma.shs` (generic chain solver, the independent oracle),
 :mod:`aoi_csma.meanfield` (ODE, equilibria, monotonicity),
@@ -17,7 +17,6 @@ from .core import (
     Scheme,
     StateFractions,
     SystemParams,
-    validate,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "Scheme",
     "StateFractions",
     "SystemParams",
-    "validate",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections.abc import Callable
@@ -44,6 +43,8 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_NUMERICAL = 2
 _EXIT_THRESHOLD = 3
+
+_MAX_GRID = 1_000_000  # points per grid, as meanfield bounds its steps and sim its samples
 
 class UsageError(AoiError):
     """Bad command line or config file content."""
@@ -223,6 +224,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"malformed grid {text!r}") from None
     if count < 2 or not end > start:
         raise UsageError(f"grid must be strictly increasing with count >= 2, got {text!r}")
+    if count > _MAX_GRID:
+        raise UsageError(f"grid must have at most {_MAX_GRID} points, got {text!r}")
     return np.linspace(start, end, count)
 
 
@@ -265,6 +268,8 @@ class _Output:
     def __post_init__(self) -> None:
         if self.gnuplot and self.out_dir is None:
             raise UsageError("--gnuplot-script needs --out")
+        if self.out_dir and os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
+            raise UsageError(f"--out must name a directory, got the file {self.out_dir}")
 
     def add(self, name: str, lines: list[str]) -> None:
         self.documents.append((name, lines))
@@ -274,15 +279,18 @@ class _Output:
 
     def flush(self) -> None:
         if self.out_dir is not None:
-            if self.documents:
-                os.makedirs(self.out_dir, exist_ok=True)
-            for name, lines in self.documents:
-                path = os.path.join(self.out_dir, name)
-                with open(path, "w", newline="\n") as fh:
-                    fh.write("\n".join(lines) + "\n")
-            if self.gnuplot and (script := self._gnuplot_script()) is not None:
-                with open(os.path.join(self.out_dir, "plot.gp"), "w", newline="\n") as fh:
-                    fh.write(script)
+            try:
+                if self.documents:
+                    os.makedirs(self.out_dir, exist_ok=True)
+                for name, lines in self.documents:
+                    path = os.path.join(self.out_dir, name)
+                    with open(path, "w", newline="\n") as fh:
+                        fh.write("\n".join(lines) + "\n")
+                if self.gnuplot and (script := self._gnuplot_script()) is not None:
+                    with open(os.path.join(self.out_dir, "plot.gp"), "w", newline="\n") as fh:
+                        fh.write(script)
+            except OSError as exc:  # a file on the --out path, a full disk
+                raise UsageError(f"cannot write {self.out_dir}: {exc.strerror or exc}") from None
         else:
             for name, lines in self.documents:
                 if len(self.documents) > 1:
@@ -445,6 +453,8 @@ def _cmd_simulate(args, output: _Output) -> int:
     seed = _resolve_seed(args)
     combos = _combos(args)
     single = len(combos) == 1
+    # p = 0 has no mean-field AoI: find out before any replication runs
+    targets = {ps: meanfield.aoi_at_equilibrium(ps, params) for ps in combos if args.compare}
 
     for ps in combos:
         config = SimConfig(
@@ -461,7 +471,7 @@ def _cmd_simulate(args, output: _Output) -> int:
             output.add(f"traj{tag}.csv",
                        _trajectory_lines(first.trajectory_times, first.trajectory_fractions))
         if args.compare:
-            target = meanfield.aoi_at_equilibrium(ps, params)
+            target = targets[ps]
             rel = (pooled.mean_aoi - target) / target
             output.say(f"{ps.label}: sim={_fmt(pooled.mean_aoi)} "
                        f"meanfield={_fmt(target)} rel_error={rel:+.4%} "
@@ -493,8 +503,11 @@ def _write_sweeps(csv_name: str, args, output: _Output, **params) -> int:
 
 def _write_accuracy(args, output: _Output, *, populations, t_end, ode_dt, pair, **rates) -> int:
     seed = _resolve_seed(args)
-    if not 0.0 < args.sample_dt < math.inf:
-        raise UsageError(f"--sample-dt must be positive and finite, got {args.sample_dt}")
+    configs = [SimConfig(params=SystemParams(**rates, n_devices=n,
+                                             n_channels=int(round(n / rates["gamma"]))),
+                         ps=pair, seed=seed, stop_time=t_end, warmup_fraction=0.0,
+                         sample_dt=args.sample_dt)
+               for n in populations]  # checks sample_dt before the stride does
     stride = round(args.sample_dt / ode_dt)  # the ODE rows shared with the populations
     if stride < 1 or abs(args.sample_dt / ode_dt - stride) > 1e-9:
         raise UsageError(f"--sample-dt must be a whole multiple of the ODE step {ode_dt}, "
@@ -502,10 +515,7 @@ def _write_accuracy(args, output: _Output, *, populations, t_end, ode_dt, pair, 
     traj = meanfield.integrate(pair.policy, SystemParams(**rates), StateFractions(1.0, 0.0, 0.0),
                                t_end=t_end, dt=ode_dt)  # every simulated device starts idle
     output.add("accuracy_ode.csv", _trajectory_lines(traj.times[::stride], traj.states[::stride]))
-    for n in populations:
-        params = SystemParams(**rates, n_devices=n, n_channels=int(round(n / rates["gamma"])))
-        config = SimConfig(params=params, ps=pair, seed=seed, stop_time=t_end,
-                           warmup_fraction=0.0, sample_dt=args.sample_dt)
+    for n, config in zip(populations, configs):
         pooled = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
         one = pooled.results[0]
         mean_xi = np.mean([r.trajectory_fractions[:, 0] for r in pooled.results], axis=0)

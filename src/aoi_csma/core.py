@@ -1,4 +1,4 @@
-"""Domain types and parameter validation shared by every other module.
+"""Domain types shared by every other module; parameters check themselves.
 
 A system is described by scalar rates (arrival ``lam``, service ``mu``,
 waiting ``w``), a per-transmission success probability ``p``, and the
@@ -87,6 +87,9 @@ class SystemParams:
     a completed transmission, and ``gamma`` the device-to-channel ratio.
     ``n_devices`` / ``n_channels`` are set only for finite-population
     simulation and must then satisfy ``gamma == n_devices / n_channels``.
+    Building one raises :class:`InvalidParameter` naming the first field out
+    of its domain, N and M before the gamma derived from them.  ``p == 0`` is
+    accepted; operations that divide by ``p`` flag it themselves.
     """
 
     lam: float
@@ -97,31 +100,21 @@ class SystemParams:
     n_devices: int | None = None
     n_channels: int | None = None
 
-
-def validate(params: SystemParams) -> SystemParams:
-    """Check every invariant of ``params``; return it unchanged if all hold.
-
-    Raises :class:`InvalidParameter` naming the violated field.  ``p == 0``
-    is accepted here; operations that divide by ``p`` flag it themselves.
-    """
-    for field in ("lam", "mu", "w", "gamma"):
-        value = getattr(params, field)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise InvalidParameter(field, f"must be a positive finite number, got {value!r}")
-    if not (isinstance(params.p, (int, float)) and 0.0 <= params.p <= 1.0):
-        raise InvalidParameter("p", f"must lie in [0, 1], got {params.p!r}")
-    for field in ("n_devices", "n_channels"):
-        value = getattr(params, field)
-        if value is not None and (not isinstance(value, int) or value < 1):
-            raise InvalidParameter(field, f"must be a positive integer, got {value!r}")
-    if params.n_devices is not None and params.n_channels is not None:
-        if params.gamma != params.n_devices / params.n_channels:
-            raise InvalidParameter(
-                "gamma",
-                f"gamma={params.gamma!r} but n_devices/n_channels="
-                f"{params.n_devices}/{params.n_channels}"
-            )
-    return params
+    def __post_init__(self) -> None:
+        for field in ("n_devices", "n_channels"):
+            value = getattr(self, field)
+            if value is not None and (not isinstance(value, int) or value < 1):
+                raise InvalidParameter(field, f"must be a positive integer, got {value!r}")
+        for field in ("lam", "mu", "w", "gamma"):
+            value = getattr(self, field)
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise InvalidParameter(field, f"must be a positive finite number, got {value!r}")
+        if not (isinstance(self.p, (int, float)) and 0.0 <= self.p <= 1.0):
+            raise InvalidParameter("p", f"must lie in [0, 1], got {self.p!r}")
+        n, m = self.n_devices, self.n_channels
+        if n is not None and m is not None and self.gamma != n / m:
+            raise InvalidParameter("gamma",
+                                   f"gamma={self.gamma!r} but n_devices/n_channels={n}/{m}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .core import (
     Scheme,
     StateFractions,
     SystemParams,
-    validate,
 )
 
 
@@ -121,7 +120,6 @@ def equilibrium(policy: Policy, params: SystemParams) -> Equilibrium:
     that k keeps full relative precision.  A residual guard on the
     fixed-point equation catches transcription errors.
     """
-    validate(params)
     lam, mu, w, gamma, p = params.lam, params.mu, params.w, params.gamma, params.p
     if policy is not Policy.I and not p > 0.0:
         raise InvalidParameter("p", f"must be positive under policy ({policy.value})")
@@ -183,7 +181,6 @@ def integrate(
     only when every component is positive, which rules out -0.0 == 0.0 and
     NaN.
     """
-    validate(params)
     if not 0.0 < dt < math.inf:
         raise InvalidParameter("dt", "must be positive and finite")
     if not 0.0 < t_end < math.inf:

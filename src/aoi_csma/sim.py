@@ -57,8 +57,7 @@ from heapq import heapify, heapreplace
 
 import numpy as np
 
-from .core import (FAILURE_TARGET, IDLE, SERVICE, AoiError, PolicyScheme, Scheme,
-                   SystemParams, validate)
+from .core import FAILURE_TARGET, IDLE, SERVICE, AoiError, PolicyScheme, Scheme, SystemParams
 
 
 class InvalidConfig(AoiError):
@@ -72,7 +71,6 @@ class ChannelAccounting(AoiError):
 _ARRIVAL, _BACKOFF, _COMPLETE = 0, 1, 2
 _P_ARRIVAL, _P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS = range(5)
 
-_MASK64 = (1 << 64) - 1
 _MAX_SAMPLES = 10_000_000  # trajectory samples per run, as meanfield bounds its steps
 _NORMAL_95 = 1.959963984540054
 
@@ -84,7 +82,9 @@ class SimConfig:
     Exactly one of ``stop_arrivals`` (total system-wide packet arrivals) or
     ``stop_time`` must be set.  ``warmup_fraction`` of the horizon is
     excluded from AoI statistics.  ``sample_dt`` enables empirical-measure
-    sampling.  ``replication`` indexes the derived random streams.
+    sampling.  ``replication`` indexes the derived random streams.  Building
+    a config without N and M, or with a value out of range (a seed outside
+    [0, 2**64) included), raises :class:`InvalidConfig`.
     """
 
     params: SystemParams
@@ -95,6 +95,27 @@ class SimConfig:
     warmup_fraction: float = 0.1
     sample_dt: float | None = None
     replication: int = 0
+
+    def __post_init__(self) -> None:
+        if self.params.n_devices is None or self.params.n_channels is None:
+            raise InvalidConfig("n_devices and n_channels must both be set for simulation")
+        if not 0 <= self.seed < 1 << 64:
+            raise InvalidConfig(f"seed must lie in [0, 2**64), got {self.seed}")
+        if (self.stop_arrivals is None) == (self.stop_time is None):
+            raise InvalidConfig("exactly one of stop_arrivals / stop_time must be set")
+        if self.stop_arrivals is not None and self.stop_arrivals < 1:
+            raise InvalidConfig(f"stop_arrivals must be >= 1, got {self.stop_arrivals}")
+        if self.stop_time is not None and not 0 < self.stop_time < math.inf:
+            raise InvalidConfig(f"stop_time must be positive and finite, got {self.stop_time}")
+        if not 0.0 <= self.warmup_fraction <= 0.5:
+            raise InvalidConfig(
+                f"warmup_fraction must lie in [0, 0.5], got {self.warmup_fraction}")
+        if self.sample_dt is not None and not 0 < self.sample_dt < math.inf:
+            raise InvalidConfig(f"sample_dt must be positive and finite, got {self.sample_dt}")
+        if self.stop_time is not None:
+            _check_samples(self.stop_time, self.sample_dt)
+        if self.replication < 0:
+            raise InvalidConfig(f"replication index must be nonnegative, got {self.replication}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +173,7 @@ class _Stream:
 
     def __init__(self, config: SimConfig, purpose: int,
                  sample: Callable[[np.random.Generator, tuple[int, int, int]], np.ndarray]):
-        self._key = (config.seed & _MASK64, (config.replication << 3) | purpose)
+        self._key = (config.seed, (config.replication << 3) | purpose)
         self._sample = sample
         self._gen: np.random.Generator | None = None
         self._n = n = config.params.n_devices
@@ -245,31 +266,6 @@ def _arrival_times(config: SimConfig) -> tuple[list[array], int, float, float]:
     return rows, int(counts.sum()), t_warm, t_stop
 
 
-def _check_config(config: SimConfig) -> None:
-    p = config.params
-    if p.n_devices is None or p.n_channels is None:
-        raise InvalidConfig("n_devices and n_channels must both be set for simulation")
-    if not (isinstance(p.n_devices, int) and p.n_devices >= 1):
-        raise InvalidConfig(f"n_devices must be a positive integer, got {p.n_devices!r}")
-    if not (isinstance(p.n_channels, int) and p.n_channels >= 1):
-        raise InvalidConfig(f"n_channels must be a positive integer, got {p.n_channels!r}")
-    if (config.stop_arrivals is None) == (config.stop_time is None):
-        raise InvalidConfig("exactly one of stop_arrivals / stop_time must be set")
-    if config.stop_arrivals is not None and config.stop_arrivals < 1:
-        raise InvalidConfig(f"stop_arrivals must be >= 1, got {config.stop_arrivals}")
-    if config.stop_time is not None and not 0 < config.stop_time < math.inf:
-        raise InvalidConfig(f"stop_time must be positive and finite, got {config.stop_time}")
-    if not 0.0 <= config.warmup_fraction <= 0.5:
-        raise InvalidConfig(f"warmup_fraction must lie in [0, 0.5], got {config.warmup_fraction}")
-    if config.sample_dt is not None and not 0 < config.sample_dt < math.inf:
-        raise InvalidConfig(f"sample_dt must be positive and finite, got {config.sample_dt}")
-    if config.stop_time is not None:
-        _check_samples(config.stop_time, config.sample_dt)
-    if config.replication < 0:
-        raise InvalidConfig(f"replication index must be nonnegative, got {config.replication}")
-    validate(p)
-
-
 def _check_samples(t_stop: float, sample_dt: float | None) -> None:
     """Refuse a trajectory of more than ``_MAX_SAMPLES`` samples before any is taken."""
     if sample_dt is not None and t_stop / sample_dt > _MAX_SAMPLES:
@@ -285,14 +281,14 @@ def _check_channels(occupied: list[bool], n_serv: int) -> None:
 
 def run(config: SimConfig) -> SimResult:
     """Simulate one replication and return its statistics."""
-    _check_config(config)
     params = config.params
     n: int = params.n_devices
     m: int = params.n_channels
     w, mu, prob, gamma = params.w, params.mu, params.p, params.gamma
     fail_to, wp = FAILURE_TARGET[config.ps.policy], config.ps.scheme is Scheme.WP
     arrival_times, arrivals, t_warm, t_stop = _arrival_times(config)
-    _check_samples(t_stop, config.sample_dt)
+    if config.stop_time is None:  # the config checked a time horizon's samples
+        _check_samples(t_stop, config.sample_dt)
     backoff = _Stream(config, _P_BACKOFF, lambda gen, shape: gen.exponential(1.0 / w, shape))
     service = _Stream(config, _P_SERVICE, lambda gen, shape: gen.exponential(1.0 / mu, shape))
     channel = _Stream(config, _P_CHANNEL,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoi_csma import closedform
+from aoi_csma import closedform, sim
 from aoi_csma import meanfield as mf
 from aoi_csma.cli import PRESETS, _aoi_lines, _fmt, _trajectory_lines, build_parser, main
 from aoi_csma.core import Policy, PolicyScheme, Scheme, StateFractions, SystemParams
@@ -111,6 +111,7 @@ def test_bad_sweep_syntax_is_usage_error(capsys):
         ("p=0:1", "grid must be start:end:count, got '0:1'"),
         ("p=0:1:x", "malformed grid '0:1:x'"),
         ("p", "sweep must be <param>=<start:end:count>, got 'p'"),
+        ("p=0.1:1:1000001", "grid must have at most 1000000 points, got '0.1:1:1000001'"),
     ]:
         code, out, err = run_cli(capsys, "analytic", "--lambda", "1", "--mu", "1", "--k", "1",
                                  "--sweep", sweep)
@@ -231,14 +232,35 @@ def test_simulate_writes_csvs_and_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_simulate_error_in_worker_prints_as_in_process(capsys):
-    argv = ["simulate", "--policy", "W", "--scheme", "wp", "--lambda", "-1", "--mu", "1",
-            "--w", "2", "--p", "0.7", "--n", "10", "--m", "2", "--arrivals", "100",
+    # one arrival leaves no time after warm-up, which only sim.run can find
+    argv = ["simulate", "--policy", "W", "--scheme", "wp", "--lambda", "0.8", "--mu", "1",
+            "--w", "2", "--p", "0.7", "--n", "10", "--m", "2", "--arrivals", "1",
             "--reps", "2"]
     code_1, _, err_1 = run_cli(capsys, *argv, "--parallelism", "1")
     code_2, _, err_2 = run_cli(capsys, *argv, "--parallelism", "2")
     assert code_1 == code_2 == 1
-    assert err_1 == err_2
-    assert err_1.startswith("error: invalid parameter 'lam': ")
+    assert err_1 == err_2 == "error: horizon too short: no time left after warm-up\n"
+
+
+def test_simulate_bad_input_is_refused_before_any_replication(capsys, monkeypatch):
+    def no_replication(*args, **kwargs):
+        raise AssertionError("sim.replicate called")
+
+    monkeypatch.setattr(sim, "replicate", no_replication)
+    for argv, code, message in [
+        (["--n", "0", "--m", "4", "--arrivals", "10"], 1,
+         "error: invalid parameter 'n_devices': must be a positive integer, got 0\n"),
+        (["--n", "20", "--m", "4", "--arrivals", "10", "--seed", "18446744073709551617"], 1,
+         "error: seed must lie in [0, 2**64), got 18446744073709551617\n"),
+        # p = 0 has no mean-field AoI to compare with
+        (["--n", "20", "--m", "4", "--arrivals", "10", "--p", "0", "--policy", "w", "--compare"],
+         1, "error: invalid parameter 'p': must be positive under policy (W)\n"),
+        (["--n", "20", "--m", "4", "--arrivals", "10", "--p", "0", "--policy", "i", "--compare"],
+         2, "numerical failure: p = 0.0: no packet is ever delivered\n"),
+    ]:
+        got = run_cli(capsys, "simulate", "--lambda", "0.8", "--mu", "1", "--w", "2",
+                      "--p", "0.7", *argv)
+        assert got == (code, "", message), argv
 
 
 def test_simulate_missing_channels_is_usage_error(capsys):
@@ -290,6 +312,21 @@ def test_trajectory_step_count_is_bounded(capsys):
     code, out, err = run_cli(capsys, "meanfield", *MF_ARGS, "--trajectory", "--t-end", "1e300")
     assert code == 1 and out == ""
     assert err.startswith("error: invalid parameter 't_end': ")
+
+
+def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    code, out, err = run_cli(capsys, "analytic", *ANALYTIC_POINT, "--out", str(afile))
+    assert (code, out) == (1, "")
+    assert err == f"error: --out must name a directory, got the file {afile}\n"
+    # refused before any work
+    monkeypatch.setattr(closedform, "avg_aoi", None)
+    assert run_cli(capsys, "analytic", *ANALYTIC_POINT, "--out", str(afile))[0] == 1
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "analytic", *ANALYTIC_POINT, "--out", str(afile / "sub"))
+    assert (code, out, err) == (1, "", f"error: cannot write {afile / 'sub'}: Not a directory\n")
+    assert afile.read_text() == "kept\n"
 
 
 def test_out_directory_is_created_only_when_a_file_is_written(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Tests for the shared domain types and parameter validation."""
+"""Tests for the shared domain types, which check their fields when built."""
 
 import ast
+import dataclasses
 import importlib
 import math
 import pickle
@@ -13,43 +14,50 @@ from aoi_csma.core import (
     PolicyScheme,
     StateFractions,
     SystemParams,
-    validate,
 )
 
 
 def test_validate_accepts_reference_parameters():
     params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0,
                           n_devices=100, n_channels=20)
-    assert validate(params) is params
+    assert (params.gamma, params.n_devices) == (5.0, 100)
 
 
 @pytest.mark.parametrize("field,params", [
-    ("lam", SystemParams(lam=0.0, mu=1, w=1, p=1, gamma=1)),
-    ("lam", SystemParams(lam=-0.1, mu=1, w=1, p=1, gamma=1)),
-    ("mu", SystemParams(lam=1, mu=0, w=1, p=1, gamma=1)),
-    ("w", SystemParams(lam=1, mu=1, w=-2, p=1, gamma=1)),
-    ("gamma", SystemParams(lam=1, mu=1, w=1, p=1, gamma=0)),
-    ("p", SystemParams(lam=1, mu=1, w=1, p=1.2, gamma=1)),
-    ("p", SystemParams(lam=1, mu=1, w=1, p=-0.01, gamma=1)),
-    ("lam", SystemParams(lam=math.inf, mu=1, w=1, p=1, gamma=1)),
-    ("n_devices", SystemParams(lam=1, mu=1, w=1, p=1, gamma=1, n_devices=0, n_channels=1)),
+    ("lam", dict(lam=0.0, mu=1, w=1, p=1, gamma=1)),
+    ("lam", dict(lam=-0.1, mu=1, w=1, p=1, gamma=1)),
+    ("mu", dict(lam=1, mu=0, w=1, p=1, gamma=1)),
+    ("w", dict(lam=1, mu=1, w=-2, p=1, gamma=1)),
+    ("gamma", dict(lam=1, mu=1, w=1, p=1, gamma=0)),
+    ("p", dict(lam=1, mu=1, w=1, p=1.2, gamma=1)),
+    ("p", dict(lam=1, mu=1, w=1, p=-0.01, gamma=1)),
+    ("lam", dict(lam=math.inf, mu=1, w=1, p=1, gamma=1)),
+    ("n_devices", dict(lam=1, mu=1, w=1, p=1, gamma=1, n_devices=0, n_channels=1)),
+    # N and M before the gamma = N / M derived from them
+    ("n_devices", dict(lam=1, mu=1, w=1, p=1, gamma=0.0, n_devices=0, n_channels=4)),
 ])
 def test_validate_names_the_violated_field(field, params):
     with pytest.raises(InvalidParameter) as exc:
-        validate(params)
+        SystemParams(**params)
     assert exc.value.field == field
 
 
 def test_validate_rejects_gamma_population_mismatch():
-    params = SystemParams(lam=1, mu=1, w=1, p=1, gamma=5.0, n_devices=100, n_channels=21)
     with pytest.raises(InvalidParameter) as exc:
-        validate(params)
+        SystemParams(lam=1, mu=1, w=1, p=1, gamma=5.0, n_devices=100, n_channels=21)
     assert exc.value.field == "gamma"
 
 
 def test_validate_accepts_p_zero():
     # p = 0 is a valid parameter record; only AoI evaluation diverges there.
-    validate(SystemParams(lam=1, mu=1, w=1, p=0.0, gamma=1))
+    assert SystemParams(lam=1, mu=1, w=1, p=0.0, gamma=1).p == 0.0
+
+
+def test_validate_runs_again_on_replace():
+    params = SystemParams(lam=1, mu=1, w=1, p=1, gamma=1)
+    with pytest.raises(InvalidParameter) as exc:
+        dataclasses.replace(params, mu=-1.0)
+    assert exc.value.field == "mu"
 
 
 def test_policy_scheme_combinations():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ def test_equilibrium_requires_positive_p_under_feedback():
         mf.equilibrium(Policy.W, params)
     with pytest.raises(InvalidParameter):
         mf.equilibrium(Policy.S, params)
+
+
+def test_equilibrium_fixed_point_check_catches_a_wrong_root(monkeypatch):
+    # A mistranscribed radical still gives a root in (0, 1), and ``residual``
+    # cannot see it: the drift at x* is zero by construction for any x_s.
+    # Only the fixed-point check on x_s does.
+    sqrt = math.sqrt
+    monkeypatch.setattr(mf, "math", SimpleNamespace(sqrt=lambda v: 1.01 * sqrt(v)))
+    for policy in Policy:
+        with pytest.raises(mf.NoFeasibleRoot, match="fixed-point residual .* too large"):
+            mf.equilibrium(policy, FIG3)
 
 
 def test_integrate_reaches_equilibrium():

@@ -13,8 +13,8 @@ import pytest
 from aoi_csma import closedform as cf
 from aoi_csma import meanfield as mf
 from aoi_csma import shs, sim
-from aoi_csma.core import (IDLE, SERVICE, WAITING, Policy, PolicyScheme, Scheme, StateFractions,
-                           SystemParams)
+from aoi_csma.core import (IDLE, SERVICE, WAITING, InvalidParameter, Policy, PolicyScheme, Scheme,
+                           StateFractions, SystemParams)
 
 FIG3 = dict(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0)
 
@@ -37,7 +37,7 @@ def test_config_validation():
     sim.run(good)  # should not raise
     with pytest.raises(sim.InvalidConfig):
         sim.run(sim.SimConfig(params=SystemParams(**FIG3), ps=W_WP, seed=1, stop_arrivals=10))
-    with pytest.raises(sim.InvalidConfig):
+    with pytest.raises(InvalidParameter):  # refused when the params are built
         bad = SystemParams(lam=1, mu=1, w=1, p=1, gamma=1, n_devices=0, n_channels=1)
         sim.run(sim.SimConfig(params=bad, ps=W_WP, seed=1, stop_arrivals=10))
     with pytest.raises(sim.InvalidConfig):
@@ -63,6 +63,15 @@ def test_config_validation():
             sim.run(sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, **stop))
     with pytest.raises(sim.InvalidConfig):
         sim.replicate(good, n_reps=0)
+
+
+def test_seed_outside_uint64_is_refused():
+    # a seed is one uint64 of the Philox key, so 2**64 + 1 would alias seed 1
+    for seed in (-1, 1 << 64, (1 << 64) + 1):
+        with pytest.raises(sim.InvalidConfig, match=r"seed must lie in \[0, 2\*\*64\)"):
+            sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=seed, stop_arrivals=10)
+    top = sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=(1 << 64) - 1, stop_arrivals=10)
+    assert sim.run(top).arrivals == 10
 
 
 def test_single_device_matches_closed_form():
@@ -347,7 +356,8 @@ def test_stream_hands_device_d_row_d_of_each_block():
     # purpose) Philox stream, as the Python numbers ``tolist`` makes, for
     # each sampler ``run`` uses.
     n, counts = 3, (200, 70, 131)
-    config = sim.SimConfig(params=_params(n, 1, gamma=3.0), ps=W_WP, seed=11, replication=5)
+    config = sim.SimConfig(params=_params(n, 1, gamma=3.0), ps=W_WP, seed=11, replication=5,
+                           stop_arrivals=1)
     order = [d for d, count in enumerate(counts) for _ in range(count)]
     random.Random(0).shuffle(order)
     for name, sample in _SAMPLERS.items():
@@ -370,7 +380,7 @@ def test_stream_frees_blocks_every_device_has_left():
     # With every device moving through the blocks in step, a block is freed
     # as soon as the last device takes its row: traced memory stays flat.
     n = 1000
-    config = sim.SimConfig(params=_params(n, 200), ps=W_WP, seed=3)
+    config = sim.SimConfig(params=_params(n, 200), ps=W_WP, seed=3, stop_arrivals=1)
     stream = sim._Stream(config, sim._P_BACKOFF, _SAMPLERS["exponential"])
 
     def next_block():
