@@ -262,7 +262,7 @@ class _Output:
 
     out_dir: str | None
     gnuplot: bool = False
-    documents: list[tuple[str, list[str]]] = field(default_factory=list)
+    documents: list[tuple[str, list[str], str | None]] = field(default_factory=list)
     messages: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -271,8 +271,9 @@ class _Output:
         if self.out_dir and os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
             raise UsageError(f"--out must name a directory, got the file {self.out_dir}")
 
-    def add(self, name: str, lines: list[str]) -> None:
-        self.documents.append((name, lines))
+    def add(self, name: str, lines: list[str], x: str | None = None) -> None:
+        """``x`` names the column --gnuplot-script plots the document against."""
+        self.documents.append((name, lines, x))
 
     def say(self, message: str) -> None:
         self.messages.append(message)
@@ -282,7 +283,7 @@ class _Output:
             try:
                 if self.documents:
                     os.makedirs(self.out_dir, exist_ok=True)
-                for name, lines in self.documents:
+                for name, lines, _ in self.documents:
                     path = os.path.join(self.out_dir, name)
                     with open(path, "w", newline="\n") as fh:
                         fh.write("\n".join(lines) + "\n")
@@ -292,7 +293,7 @@ class _Output:
             except OSError as exc:  # a file on the --out path, a full disk
                 raise UsageError(f"cannot write {self.out_dir}: {exc.strerror or exc}") from None
         else:
-            for name, lines in self.documents:
+            for name, lines, _ in self.documents:
                 if len(self.documents) > 1:
                     sys.stdout.write(f"# {name}\n")
                 sys.stdout.write("\n".join(lines) + "\n")
@@ -300,13 +301,14 @@ class _Output:
             sys.stdout.write(message + "\n")
 
     def _gnuplot_script(self) -> str | None:
-        """One plot per AoI table or trajectory; None when no document is one."""
+        """One plot per document added with an x column; None when there is none."""
         plots = []
-        for name, lines in self.documents:
+        for name, lines, x in self.documents:
+            if x is None:
+                continue
             header = lines[0].split(",")
-            if header[:2] == ["policy", "scheme"] and "aoi" in header:
-                xname = "value" if "value" in header else "p"
-                xcol = header.index(xname) + 1
+            xcol = header.index(x) + 1
+            if "aoi" in header:  # one curve per (policy, scheme)
                 ycol = header.index("aoi") + 1
                 curves = []
                 for ps in PolicyScheme.all_combinations():
@@ -315,9 +317,10 @@ class _Output:
                     curves.append(f"'{name}' using {xcol}:({cond} ? column({ycol}) : NaN) "
                                   f"with linespoints title '{ps.label}'")
                 plots.append("plot " + ", \\\n     ".join(curves))
-            elif header[0] == "t":
+            else:  # a trajectory: one line per column besides x
                 plots.append("plot " + ", ".join(
-                    f"'{name}' using 1:{i + 2} with lines" for i in range(len(header) - 1)))
+                    f"'{name}' using {xcol}:{i} with lines"
+                    for i in range(1, len(header) + 1) if i != xcol))
         head = ["set datafile separator ','", "set key autotitle columnhead outside", ""]
         return "\n".join(head + [f"{plot}\npause -1" for plot in plots]) + "\n" if plots else None
 
@@ -325,7 +328,7 @@ class _Output:
 # ---------------------------------------------------------------------------
 # Commands.
 
-def _add_analytic(output: _Output, name: str, combos, points: list[dict]) -> int:
+def _add_analytic(output: _Output, name: str, combos, points: list[dict], x: str) -> int:
     """Closed-form AoI and preemption gap per (policy, scheme) and point.
 
     A point that fails gets the error's name in both value columns.
@@ -344,7 +347,7 @@ def _add_analytic(output: _Output, name: str, combos, points: list[dict]) -> int
             except AoiError as exc:
                 failures += 1
                 lines.append(f"{prefix},{type(exc).__name__},{type(exc).__name__}")
-    output.add(name, lines)
+    output.add(name, lines, x)
     if failures:
         output.say(f"warning: {failures} grid point(s) failed")
         return _EXIT_NUMERICAL
@@ -357,7 +360,8 @@ def _cmd_analytic(args, output: _Output) -> int:
     _require(args, *(n for n in names if n != which))
     base = {n: getattr(args, n) for n in names}
     points = [base] if which is None else [dict(base, **{which: v}) for v in grid]
-    return _add_analytic(output, "analytic.csv", _combos(args), points)
+    x = "p" if which is None else _FLAG_OF_DEST.get(which, which)  # the swept column
+    return _add_analytic(output, "analytic.csv", _combos(args), points, x)
 
 
 def _cmd_crossvalidate(args, output: _Output) -> int:
@@ -365,10 +369,7 @@ def _cmd_crossvalidate(args, output: _Output) -> int:
     if count < 1:
         raise UsageError(f"--count must be >= 1, got {count}")
     rng = np.random.default_rng(_resolve_seed(args))
-    tuples = np.empty((count, 4))
-    for row in tuples:
-        row[:3] = rng.uniform(0.1, 5.0, size=3)
-        row[3] = rng.uniform(0.05, 1.0)
+    tuples = rng.uniform([0.1, 0.1, 0.1, 0.05], [5.0, 5.0, 5.0, 1.0], size=(count, 4))
     lam, mu, k, p = tuples.T
     deviations = []
     for ps in PolicyScheme.all_combinations():
@@ -423,11 +424,12 @@ def _cmd_meanfield(args, output: _Output) -> int:
 
     if args.sweep:
         which, grid = _parse_sweep(args.sweep, meanfield.SWEEPABLE)
-        output.add("sweep.csv", _sweep_lines(_combos(args), params, which, grid))
+        output.add("sweep.csv", _sweep_lines(_combos(args), params, which, grid), "value")
     if args.trajectory:
         for pol in args.policy:
             traj = meanfield.integrate(pol, params, args.x0, t_end=args.t_end, dt=args.dt)
-            output.add(f"trajectory_{pol.value}.csv", _trajectory_lines(traj.times, traj.states))
+            output.add(f"trajectory_{pol.value}.csv", _trajectory_lines(traj.times, traj.states),
+                       "t")
     if args.monotonicity:
         which, grid = _parse_sweep(args.monotonicity, meanfield.SWEEPABLE)
         for ps in _combos(args):
@@ -469,7 +471,7 @@ def _cmd_simulate(args, output: _Output) -> int:
         output.add(f"aoi{tag}.csv", _aoi_lines(first.avg_aoi_per_device))
         if args.sample_dt is not None:
             output.add(f"traj{tag}.csv",
-                       _trajectory_lines(first.trajectory_times, first.trajectory_fractions))
+                       _trajectory_lines(first.trajectory_times, first.trajectory_fractions), "t")
         if args.compare:
             target = targets[ps]
             rel = (pooled.mean_aoi - target) / target
@@ -485,7 +487,7 @@ def _cmd_simulate(args, output: _Output) -> int:
 
 def _write_aoi_vs_p(args, output: _Output, *, lam, mu, k, p_grid) -> int:
     points = [dict(lam=lam, mu=mu, k=k, p=p) for p in np.linspace(*p_grid)]
-    return _add_analytic(output, "aoi_vs_p.csv", PolicyScheme.all_combinations(), points)
+    return _add_analytic(output, "aoi_vs_p.csv", PolicyScheme.all_combinations(), points, "p")
 
 
 def _write_sweeps(csv_name: str, args, output: _Output, **params) -> int:
@@ -497,7 +499,7 @@ def _write_sweeps(csv_name: str, args, output: _Output, **params) -> int:
             which = key.removesuffix("_grid")
             base = SystemParams(**{**fixed, which: grid[0]})  # _sweep_lines sets each grid value
             output.add(csv_name.format(which), _sweep_lines(
-                list(PolicyScheme.all_combinations()), base, which, np.linspace(*grid)))
+                list(PolicyScheme.all_combinations()), base, which, np.linspace(*grid)), "value")
     return _EXIT_OK
 
 
@@ -514,14 +516,15 @@ def _write_accuracy(args, output: _Output, *, populations, t_end, ode_dt, pair, 
                          f"got {args.sample_dt}")
     traj = meanfield.integrate(pair.policy, SystemParams(**rates), StateFractions(1.0, 0.0, 0.0),
                                t_end=t_end, dt=ode_dt)  # every simulated device starts idle
-    output.add("accuracy_ode.csv", _trajectory_lines(traj.times[::stride], traj.states[::stride]))
+    output.add("accuracy_ode.csv",
+               _trajectory_lines(traj.times[::stride], traj.states[::stride]), "t")
     for n, config in zip(populations, configs):
         pooled = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
         one = pooled.results[0]
         mean_xi = np.mean([r.trajectory_fractions[:, 0] for r in pooled.results], axis=0)
         output.add(f"accuracy_N{n}.csv", ["t,x_I,mean_x_I"] + [
             f"{_fmt(t)},{_fmt(row[0])},{_fmt(mx)}"
-            for t, row, mx in zip(one.trajectory_times, one.trajectory_fractions, mean_xi)])
+            for t, row, mx in zip(one.trajectory_times, one.trajectory_fractions, mean_xi)], "t")
     return _EXIT_OK
 
 

@@ -82,9 +82,10 @@ class SimConfig:
     Exactly one of ``stop_arrivals`` (total system-wide packet arrivals) or
     ``stop_time`` must be set.  ``warmup_fraction`` of the horizon is
     excluded from AoI statistics.  ``sample_dt`` enables empirical-measure
-    sampling.  ``replication`` indexes the derived random streams.  Building
-    a config without N and M, or with a value out of range (a seed outside
-    [0, 2**64) included), raises :class:`InvalidConfig`.
+    sampling.  ``replication`` indexes the derived random streams.  The seed
+    and the replication are integers, keying each stream as the two uint64s
+    ``(seed, (replication << 3) | purpose)``.  Building a config without N and
+    M, or with a value out of range, raises :class:`InvalidConfig`.
     """
 
     params: SystemParams
@@ -99,6 +100,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.params.n_devices is None or self.params.n_channels is None:
             raise InvalidConfig("n_devices and n_channels must both be set for simulation")
+        if not isinstance(self.seed, int):
+            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 1 << 64:
             raise InvalidConfig(f"seed must lie in [0, 2**64), got {self.seed}")
         if (self.stop_arrivals is None) == (self.stop_time is None):
@@ -114,8 +117,9 @@ class SimConfig:
             raise InvalidConfig(f"sample_dt must be positive and finite, got {self.sample_dt}")
         if self.stop_time is not None:
             _check_samples(self.stop_time, self.sample_dt)
-        if self.replication < 0:
-            raise InvalidConfig(f"replication index must be nonnegative, got {self.replication}")
+        if not (isinstance(self.replication, int) and 0 <= self.replication < 1 << 61):
+            raise InvalidConfig(
+                f"replication must be an integer in [0, 2**61), got {self.replication!r}")
 
 
 @dataclass(frozen=True)
@@ -519,34 +523,29 @@ class PooledResult:
         return len(self.results)
 
 
-def _run_replication(args: tuple[SimConfig, int]) -> SimResult:
-    config, rep = args
-    return run(replace(config, replication=rep))
-
-
 def replicate(config: SimConfig, n_reps: int, parallelism: int = 1) -> PooledResult:
     """Run independent replications with decorrelated deterministic streams.
 
     Identical (seed, config) reproduces identical pooled output regardless of
-    the degree of parallelism; replication j uses stream index
-    config.replication + j.
+    the degree of parallelism.  Replication j runs ``config`` at replication
+    ``config.replication + j``, each built and so checked before the first runs.
     """
     if n_reps < 1:
         raise InvalidConfig(f"n_reps must be >= 1, got {n_reps}")
     if parallelism < 1:
         raise InvalidConfig(f"parallelism must be >= 1, got {parallelism}")
-    jobs = [(config, config.replication + j) for j in range(n_reps)]
+    configs = [replace(config, replication=config.replication + j) for j in range(n_reps)]
     # Under fork, the pool starts all its workers at the first submit, so the
     # count is capped by the replications and by the CPUs this process may use.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(parallelism, n_reps, cpus)
     if workers == 1:
-        results = [_run_replication(job) for job in jobs]
+        results = list(map(run, configs))
     else:
         chunk = max(1, n_reps // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replication, jobs, chunksize=chunk))
+            results = list(pool.map(run, configs, chunksize=chunk))
     means = np.array([r.avg_aoi_mean for r in results])
     mean = float(means.mean())
     stderr = float(means.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0

@@ -515,6 +515,14 @@ def test_gnuplot_script_emitted(tmp_path, capsys):
     assert code == 0
     script = (out_dir / "plot.gp").read_text()
     assert "aoi_vs_p.csv" in script
+    assert script.count("'aoi_vs_p.csv' using 6:") == 6  # against p
+    # a swept analytic table is plotted against the swept column, lambda here
+    out_dir = tmp_path / "lam"
+    code, _, _ = run_cli(capsys, "analytic", "--lambda", "1", "--mu", "1", "--k", "2",
+                         "--p", "0.7", "--sweep", "lam=0.2:2:4", "--out", str(out_dir),
+                         "--gnuplot-script")
+    assert code == 0
+    assert (out_dir / "plot.gp").read_text().count("'analytic.csv' using 3:") == 6
     # a summary and per-device AoI have nothing to plot, so no script is written
     out_dir = tmp_path / "sim"
     code, _, _ = run_cli(capsys, "simulate", "--policy", "W", "--scheme", "wp", *SIM_POINT,

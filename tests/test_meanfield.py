@@ -233,6 +233,14 @@ def test_step_too_large_names_the_deviation():
                               "use a smaller dt")
 
 
+def test_integrate_puts_a_start_off_the_simplex_back_on_it():
+    # the start sums to 1 - 1e-10, within the 1e-9 the start may be off; the
+    # first step carries the deficit, is renormalized and records it
+    traj = mf.integrate(Policy.W, FIG3, StateFractions(1.0 - 1e-10, 0.0, 0.0), t_end=1.0)
+    assert traj.max_simplex_correction == pytest.approx(1e-10, rel=1e-6)
+    assert np.abs(traj.states[1:].sum(axis=1) - 1.0).max() < 1e-15
+
+
 def test_trajectory_points_stay_on_simplex():
     traj = mf.integrate(Policy.S, FIG3, StateFractions(0.2, 0.78, 0.02), t_end=50.0, dt=0.01)
     sums = traj.states.sum(axis=1)
@@ -298,3 +306,5 @@ def test_monotonicity_grid_validation():
         mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "mu", [0.0, 1.0])
     with pytest.raises(mf.GridPointInvalid):
         mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "bogus", [1.0])
+    with pytest.raises(mf.GridPointInvalid, match="empty grid"):
+        mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "p", [])

@@ -98,6 +98,23 @@ def test_stationary_not_irreducible():
         shs.stationary(chain)
 
 
+_GROW = np.array([[1.0, 0.0], [1.0, 1.0]])
+_RESET = np.array([[1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("growth, transitions, message", [
+    (np.ones((3, 2)), (), r"growth must have shape \(2, 2\)"),
+    (np.array([[1.0, 0.5], [1.0, 1.0]]), (), "growth entries must be 0 or 1"),
+    (np.array([[1.0, 0.0], [0.0, 1.0]]), (), "the receiver age z_0 must grow"),
+    (_GROW, (shs.Transition(0, 2, 1.0, _RESET),), "transition 0->2 out of range"),
+    (_GROW, (shs.Transition(0, 1, 1.0, np.eye(3)),), "reset matrix shape mismatch"),
+    (_GROW, (shs.Transition(0, 1, 1.0, 0.5 * _RESET),), "reset entries must be 0 or 1"),
+])
+def test_chain_construction_refuses_malformed_input(growth, transitions, message):
+    with pytest.raises(ValueError, match=message):
+        shs.ShsChain(n_states=2, age_dim=2, transitions=transitions, growth=growth)
+
+
 def test_age_solution_reference_values():
     chain = shs.build_chain(I_WP, lam=1, mu=1, k=1, p=1)
     sol = shs.solve_age_system(chain, shs.stationary(chain))

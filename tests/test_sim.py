@@ -6,6 +6,7 @@ import math
 import os
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,32 @@ def test_seed_outside_uint64_is_refused():
             sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=seed, stop_arrivals=10)
     top = sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=(1 << 64) - 1, stop_arrivals=10)
     assert sim.run(top).arrivals == 10
+
+
+def test_stream_key_takes_integers_in_range():
+    # (seed, (replication << 3) | purpose) is two uint64s: a float seed would be
+    # truncated to seed 1, and replication 2**61 would not fit
+    good = sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, stop_arrivals=10)
+    replication = r"replication must be an integer in \[0, 2\*\*61\)"
+    for field, value, message in [("seed", 1.5, "seed must be an integer, got 1.5"),
+                                  ("replication", 1.5, replication),
+                                  ("replication", -1, replication),
+                                  ("replication", 1 << 61, replication)]:
+        with pytest.raises(sim.InvalidConfig, match=message):
+            replace(good, **{field: value})
+    assert sim.run(replace(good, replication=(1 << 61) - 1)).arrivals == 10
+
+
+def test_replicate_checks_every_replication_before_any_runs(monkeypatch):
+    def no_run(config):
+        raise AssertionError("sim.run called")
+
+    monkeypatch.setattr(sim, "run", no_run)
+    last = sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, stop_arrivals=10,
+                         replication=(1 << 61) - 1)
+    for parallelism in (1, 2):
+        with pytest.raises(sim.InvalidConfig, match=r"2\*\*61\), got 2305843009213693952"):
+            sim.replicate(last, n_reps=2, parallelism=parallelism)
 
 
 def test_single_device_matches_closed_form():
@@ -147,7 +174,7 @@ def test_replicate_starts_no_more_workers_than_replications(monkeypatch):
     assert capped.mean_aoi == serial.mean_aoi and capped.stderr == serial.stderr
     # 5000 replications stand in for 5000 runs: one result, handed back each time
     first = serial.results[0]
-    monkeypatch.setattr(sim, "_run_replication", lambda job: first)
+    monkeypatch.setattr(sim, "run", lambda config: first)
     sim.replicate(config, n_reps=5000, parallelism=5000)
     assert seen == [2, 2]
     cpus[0] = 1  # one CPU runs in this process
@@ -205,6 +232,16 @@ def test_aoi_accounting_basics():
     assert result.measured_time > 0
     assert 0.0 < result.effective_k_estimate <= FIG3["w"]
     assert result.arrivals >= result.preempted + result.discarded
+
+
+def test_warmup_boundary_no_event_reaches():
+    # no arrival in [0, 1] for these seeds, so the boundary t = 0.5 is applied
+    # after the event loop and the AoI is t itself, averaged over [0.5, 1]
+    params = replace(_single_device_params(), lam=0.001)
+    for seed in (1, 2, 3, 5):
+        result = sim.run(sim.SimConfig(params=params, ps=I_WP, seed=seed, stop_time=1.0,
+                                       warmup_fraction=0.5))
+        assert (result.arrivals, result.measured_time, result.avg_aoi_mean) == (0, 0.5, 0.75)
 
 
 def test_effective_k_estimate_tracks_mean_field():
