@@ -368,6 +368,8 @@ def _cmd_crossvalidate(args, output: _Output) -> int:
     count = args.count
     if count < 1:
         raise UsageError(f"--count must be >= 1, got {count}")
+    if count > _MAX_GRID:
+        raise UsageError(f"--count must be at most {_MAX_GRID}, got {count}")
     rng = np.random.default_rng(_resolve_seed(args))
     tuples = rng.uniform([0.1, 0.1, 0.1, 0.05], [5.0, 5.0, 5.0, 1.0], size=(count, 4))
     lam, mu, k, p = tuples.T

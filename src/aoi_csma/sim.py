@@ -11,7 +11,9 @@ aggregate access rate w * (1 - gamma * X_S) per waiting device.
 
 Per-device receiver AoI follows the sawtooth: unit growth everywhere,
 downward jumps to the delivered packet's age at successful completions.
-Statistics exclude a configurable warm-up window.
+Statistics exclude a configurable warm-up window: the events run in two
+phases, before the warm-up's end and up to the horizon, and each phase
+starts its statistics afresh.
 
 Randomness contract: every draw is a pure function of
 (seed, replication, device, purpose, draw index).  One counter-keyed
@@ -26,7 +28,9 @@ only when it is read.
 
 Events on the heap: each device has exactly one pending event, its next
 arrival while idle, its backoff expiry while waiting, or its service
-completion while in service.  Two kinds of event that change no state never
+completion while in service, keyed by the device's state (``core.IDLE``,
+``WAITING`` or ``SERVICE``).  A channel is its occupant's completion time,
+or -1.0 while it is free.  Two kinds of event that change no state never
 reach the heap, and both still consume the same per-device draws:
 
 - Arrivals at a waiting or transmitting device.  Each device's arrival
@@ -57,7 +61,8 @@ from heapq import heapify, heapreplace
 
 import numpy as np
 
-from .core import FAILURE_TARGET, IDLE, SERVICE, AoiError, PolicyScheme, Scheme, SystemParams
+from .core import (FAILURE_TARGET, IDLE, SERVICE, WAITING, AoiError, PolicyScheme, Scheme,
+                   SystemParams)
 
 
 class InvalidConfig(AoiError):
@@ -68,7 +73,6 @@ class ChannelAccounting(AoiError):
     """Internal invariant violated: busy channels != devices in service."""
 
 
-_ARRIVAL, _BACKOFF, _COMPLETE = 0, 1, 2
 _P_ARRIVAL, _P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS = range(5)
 
 _MAX_SAMPLES = 10_000_000  # trajectory samples per run, as meanfield bounds its steps
@@ -106,8 +110,10 @@ class SimConfig:
             raise InvalidConfig(f"seed must lie in [0, 2**64), got {self.seed}")
         if (self.stop_arrivals is None) == (self.stop_time is None):
             raise InvalidConfig("exactly one of stop_arrivals / stop_time must be set")
-        if self.stop_arrivals is not None and self.stop_arrivals < 1:
-            raise InvalidConfig(f"stop_arrivals must be >= 1, got {self.stop_arrivals}")
+        if self.stop_arrivals is not None and not (isinstance(self.stop_arrivals, int)
+                                                   and self.stop_arrivals >= 1):
+            raise InvalidConfig(
+                f"stop_arrivals must be an integer >= 1, got {self.stop_arrivals!r}")
         if self.stop_time is not None and not 0 < self.stop_time < math.inf:
             raise InvalidConfig(f"stop_time must be positive and finite, got {self.stop_time}")
         if not 0.0 <= self.warmup_fraction <= 0.5:
@@ -277,8 +283,8 @@ def _check_samples(t_stop: float, sample_dt: float | None) -> None:
                             "samples over the horizon")
 
 
-def _check_channels(occupied: list[bool], n_serv: int) -> None:
-    busy = sum(occupied)
+def _check_channels(busy_until: list[float], n_serv: int) -> None:
+    busy = len(busy_until) - busy_until.count(-1.0)
     if busy != n_serv:
         raise ChannelAccounting(f"{busy} channels busy but {n_serv} devices in service")
 
@@ -293,6 +299,9 @@ def run(config: SimConfig) -> SimResult:
     arrival_times, arrivals, t_warm, t_stop = _arrival_times(config)
     if config.stop_time is None:  # the config checked a time horizon's samples
         _check_samples(t_stop, config.sample_dt)
+    measured = t_stop - t_warm
+    if measured <= 0.0:
+        raise InvalidConfig("horizon too short: no time left after warm-up")
     backoff = _Stream(config, _P_BACKOFF, lambda gen, shape: gen.exponential(1.0 / w, shape))
     service = _Stream(config, _P_SERVICE, lambda gen, shape: gen.exponential(1.0 / mu, shape))
     channel = _Stream(config, _P_CHANNEL,
@@ -308,28 +317,18 @@ def run(config: SimConfig) -> SimResult:
     # first arrival of ``arrival_times[d]`` not yet applied to it.  ``chan``
     # is the channel a device holds in service, or will sense when its
     # pending backoff expires.  ``aoi_time``/``aoi_value`` pin the sawtooth
-    # at the last reset (delivery or warm-up boundary) and ``aoi_integral``
+    # at the last reset (delivery or phase start) and ``aoi_integral``
     # accumulates its area.  ``busy_until[c]`` is the scheduled completion
-    # of the device in service on channel ``c``, if ``occupied[c]``.
+    # of the device in service on channel ``c``, or -1.0 while ``c`` is free.
     stamp = [0.0] * n
     applied = [0] * n
     chan = [-1] * n
     aoi_time = [0.0] * n
     aoi_value = [0.0] * n
     aoi_integral = [0.0] * n
-    occupied = [False] * m
-    busy_until = [0.0] * m
-    n_idle, n_wait, n_serv = n, 0, 0
+    busy_until = [-1.0] * m
+    n_wait = n_serv = 0
     delivered = failed = preempted = discarded = replaced = 0
-
-    # The integrals accumulate from t = 0 and begin_stats zeroes them.
-    # ``t_pending`` is the warm-up boundary while it lies ahead in time, else
-    # inf.  ``ns_integral`` integrates ``n_serv`` up to ``last_t``, the time
-    # of its last change, and is updated only where it changes.
-    t_pending = t_warm
-    stats_t0 = 0.0
-    ns_integral = 0.0
-    last_t = 0.0
 
     sampling = config.sample_dt is not None
     sample_dt = config.sample_dt or 0.0
@@ -338,150 +337,137 @@ def run(config: SimConfig) -> SimResult:
     traj_counts = array("q")  # (idle, waiting, service) per sample, flat
     if sampling:
         traj_times.append(0.0)
-        traj_counts.extend((n_idle, n_wait, n_serv))
+        traj_counts.extend((n, 0, 0))
         next_sample = sample_dt
 
-    def begin_stats(tb: float) -> None:
-        nonlocal t_pending, stats_t0, ns_integral, last_t
-        for i in range(n):
-            aoi_value[i] += tb - aoi_time[i]
-            aoi_time[i] = tb
-            aoi_integral[i] = 0.0
-        t_pending = math.inf
-        stats_t0 = tb
-        ns_integral = 0.0
-        last_t = tb
-
-    heap = [(times[0], d, _ARRIVAL) for d, times in enumerate(arrival_times)]
+    heap = [(times[0], d, IDLE) for d, times in enumerate(arrival_times)]
     heapify(heap)
 
-    # Each device has exactly one pending event, so every event replaces
-    # itself at the top of the heap (heapreplace) with the device's next
-    # one.  Pending tuples (t, d, kind) are unique by device, so the heap
-    # pops them in one total order whatever its internal layout.
-    while True:
-        t, d, kind = heap[0]
-        if t > t_stop:
-            break
-        if t >= t_pending:
-            begin_stats(t_pending)
-        while next_sample < t:
-            _check_channels(occupied, n_serv)
-            traj_times.append(next_sample)
-            traj_counts.extend((n_idle, n_wait, n_serv))
-            next_sample += sample_dt
+    # The events run in two phases, the warm-up [0, t_warm) and the measured
+    # [t_warm, t_stop], and each phase starts its statistics afresh (at t = 0
+    # this changes nothing).  An arrival horizon's t_warm is an arrival time,
+    # which falls in the second phase.  ``ns_integral`` integrates ``n_serv`` up to
+    # ``last_t``, the time of its last change, and is updated only where it
+    # changes.  Each device has exactly one pending event, so every event
+    # replaces itself at the top of the heap (heapreplace) with the device's
+    # next one.  Pending tuples (t, d, state) are unique by device, so the
+    # heap pops them in one total order whatever its internal layout.
+    for t0, end in ((0.0, math.nextafter(t_warm, -math.inf)), (t_warm, t_stop)):
+        for i in range(n):
+            aoi_value[i] += t0 - aoi_time[i]
+            aoi_time[i] = t0
+            aoi_integral[i] = 0.0
+        ns_integral = 0.0
+        last_t = t0
+        while True:
+            t, d, kind = heap[0]
+            if t > end:
+                break
+            while next_sample < t:
+                _check_channels(busy_until, n_serv)
+                traj_times.append(next_sample)
+                traj_counts.extend((n - n_wait - n_serv, n_wait, n_serv))
+                next_sample += sample_dt
 
-        if kind == _BACKOFF:
-            c = chan[d]
-            if not occupied[c]:
+            if kind == WAITING:  # backoff expiry
+                c = chan[d]
+                if busy_until[c] < 0.0:
+                    times = arrival_times[d]
+                    i = applied[d]
+                    j = bisect_right(times, t, i)
+                    if j > i:  # the newest arrival replaced the waiting packet
+                        stamp[d] = times[j - 1]
+                        applied[d] = j
+                        replaced += j - i
+                    ns_integral += n_serv * (t - last_t)
+                    last_t = t
+                    n_wait -= 1
+                    n_serv += 1
+                    q = draw_svc[d]
+                    t_done = t + (q.pop() if q else refill_svc(d))
+                    busy_until[c] = t_done
+                    heapreplace(heap, (t_done, d, SERVICE))
+                    continue
+                # the channel is busy: back off again, below
+            elif kind == SERVICE:  # completion
                 times = arrival_times[d]
                 i = applied[d]
                 j = bisect_right(times, t, i)
-                if j > i:  # the newest arrival replaced the waiting packet
-                    stamp[d] = times[j - 1]
+                if j > i:  # arrivals during service preempt or are discarded
                     applied[d] = j
-                    replaced += j - i
-                occupied[c] = True
+                    if wp:
+                        stamp[d] = times[j - 1]
+                        preempted += j - i
+                    else:
+                        discarded += j - i
+                q = draw_ok[d]
+                if (q.pop() if q else refill_ok(d)) < prob:
+                    delivered += 1
+                    dtau = t - aoi_time[d]
+                    aoi_integral[d] += aoi_value[d] * dtau + 0.5 * dtau * dtau
+                    aoi_value[d] = t - stamp[d]
+                    aoi_time[d] = t
+                    next_state = IDLE
+                else:
+                    failed += 1
+                    next_state = fail_to
+                    if fail_to == SERVICE:
+                        q = draw_svc[d]
+                        t_done = t + (q.pop() if q else refill_svc(d))
+                        busy_until[chan[d]] = t_done
+                        heapreplace(heap, (t_done, d, SERVICE))
+                        continue
+                busy_until[chan[d]] = -1.0
                 ns_integral += n_serv * (t - last_t)
                 last_t = t
-                n_wait -= 1
-                n_serv += 1
-                q = draw_svc[d]
-                t_done = t + (q.pop() if q else refill_svc(d))
-                busy_until[c] = t_done
-                heapreplace(heap, (t_done, d, _COMPLETE))
-                continue
-            # the channel is busy: back off again, below
-        elif kind == _COMPLETE:
-            times = arrival_times[d]
-            i = applied[d]
-            j = bisect_right(times, t, i)
-            if j > i:  # arrivals during service preempt or are discarded
-                applied[d] = j
-                if wp:
-                    stamp[d] = times[j - 1]
-                    preempted += j - i
-                else:
-                    discarded += j - i
-            q = draw_ok[d]
-            if (q.pop() if q else refill_ok(d)) < prob:
-                delivered += 1
-                dtau = t - aoi_time[d]
-                aoi_integral[d] += aoi_value[d] * dtau + 0.5 * dtau * dtau
-                aoi_value[d] = t - stamp[d]
-                aoi_time[d] = t
-                next_state = IDLE
-            else:
-                failed += 1
-                next_state = fail_to
-                if fail_to == SERVICE:
-                    q = draw_svc[d]
-                    t_done = t + (q.pop() if q else refill_svc(d))
-                    busy_until[chan[d]] = t_done
-                    heapreplace(heap, (t_done, d, _COMPLETE))
+                n_serv -= 1
+                if next_state == IDLE:
+                    heapreplace(heap, (times[j], d, IDLE))
                     continue
-            occupied[chan[d]] = False
-            ns_integral += n_serv * (t - last_t)
-            last_t = t
-            n_serv -= 1
-            if next_state == IDLE:
-                n_idle += 1
-                heapreplace(heap, (times[j], d, _ARRIVAL))
-                continue
-            n_wait += 1  # re-contend with the undelivered packet
-        else:  # _ARRIVAL at an idle device
-            stamp[d] = t
-            applied[d] += 1
-            n_idle -= 1
-            n_wait += 1
+                n_wait += 1  # re-contend with the undelivered packet
+            else:  # arrival at an idle device
+                stamp[d] = t
+                applied[d] += 1
+                n_wait += 1
 
-        # Schedule the next backoff expiry, skipping every one that would
-        # sense a channel whose occupant completes only after it.
-        q = draw_bo[d]
-        t += q.pop() if q else refill_bo(d)
-        q = draw_ch[d]
-        c = q.pop() if q else refill_ch(d)
-        while occupied[c] and t < busy_until[c]:
+            # Schedule the next backoff expiry, skipping every one that would
+            # sense a channel whose occupant completes only after it.
             q = draw_bo[d]
             t += q.pop() if q else refill_bo(d)
             q = draw_ch[d]
             c = q.pop() if q else refill_ch(d)
-        chan[d] = c
-        heapreplace(heap, (t, d, _BACKOFF))
-
-    # A time horizon can end before any event reaches the boundary, and an
-    # arrival horizon's boundary can be an arrival at a busy device.
-    end_time = t_stop
-    if t_pending <= end_time:
-        begin_stats(t_pending)
-    measured = end_time - stats_t0
-    if measured <= 0.0:
-        raise InvalidConfig("horizon too short: no time left after warm-up")
+            while t < busy_until[c]:
+                q = draw_bo[d]
+                t += q.pop() if q else refill_bo(d)
+                q = draw_ch[d]
+                c = q.pop() if q else refill_ch(d)
+            chan[d] = c
+            heapreplace(heap, (t, d, WAITING))
 
     # A device waiting at the end had its packet replaced by each arrival it
     # skipped; one in service preempted or discarded them.
     for _, d, kind in heap:
-        if kind != _ARRIVAL:
+        if kind != IDLE:
             skipped = len(arrival_times[d]) - 1 - applied[d]
-            if kind == _BACKOFF:
+            if kind == WAITING:
                 replaced += skipped
             elif wp:
                 preempted += skipped
             else:
                 discarded += skipped
 
-    ns_integral += n_serv * (end_time - last_t)
+    ns_integral += n_serv * (t_stop - last_t)
     if sampling:
-        while next_sample <= end_time + 1e-12:
-            _check_channels(occupied, n_serv)
+        while next_sample <= t_stop + 1e-12:
+            _check_channels(busy_until, n_serv)
             traj_times.append(next_sample)
-            traj_counts.extend((n_idle, n_wait, n_serv))
+            traj_counts.extend((n - n_wait - n_serv, n_wait, n_serv))
             next_sample += sample_dt
-    _check_channels(occupied, n_serv)
+    _check_channels(busy_until, n_serv)
 
     avgs = np.empty(n)
     for d in range(n):
-        dtau = end_time - aoi_time[d]
+        dtau = t_stop - aoi_time[d]
         avgs[d] = (aoi_integral[d] + aoi_value[d] * dtau + 0.5 * dtau * dtau) / measured
     mean = float(avgs.mean())
     stderr = float(avgs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -498,10 +484,10 @@ def run(config: SimConfig) -> SimResult:
         preempted=preempted,
         discarded=discarded,
         replaced=replaced,
-        held=n - n_idle,
+        held=n_wait + n_serv,
         effective_k_estimate=k_est,
         measured_time=measured,
-        end_time=end_time,
+        end_time=t_stop,
         n_devices=n,
         trajectory_times=np.frombuffer(traj_times) if sampling else None,
         trajectory_counts=(np.frombuffer(traj_counts, dtype=np.int64).reshape(-1, 3)

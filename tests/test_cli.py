@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoi_csma import closedform, sim
+from aoi_csma import closedform, shs, sim
 from aoi_csma import meanfield as mf
 from aoi_csma.cli import PRESETS, _aoi_lines, _fmt, _trajectory_lines, build_parser, main
 from aoi_csma.core import Policy, PolicyScheme, Scheme, StateFractions, SystemParams
@@ -140,6 +140,16 @@ def test_crossvalidate_passes_and_detects_injected_error(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "crossvalidate", "--count", "5", "--seed", "5")
         assert code == 3
         assert "max_relative_deviation=nan" in out and "FAIL" in out
+
+
+def test_crossvalidate_count_above_the_grid_cap_is_usage_error(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a refused count must not reach the solver")
+
+    monkeypatch.setattr(shs, "average_aoi", no_solve)
+    code, _, err = run_cli(capsys, "crossvalidate", "--count", "1000001")
+    assert code == 1
+    assert "--count must be at most 1000000, got 1000001" in err
 
 
 @pytest.mark.parametrize("argv, stdout", [

@@ -126,6 +126,12 @@ def test_age_solution_reference_values():
     assert sol.avg_aoi == pytest.approx(3.5, abs=1e-12)
 
 
+def test_age_system_refuses_a_mis_shaped_pi():
+    chain = shs.build_chain(I_WP, lam=1, mu=1, k=1, p=1)
+    with pytest.raises(ValueError, match=r"pi must have shape \(3,\), got \(2,\)"):
+        shs.solve_age_system(chain, np.array([0.5, 0.5]))
+
+
 def test_age_system_singular_for_unreachable_states():
     # states 1 and 2 carry no transitions at all: their balance rows vanish
     chain = shs.ShsChain(

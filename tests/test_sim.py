@@ -14,8 +14,8 @@ import pytest
 from aoi_csma import closedform as cf
 from aoi_csma import meanfield as mf
 from aoi_csma import shs, sim
-from aoi_csma.core import (IDLE, SERVICE, WAITING, InvalidParameter, Policy, PolicyScheme, Scheme,
-                           StateFractions, SystemParams)
+from aoi_csma.core import (SERVICE, InvalidParameter, Policy, PolicyScheme, Scheme, StateFractions,
+                           SystemParams)
 
 FIG3 = dict(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0)
 
@@ -62,8 +62,18 @@ def test_config_validation():
                  dict(stop_arrivals=100, sample_dt=1e-300)):
         with pytest.raises(sim.InvalidConfig, match="more than 10000000 samples"):
             sim.run(sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, **stop))
+    for stop_arrivals in (50.5, 0):  # np.partition needs an integer index
+        with pytest.raises(sim.InvalidConfig, match="stop_arrivals must be an integer >= 1"):
+            sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, stop_arrivals=stop_arrivals)
     with pytest.raises(sim.InvalidConfig):
         sim.replicate(good, n_reps=0)
+
+
+def test_channel_accounting_mismatch_is_raised():
+    # a free channel holds -1.0 and a busy one its occupant's completion time
+    sim._check_channels([-1.0, 2.5, 0.0], 2)
+    with pytest.raises(sim.ChannelAccounting, match="2 channels busy but 1 devices in service"):
+        sim._check_channels([-1.0, 2.5, 0.0], 1)
 
 
 def test_seed_outside_uint64_is_refused():
@@ -493,15 +503,14 @@ def test_events_follow_the_shs_chain_edges(ps, p, monkeypatch):
 
     With N = M = 1 the channel is free at every backoff expiry, so every
     event is one pending event replaced by the device's next one, and the
-    kinds of the two give the device's state before and after.  The chain's
+    kinds of the two are the device's state before and after.  The chain's
     lam-rate self-loops (replacement while waiting, preemption in service)
     are arrivals the simulator applies without an event.
     """
-    state_of = {sim._ARRIVAL: IDLE, sim._BACKOFF: WAITING, sim._COMPLETE: SERVICE}
     moves = []
 
     def recording_heapreplace(heap, item):
-        moves.append((state_of[heap[0][2]], state_of[item[2]]))
+        moves.append((heap[0][2], item[2]))
         return heapq.heapreplace(heap, item)
 
     monkeypatch.setattr(sim, "heapreplace", recording_heapreplace)
