@@ -33,13 +33,12 @@ completion while in service, keyed by the device's state (``core.IDLE``,
 or -1.0 while it is free.  Two kinds of event that change no state never
 reach the heap, and both still consume the same per-device draws:
 
-- Arrivals at a waiting or transmitting device.  Each device's arrival
-  times are summed up front from its arrival-stream rows, in the order one
-  arrival at a time would add them.  When a device leaves waiting or
-  service, and for every device at the end, ``bisect_right`` over its
-  times applies the arrivals it skipped: the packet stamp and the
-  preempted or discarded count.  The times cost 8 bytes per arrival in the
-  horizon (1.6 MB at 200k arrivals), kept as one ``array('d')`` per device.
+- Arrivals at a waiting or transmitting device.  Each device holds its
+  next arrival time, drawn when the device reaches its previous arrival and
+  advanced with ``+=``.  When a device leaves waiting or service, and for
+  every device held at the end, the arrivals up to that time are drawn
+  then: the packet stamp moves and the replaced, preempted or discarded
+  count grows.
 - Backoff expiries that must find their channel busy.  A backoff's channel
   is drawn when the backoff is scheduled.  While that channel's occupant is
   due to complete after the backoff expires, the expiry would only schedule
@@ -53,7 +52,6 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from bisect import bisect_right
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -76,6 +74,7 @@ class ChannelAccounting(AoiError):
 _P_ARRIVAL, _P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS = range(5)
 
 _MAX_SAMPLES = 10_000_000  # trajectory samples per run, as meanfield bounds its steps
+_MAX_ARRIVALS = 10_000_000  # an arrival horizon holds all its times to find its end
 _NORMAL_95 = 1.959963984540054
 
 
@@ -110,10 +109,13 @@ class SimConfig:
             raise InvalidConfig(f"seed must lie in [0, 2**64), got {self.seed}")
         if (self.stop_arrivals is None) == (self.stop_time is None):
             raise InvalidConfig("exactly one of stop_arrivals / stop_time must be set")
-        if self.stop_arrivals is not None and not (isinstance(self.stop_arrivals, int)
-                                                   and self.stop_arrivals >= 1):
-            raise InvalidConfig(
-                f"stop_arrivals must be an integer >= 1, got {self.stop_arrivals!r}")
+        if self.stop_arrivals is not None:
+            if not (isinstance(self.stop_arrivals, int) and self.stop_arrivals >= 1):
+                raise InvalidConfig(
+                    f"stop_arrivals must be an integer >= 1, got {self.stop_arrivals!r}")
+            if self.stop_arrivals > _MAX_ARRIVALS:
+                raise InvalidConfig(f"stop_arrivals={self.stop_arrivals} is more than "
+                                    f"{_MAX_ARRIVALS}; a stop_time horizon runs longer")
         if self.stop_time is not None and not 0 < self.stop_time < math.inf:
             raise InvalidConfig(f"stop_time must be positive and finite, got {self.stop_time}")
         if not 0.0 <= self.warmup_fraction <= 0.5:
@@ -218,25 +220,23 @@ class _Stream:
         return row.pop()
 
 
-def _arrival_times(config: SimConfig) -> tuple[list[array], int, float, float]:
-    """Each device's arrival times up to the end of the run, and the run's limits.
+def _exponential(rate: float) -> Callable[[np.random.Generator, tuple], np.ndarray]:
+    return lambda gen, shape: gen.exponential(1.0 / rate, shape)
 
-    Device d's inter-arrival draws are row d of the arrival stream's
-    consecutive (n, BLOCK) blocks.  Their running sum along the row, carried
-    from block to block, adds them in the order of ``t += draw``, so the
-    times are bit for bit those of drawing one arrival at a time.  The first
-    round draws one block; while some device's times end before the horizon,
-    each round draws as many blocks again as drawn so far.
 
-    An arrival horizon becomes a time: ``t_stop`` is the time of its
-    ``stop_arrivals``-th arrival and ``t_warm`` that of the warm-up's last
-    (0 without warm-up).  Each device's row keeps its times up to ``t_stop``
-    and ends with ``inf``.  Returns ``(rows, arrivals, t_warm, t_stop)``,
-    where ``arrivals`` counts the times up to ``t_stop``.
+def _arrival_horizon(config: SimConfig) -> tuple[float, float]:
+    """An arrival horizon's ``(t_warm, t_stop)``.
+
+    ``t_stop`` is the time of the ``stop_arrivals``-th arrival and ``t_warm``
+    that of the warm-up's last (0 without warm-up).  Device d's arrival times
+    are the running sum of row d of the arrival stream's consecutive (n,
+    BLOCK) blocks, carried from block to block, so they are bit for bit the
+    times ``run`` draws one at a time.  The first round draws one block;
+    until every arrival up to the horizon is drawn, each round draws as many
+    blocks again as drawn so far.
     """
-    n, lam = config.params.n_devices, config.params.lam
-    a_stop = config.stop_arrivals
-    stream = _Stream(config, _P_ARRIVAL, lambda gen, shape: gen.exponential(1.0 / lam, shape))
+    n, a_stop = config.params.n_devices, config.stop_arrivals
+    stream = _Stream(config, _P_ARRIVAL, _exponential(config.params.lam))
     times = np.empty((n, 0))
     last = 0.0
     while True:
@@ -245,35 +245,12 @@ def _arrival_times(config: SimConfig) -> tuple[list[array], int, float, float]:
         np.cumsum(more, axis=1, out=more)
         times = np.concatenate((times, more), axis=1)
         last = times[:, -1]
-        covered = last.min()  # every arrival up to this time has been drawn
-        if a_stop is None:
-            if covered >= config.stop_time:
-                break
-        elif np.count_nonzero(times <= covered) >= a_stop:
+        if np.count_nonzero(times <= last.min()) >= a_stop:  # all drawn up to last.min()
             break
-
-    if a_stop is None:
-        t_stop = config.stop_time
-        t_warm = config.warmup_fraction * t_stop
-    else:
-        a_warm = math.ceil(config.warmup_fraction * a_stop)
-        order = np.partition(times, [a_warm - 1, a_stop - 1] if a_warm else a_stop - 1,
-                             axis=None)
-        t_stop = float(order[a_stop - 1])
-        t_warm = float(order[a_warm - 1]) if a_warm else 0.0
-        del order
-    counts = np.count_nonzero(times <= t_stop, axis=1)
-    if counts.max() == times.shape[1]:  # a full row needs a column for its inf
-        times = np.concatenate((times, np.empty((n, 1))), axis=1)
-    times[np.arange(n), counts] = math.inf
-    width = times.shape[1]
-    del more, last  # at most one copy of the draws next to times, then none
-    flat = array("d")
-    flat.frombytes(memoryview(times).cast("B"))
-    del times
-    rows = [flat[start:start + c + 1]
-            for start, c in zip(range(0, n * width, width), counts.tolist())]
-    return rows, int(counts.sum()), t_warm, t_stop
+    del more  # the partition below copies the times once more
+    a_warm = math.ceil(config.warmup_fraction * a_stop)
+    order = np.partition(times, [a_warm - 1, a_stop - 1] if a_warm else a_stop - 1, axis=None)
+    return (float(order[a_warm - 1]) if a_warm else 0.0), float(order[a_stop - 1])
 
 
 def _check_samples(t_stop: float, sample_dt: float | None) -> None:
@@ -296,39 +273,44 @@ def run(config: SimConfig) -> SimResult:
     m: int = params.n_channels
     w, mu, prob, gamma = params.w, params.mu, params.p, params.gamma
     fail_to, wp = FAILURE_TARGET[config.ps.policy], config.ps.scheme is Scheme.WP
-    arrival_times, arrivals, t_warm, t_stop = _arrival_times(config)
     if config.stop_time is None:  # the config checked a time horizon's samples
+        t_warm, t_stop = _arrival_horizon(config)
         _check_samples(t_stop, config.sample_dt)
+    else:
+        t_stop = config.stop_time
+        t_warm = config.warmup_fraction * t_stop
     measured = t_stop - t_warm
     if measured <= 0.0:
         raise InvalidConfig("horizon too short: no time left after warm-up")
-    backoff = _Stream(config, _P_BACKOFF, lambda gen, shape: gen.exponential(1.0 / w, shape))
-    service = _Stream(config, _P_SERVICE, lambda gen, shape: gen.exponential(1.0 / mu, shape))
+    arrival = _Stream(config, _P_ARRIVAL, _exponential(params.lam))
+    backoff = _Stream(config, _P_BACKOFF, _exponential(w))
+    service = _Stream(config, _P_SERVICE, _exponential(mu))
     channel = _Stream(config, _P_CHANNEL,
                       lambda gen, shape: gen.integers(0, m, shape, dtype=np.int64))
     success = _Stream(config, _P_SUCCESS, lambda gen, shape: gen.random(shape))
+    draw_arr, refill_arr = arrival.draws, arrival.refill
     draw_bo, refill_bo = backoff.draws, backoff.refill
     draw_svc, refill_svc = service.draws, service.refill
     draw_ch, refill_ch = channel.draws, channel.refill
     draw_ok, refill_ok = success.draws, success.refill
 
     # Device state as parallel lists.  ``stamp`` is the held packet's arrival
-    # time, up to date at a device's last event; ``applied[d]`` indexes the
-    # first arrival of ``arrival_times[d]`` not yet applied to it.  ``chan``
-    # is the channel a device holds in service, or will sense when its
-    # pending backoff expires.  ``aoi_time``/``aoi_value`` pin the sawtooth
+    # time, up to date at a device's last event, and ``next_arrival`` the
+    # time of the first arrival it has not yet reached.  ``chan`` is the
+    # channel a device holds in service, or will sense when its pending
+    # backoff expires.  ``aoi_time``/``aoi_value`` pin the sawtooth
     # at the last reset (delivery or phase start) and ``aoi_integral``
     # accumulates its area.  ``busy_until[c]`` is the scheduled completion
     # of the device in service on channel ``c``, or -1.0 while ``c`` is free.
     stamp = [0.0] * n
-    applied = [0] * n
+    next_arrival = [0.0] * n
     chan = [-1] * n
     aoi_time = [0.0] * n
     aoi_value = [0.0] * n
     aoi_integral = [0.0] * n
     busy_until = [-1.0] * m
     n_wait = n_serv = 0
-    delivered = failed = preempted = discarded = replaced = 0
+    arrivals = delivered = failed = preempted = discarded = replaced = 0
 
     sampling = config.sample_dt is not None
     sample_dt = config.sample_dt or 0.0
@@ -340,7 +322,10 @@ def run(config: SimConfig) -> SimResult:
         traj_counts.extend((n, 0, 0))
         next_sample = sample_dt
 
-    heap = [(times[0], d, IDLE) for d, times in enumerate(arrival_times)]
+    for d in range(n):  # the first refill hands block 0 to every device
+        q = draw_arr[d]
+        next_arrival[d] = q.pop() if q else refill_arr(d)
+    heap = [(a, d, IDLE) for d, a in enumerate(next_arrival)]
     heapify(heap)
 
     # The events run in two phases, the warm-up [0, t_warm) and the measured
@@ -372,13 +357,12 @@ def run(config: SimConfig) -> SimResult:
             if kind == WAITING:  # backoff expiry
                 c = chan[d]
                 if busy_until[c] < 0.0:
-                    times = arrival_times[d]
-                    i = applied[d]
-                    j = bisect_right(times, t, i)
-                    if j > i:  # the newest arrival replaced the waiting packet
-                        stamp[d] = times[j - 1]
-                        applied[d] = j
-                        replaced += j - i
+                    while next_arrival[d] <= t:  # a newer arrival replaced the waiting packet
+                        arrivals += 1
+                        replaced += 1
+                        stamp[d] = next_arrival[d]
+                        q = draw_arr[d]
+                        next_arrival[d] += q.pop() if q else refill_arr(d)
                     ns_integral += n_serv * (t - last_t)
                     last_t = t
                     n_wait -= 1
@@ -390,16 +374,15 @@ def run(config: SimConfig) -> SimResult:
                     continue
                 # the channel is busy: back off again, below
             elif kind == SERVICE:  # completion
-                times = arrival_times[d]
-                i = applied[d]
-                j = bisect_right(times, t, i)
-                if j > i:  # arrivals during service preempt or are discarded
-                    applied[d] = j
+                while next_arrival[d] <= t:  # an arrival during service preempts or is discarded
+                    arrivals += 1
                     if wp:
-                        stamp[d] = times[j - 1]
-                        preempted += j - i
+                        preempted += 1
+                        stamp[d] = next_arrival[d]
                     else:
-                        discarded += j - i
+                        discarded += 1
+                    q = draw_arr[d]
+                    next_arrival[d] += q.pop() if q else refill_arr(d)
                 q = draw_ok[d]
                 if (q.pop() if q else refill_ok(d)) < prob:
                     delivered += 1
@@ -422,12 +405,14 @@ def run(config: SimConfig) -> SimResult:
                 last_t = t
                 n_serv -= 1
                 if next_state == IDLE:
-                    heapreplace(heap, (times[j], d, IDLE))
+                    heapreplace(heap, (next_arrival[d], d, IDLE))
                     continue
                 n_wait += 1  # re-contend with the undelivered packet
             else:  # arrival at an idle device
+                arrivals += 1
                 stamp[d] = t
-                applied[d] += 1
+                q = draw_arr[d]
+                next_arrival[d] = t + (q.pop() if q else refill_arr(d))
                 n_wait += 1
 
             # Schedule the next backoff expiry, skipping every one that would
@@ -444,11 +429,16 @@ def run(config: SimConfig) -> SimResult:
             chan[d] = c
             heapreplace(heap, (t, d, WAITING))
 
-    # A device waiting at the end had its packet replaced by each arrival it
-    # skipped; one in service preempted or discarded them.
+    # A device waiting at the end had its packet replaced by each arrival up
+    # to the horizon; one in service preempted or discarded them.
     for _, d, kind in heap:
         if kind != IDLE:
-            skipped = len(arrival_times[d]) - 1 - applied[d]
+            a, skipped = next_arrival[d], 0
+            while a <= t_stop:
+                skipped += 1
+                q = draw_arr[d]
+                a += q.pop() if q else refill_arr(d)
+            arrivals += skipped
             if kind == WAITING:
                 replaced += skipped
             elif wp:

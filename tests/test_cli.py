@@ -296,6 +296,9 @@ def test_simulate_missing_channels_is_usage_error(capsys):
     (["--arrivals", "100", "--sample-dt", "1e-300"],
      "error: sample_dt=1e-300 asks for more than 10000000 samples over the horizon\n"),
     ([], "error: give a stop criterion: --arrivals or --horizon\n"),
+    # an arrival horizon holds all its arrival times at once to find its end
+    (["--arrivals", "10000001"],
+     "error: stop_arrivals=10000001 is more than 10000000; a stop_time horizon runs longer\n"),
 ])
 def test_simulate_unusable_horizon_is_usage_error(capsys, stop, message):
     code, out, err = run_cli(capsys, "simulate", "--lambda", "0.8", "--mu", "1", "--w", "2",

@@ -155,6 +155,17 @@ def test_equilibrium_fixed_point_check_catches_a_wrong_root(monkeypatch):
             mf.equilibrium(policy, FIG3)
 
 
+def test_equilibrium_refuses_a_root_outside_the_unit_interval(monkeypatch):
+    # A radical of the wrong sign and ten times too large puts the smaller
+    # root below 0.  The discriminant itself cannot go negative, since the
+    # quadratic is negative at y = 1.
+    sqrt = math.sqrt
+    monkeypatch.setattr(mf, "math", SimpleNamespace(sqrt=lambda v: -10 * sqrt(v)))
+    for policy in Policy:
+        with pytest.raises(mf.NoFeasibleRoot, match="no equilibrium root with busy probability"):
+            mf.equilibrium(policy, FIG3)
+
+
 def test_integrate_reaches_equilibrium():
     eq = mf.equilibrium(Policy.W, FIG3)
     traj = mf.integrate(Policy.W, FIG3, StateFractions(1.0, 0.0, 0.0), t_end=200.0, dt=0.01)

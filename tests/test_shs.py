@@ -132,6 +132,18 @@ def test_age_system_refuses_a_mis_shaped_pi():
         shs.solve_age_system(chain, np.array([0.5, 0.5]))
 
 
+def test_age_system_refuses_a_negative_or_nan_solution():
+    # v is linear in pi, so a negated pi gives negated ages, and a NaN in pi
+    # leaves a non-finite solution that the residual check refuses
+    chain = shs.build_chain(I_WP, lam=1, mu=1, k=1, p=1)
+    pi = shs.stationary(chain)
+    with pytest.raises(shs.NegativeSolution, match="age system produced negative entries"):
+        shs.solve_age_system(chain, -pi)
+    pi[1] = np.nan
+    with pytest.raises(shs.SingularAgeSystem, match="age balance solve left residual"):
+        shs.solve_age_system(chain, pi)
+
+
 def test_age_system_singular_for_unreachable_states():
     # states 1 and 2 carry no transitions at all: their balance rows vanish
     chain = shs.ShsChain(
