@@ -460,13 +460,17 @@ def _cmd_simulate(args, output: _Output) -> int:
     # p = 0 has no mean-field AoI: find out before any replication runs
     targets = {ps: meanfield.aoi_at_equilibrium(ps, params) for ps in combos if args.compare}
 
+    runs: dict[Policy, sim.PooledResult] = {}  # one run per policy serves both schemes
     for ps in combos:
-        config = SimConfig(
-            params=params, ps=ps, seed=seed,
-            stop_arrivals=args.arrivals, stop_time=args.horizon,
-            warmup_fraction=args.warmup, sample_dt=args.sample_dt,
-        )
-        pooled = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
+        if ps.policy not in runs:
+            config = SimConfig(
+                params=params, ps=ps, seed=seed,
+                stop_arrivals=args.arrivals, stop_time=args.horizon,
+                warmup_fraction=args.warmup, sample_dt=args.sample_dt,
+            )
+            runs[ps.policy] = sim.replicate(config, n_reps=args.reps,
+                                            parallelism=args.parallelism)
+        pooled = runs[ps.policy].as_scheme(ps.scheme)
         first = pooled.results[0]
         tag = "" if single else f"_{ps.label}"
         output.add(f"summary{tag}.csv", _summary_lines(pooled))

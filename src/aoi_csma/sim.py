@@ -15,6 +15,15 @@ Statistics exclude a configurable warm-up window: the events run in two
 phases, before the warm-up's end and up to the horizon, and each phase
 starts its statistics afresh.
 
+The two schemes share one trajectory.  Preemption in service changes only
+which packet a completion delivers: service is exponential, so an arrival
+in service does not change when the channel frees, and the scheme draws
+nothing.  So :func:`run` simulates ``config.ps.policy`` once and keeps a
+sawtooth per scheme on it: the WP stamp moves with each arrival in service,
+the WOP stamp stays at the packet that entered service.  The result reports
+``config.ps.scheme``, and ``as_scheme`` reads the other scheme from the same
+run, so WOP - WP is a difference on one sample path.
+
 Randomness contract: every draw is a pure function of
 (seed, replication, device, purpose, draw index).  One counter-keyed
 generator per (seed, replication, purpose), held by a ``_Stream``, yields
@@ -138,6 +147,9 @@ class SimResult:
     failed (policy I only) + preempted + discarded + replaced + held``.
     ``replaced`` counts packets a newer arrival replaced while waiting, and
     ``held`` the devices waiting or in service at the end, one packet each.
+
+    The figures are those of ``scheme``; :meth:`as_scheme` gives the other
+    scheme's on the same trajectory, from ``other_avg_aoi_per_device``.
     """
 
     avg_aoi_per_device: np.ndarray
@@ -154,6 +166,8 @@ class SimResult:
     measured_time: float
     end_time: float
     n_devices: int
+    scheme: Scheme
+    other_avg_aoi_per_device: np.ndarray
     trajectory_times: np.ndarray | None = None
     trajectory_counts: np.ndarray | None = None
 
@@ -162,6 +176,23 @@ class SimResult:
         if self.trajectory_counts is None:
             return None
         return self.trajectory_counts / float(self.n_devices)
+
+    def as_scheme(self, scheme: Scheme) -> SimResult:
+        """This run's figures under ``scheme``: the arrivals in service that
+        WP counts as preempted, WOP counts as discarded."""
+        if scheme is self.scheme:
+            return self
+        mean, stderr = _mean_stderr(self.other_avg_aoi_per_device)
+        return replace(self, scheme=scheme, avg_aoi_per_device=self.other_avg_aoi_per_device,
+                       other_avg_aoi_per_device=self.avg_aoi_per_device, avg_aoi_mean=mean,
+                       avg_aoi_stderr=stderr, preempted=self.discarded,
+                       discarded=self.preempted)
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """The mean of ``values`` and its standard error (0 for one value)."""
+    n = len(values)
+    return float(values.mean()), (float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
 
 
 BLOCK = 64
@@ -267,7 +298,7 @@ def _check_channels(busy_until: list[float], n_serv: int) -> None:
 
 
 def run(config: SimConfig) -> SimResult:
-    """Simulate one replication and return its statistics."""
+    """Simulate one replication and return its statistics under both schemes."""
     params = config.params
     n: int = params.n_devices
     m: int = params.n_channels
@@ -294,23 +325,28 @@ def run(config: SimConfig) -> SimResult:
     draw_ch, refill_ch = channel.draws, channel.refill
     draw_ok, refill_ok = success.draws, success.refill
 
-    # Device state as parallel lists.  ``stamp`` is the held packet's arrival
-    # time, up to date at a device's last event, and ``next_arrival`` the
-    # time of the first arrival it has not yet reached.  ``chan`` is the
-    # channel a device holds in service, or will sense when its pending
-    # backoff expires.  ``aoi_time``/``aoi_value`` pin the sawtooth
-    # at the last reset (delivery or phase start) and ``aoi_integral``
-    # accumulates its area.  ``busy_until[c]`` is the scheduled completion
-    # of the device in service on channel ``c``, or -1.0 while ``c`` is free.
-    stamp = [0.0] * n
+    # Device state as parallel lists, one per scheme where the schemes
+    # differ.  ``stamp_wp``/``stamp_wop`` are the held packet's arrival time,
+    # up to date at a device's last event: an arrival in service moves only
+    # the WP stamp.  ``next_arrival`` is the time of the first arrival the
+    # device has not yet reached.  ``chan`` is the channel a device holds in
+    # service, or will sense when its pending backoff expires.  ``aoi_time``
+    # and ``aoi_value_*`` pin each sawtooth at the last reset (delivery or
+    # phase start) and ``aoi_integral_*`` accumulate their areas.
+    # ``busy_until[c]`` is the scheduled completion of the device in service
+    # on channel ``c``, or -1.0 while ``c`` is free.
+    stamp_wp = [0.0] * n
+    stamp_wop = [0.0] * n
     next_arrival = [0.0] * n
     chan = [-1] * n
     aoi_time = [0.0] * n
-    aoi_value = [0.0] * n
-    aoi_integral = [0.0] * n
+    aoi_value_wp = [0.0] * n
+    aoi_value_wop = [0.0] * n
+    aoi_integral_wp = [0.0] * n
+    aoi_integral_wop = [0.0] * n
     busy_until = [-1.0] * m
     n_wait = n_serv = 0
-    arrivals = delivered = failed = preempted = discarded = replaced = 0
+    arrivals = delivered = failed = in_service = replaced = 0
 
     sampling = config.sample_dt is not None
     sample_dt = config.sample_dt or 0.0
@@ -339,9 +375,10 @@ def run(config: SimConfig) -> SimResult:
     # heap pops them in one total order whatever its internal layout.
     for t0, end in ((0.0, math.nextafter(t_warm, -math.inf)), (t_warm, t_stop)):
         for i in range(n):
-            aoi_value[i] += t0 - aoi_time[i]
+            aoi_value_wp[i] += t0 - aoi_time[i]
+            aoi_value_wop[i] += t0 - aoi_time[i]
             aoi_time[i] = t0
-            aoi_integral[i] = 0.0
+        aoi_integral_wp[:] = aoi_integral_wop[:] = [0.0] * n
         ns_integral = 0.0
         last_t = t0
         while True:
@@ -360,7 +397,7 @@ def run(config: SimConfig) -> SimResult:
                     while next_arrival[d] <= t:  # a newer arrival replaced the waiting packet
                         arrivals += 1
                         replaced += 1
-                        stamp[d] = next_arrival[d]
+                        stamp_wp[d] = stamp_wop[d] = next_arrival[d]
                         q = draw_arr[d]
                         next_arrival[d] += q.pop() if q else refill_arr(d)
                     ns_integral += n_serv * (t - last_t)
@@ -376,19 +413,19 @@ def run(config: SimConfig) -> SimResult:
             elif kind == SERVICE:  # completion
                 while next_arrival[d] <= t:  # an arrival during service preempts or is discarded
                     arrivals += 1
-                    if wp:
-                        preempted += 1
-                        stamp[d] = next_arrival[d]
-                    else:
-                        discarded += 1
+                    in_service += 1
+                    stamp_wp[d] = next_arrival[d]
                     q = draw_arr[d]
                     next_arrival[d] += q.pop() if q else refill_arr(d)
                 q = draw_ok[d]
                 if (q.pop() if q else refill_ok(d)) < prob:
                     delivered += 1
                     dtau = t - aoi_time[d]
-                    aoi_integral[d] += aoi_value[d] * dtau + 0.5 * dtau * dtau
-                    aoi_value[d] = t - stamp[d]
+                    area = 0.5 * dtau * dtau
+                    aoi_integral_wp[d] += aoi_value_wp[d] * dtau + area
+                    aoi_integral_wop[d] += aoi_value_wop[d] * dtau + area
+                    aoi_value_wp[d] = t - stamp_wp[d]
+                    aoi_value_wop[d] = t - stamp_wop[d]
                     aoi_time[d] = t
                     next_state = IDLE
                 else:
@@ -410,7 +447,7 @@ def run(config: SimConfig) -> SimResult:
                 n_wait += 1  # re-contend with the undelivered packet
             else:  # arrival at an idle device
                 arrivals += 1
-                stamp[d] = t
+                stamp_wp[d] = stamp_wop[d] = t
                 q = draw_arr[d]
                 next_arrival[d] = t + (q.pop() if q else refill_arr(d))
                 n_wait += 1
@@ -441,10 +478,8 @@ def run(config: SimConfig) -> SimResult:
             arrivals += skipped
             if kind == WAITING:
                 replaced += skipped
-            elif wp:
-                preempted += skipped
             else:
-                discarded += skipped
+                in_service += skipped
 
     ns_integral += n_serv * (t_stop - last_t)
     if sampling:
@@ -455,15 +490,18 @@ def run(config: SimConfig) -> SimResult:
             next_sample += sample_dt
     _check_channels(busy_until, n_serv)
 
-    avgs = np.empty(n)
-    for d in range(n):
-        dtau = t_stop - aoi_time[d]
-        avgs[d] = (aoi_integral[d] + aoi_value[d] * dtau + 0.5 * dtau * dtau) / measured
-    mean = float(avgs.mean())
-    stderr = float(avgs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    # Each sawtooth's area up to t_stop.  numpy evaluates these element by
+    # element in the order written, so each average rounds exactly as the
+    # same expression on Python floats would.
+    dtau = t_stop - np.array(aoi_time)
+    area = 0.5 * dtau * dtau
+    avgs_wp = (np.array(aoi_integral_wp) + np.array(aoi_value_wp) * dtau + area) / measured
+    avgs_wop = (np.array(aoi_integral_wop) + np.array(aoi_value_wop) * dtau + area) / measured
     mean_xs = ns_integral / (measured * n)
     k_est = w * (1.0 - gamma * mean_xs)
 
+    avgs, other = (avgs_wp, avgs_wop) if wp else (avgs_wop, avgs_wp)
+    mean, stderr = _mean_stderr(avgs)
     return SimResult(
         avg_aoi_per_device=avgs,
         avg_aoi_mean=mean,
@@ -471,14 +509,16 @@ def run(config: SimConfig) -> SimResult:
         arrivals=arrivals,
         delivered=delivered,
         failed=failed,
-        preempted=preempted,
-        discarded=discarded,
+        preempted=in_service if wp else 0,
+        discarded=0 if wp else in_service,
         replaced=replaced,
         held=n_wait + n_serv,
         effective_k_estimate=k_est,
         measured_time=measured,
         end_time=t_stop,
         n_devices=n,
+        scheme=config.ps.scheme,
+        other_avg_aoi_per_device=other,
         trajectory_times=np.frombuffer(traj_times) if sampling else None,
         trajectory_counts=(np.frombuffer(traj_counts, dtype=np.int64).reshape(-1, 3)
                            if sampling else None),
@@ -497,6 +537,20 @@ class PooledResult:
     @property
     def n_reps(self) -> int:
         return len(self.results)
+
+    def as_scheme(self, scheme: Scheme) -> PooledResult:
+        """The same replications' figures under ``scheme``."""
+        return _pool([r.as_scheme(scheme) for r in self.results])
+
+
+def _pool(results: list[SimResult]) -> PooledResult:
+    mean, stderr = _mean_stderr(np.array([r.avg_aoi_mean for r in results]))
+    return PooledResult(
+        results=tuple(results),
+        mean_aoi=mean,
+        stderr=stderr,
+        half_width=_NORMAL_95 * stderr,
+    )
 
 
 def replicate(config: SimConfig, n_reps: int, parallelism: int = 1) -> PooledResult:
@@ -522,12 +576,4 @@ def replicate(config: SimConfig, n_reps: int, parallelism: int = 1) -> PooledRes
         chunk = max(1, n_reps // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, configs, chunksize=chunk))
-    means = np.array([r.avg_aoi_mean for r in results])
-    mean = float(means.mean())
-    stderr = float(means.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
-    return PooledResult(
-        results=tuple(results),
-        mean_aoi=mean,
-        stderr=stderr,
-        half_width=_NORMAL_95 * stderr,
-    )
+    return _pool(results)

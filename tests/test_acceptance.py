@@ -163,12 +163,13 @@ def test_criterion_7_simulator_vs_mean_field():
     with timed() as t:
         details = []
         ok = True
+        config = sim.SimConfig(params=params, ps=PolicyScheme(Policy.W, Scheme.WP), seed=7,
+                               stop_arrivals=200_000, warmup_fraction=0.2)
+        run = sim.replicate(config, n_reps=20, parallelism=2)  # both schemes, one trajectory
         for scheme in Scheme:
             ps = PolicyScheme(Policy.W, scheme)
             target = mf.aoi_at_equilibrium(ps, params)
-            config = sim.SimConfig(params=params, ps=ps, seed=7,
-                                   stop_arrivals=200_000, warmup_fraction=0.2)
-            pooled = sim.replicate(config, n_reps=20, parallelism=2)
+            pooled = run.as_scheme(scheme)
             rel = abs(pooled.mean_aoi - target) / target
             ok = ok and rel < 0.03
             details.append(f"{ps.label}: {pooled.mean_aoi:.3f} vs {target:.3f} "

@@ -273,6 +273,36 @@ def test_simulate_bad_input_is_refused_before_any_replication(capsys, monkeypatc
         assert got == (code, "", message), argv
 
 
+def test_simulate_all_pairs_match_the_single_pair_commands(tmp_path, capsys, monkeypatch):
+    """--scheme all runs once per policy, and writes and prints what six single runs do."""
+    argv = [*SIM_N20, "--arrivals", "600", "--reps", "2", "--sample-dt", "5", "--seed", "17",
+            "--compare"]
+    calls = []
+    replicate = sim.replicate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].ps)
+        return replicate(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "replicate", counted)
+    code, together, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "all"))
+    assert code == 0
+    assert [ps.policy for ps in calls] == list(Policy)
+    calls.clear()
+    apart = []
+    for ps in PolicyScheme.all_combinations():
+        one = tmp_path / ps.label
+        code, out, _ = run_cli(capsys, *argv, "--policy", ps.policy.value,
+                               "--scheme", ps.scheme.value, "--out", str(one))
+        assert code == 0
+        apart.append(out)
+        for name in ("summary", "aoi", "traj"):
+            assert (tmp_path / "all" / f"{name}_{ps.label}.csv").read_bytes() == \
+                (one / f"{name}.csv").read_bytes(), (ps.label, name)
+    assert len(calls) == 6
+    assert together == "".join(apart)
+
+
 def test_simulate_missing_channels_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "simulate", "--policy", "W", "--scheme", "wp",
                            "--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7",

@@ -282,17 +282,46 @@ def test_preemption_reduces_aoi_in_simulation():
     The false-failure probability is negligible: the gaps sit 25 to 36
     pooled standard errors above zero, against a gate of 2.
     """
-    # WP beats WOP for every policy, significant at two pooled standard errors
+    # WP beats WOP for every policy, significant at two pooled standard errors;
+    # one run per policy gives both schemes
     params = _params(1000, 200)
     for policy in Policy:
-        pooled = {}
-        for scheme in Scheme:
-            config = sim.SimConfig(params=params, ps=PolicyScheme(policy, scheme),
-                                   seed=31, stop_arrivals=30_000, warmup_fraction=0.2)
-            pooled[scheme] = sim.replicate(config, n_reps=20, parallelism=2)
+        config = sim.SimConfig(params=params, ps=PolicyScheme(policy, Scheme.WP),
+                               seed=31, stop_arrivals=30_000, warmup_fraction=0.2)
+        run = sim.replicate(config, n_reps=20, parallelism=2)
+        pooled = {scheme: run.as_scheme(scheme) for scheme in Scheme}
         gap = pooled[Scheme.WOP].mean_aoi - pooled[Scheme.WP].mean_aoi
         noise = np.hypot(pooled[Scheme.WP].stderr, pooled[Scheme.WOP].stderr)
         assert gap > 2.0 * noise, (policy, gap, noise)
+
+
+@pytest.mark.parametrize("horizon", [dict(stop_arrivals=4_000), dict(stop_time=25.0)],
+                         ids=["arrivals", "time"])
+@pytest.mark.parametrize("n,m", [(1, 1), (10, 2), (200, 40)])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_preemption_never_raises_a_device_aoi(policy, n, m, horizon):
+    """On one run, every device's WP average AoI is at most its WOP average.
+
+    The false-failure probability is 0: the claim holds on every sample
+    path.  At every delivery the WP stamp is at or after the WOP stamp, so
+    each WP sawtooth lies on or below the WOP one, and IEEE rounding is
+    monotone, so the computed averages keep the order.  The two views also
+    share every count but the in-service arrivals' name, and the trajectory.
+    """
+    config = sim.SimConfig(params=_params(n, m, gamma=n / m),
+                           ps=PolicyScheme(policy, Scheme.WOP), seed=5,
+                           warmup_fraction=0.2, sample_dt=1.0, **horizon)
+    wop = sim.run(config)
+    wp = wop.as_scheme(Scheme.WP)
+    assert (wp.scheme, wop.scheme) == (Scheme.WP, Scheme.WOP)
+    assert np.all(wp.avg_aoi_per_device <= wop.avg_aoi_per_device)
+    assert wp.avg_aoi_mean <= wop.avg_aoi_mean
+    for name in ("arrivals", "delivered", "failed", "replaced", "held", "effective_k_estimate",
+                 "measured_time", "end_time", "trajectory_times", "trajectory_counts"):
+        assert getattr(wp, name) is getattr(wop, name), name
+    assert wp.preempted == wop.discarded
+    assert wp.discarded == wop.preempted == 0
+    assert wp.as_scheme(Scheme.WOP).avg_aoi_per_device is wop.avg_aoi_per_device
 
 
 def test_half_width_shrinks_with_replications():
@@ -403,6 +432,17 @@ def test_raw_results_are_pinned(key):
     results = [sim.run(config) for config in configs]
     assert _digest(results) == digest
     assert [r.effective_k_estimate for r in results] == pytest.approx(k_values, rel=1e-12)
+
+
+@pytest.mark.parametrize("key", _PINNED_RUNS)
+def test_the_other_schemes_run_gives_the_pinned_results(key):
+    # a run of the other scheme, viewed as the pinned one, is the pinned run
+    # bit for bit: both schemes share one trajectory
+    configs, digest, _ = _PINNED_RUNS[key]
+    other = {Scheme.WP: Scheme.WOP, Scheme.WOP: Scheme.WP}
+    results = [sim.run(replace(c, ps=PolicyScheme(c.ps.policy, other[c.ps.scheme])))
+               .as_scheme(c.ps.scheme) for c in configs]
+    assert _digest(results) == digest
 
 
 _SAMPLERS = {
