@@ -193,9 +193,15 @@ _FLAGS = {
                            help="emit a gnuplot script next to the CSV output"),
 }
 
-# Flag name -> dest where the two differ ("lambda" -> "lam"), and back.
+# Flag name -> dest where the two differ ("lambda" -> "lam").
 _DEST_OF_FLAG = {name: spec["dest"] for name, spec in _FLAGS.items() if "dest" in spec}
-_FLAG_OF_DEST = {dest: name for name, dest in _DEST_OF_FLAG.items()}
+# Each flag's dest, and each model field a flag sets, -> that flag, so that
+# messages name what the user typed ("stop_time" -> "horizon").
+_FLAG_OF_FIELD = {
+    **{spec.get("dest", name.replace("-", "_")): name for name, spec in _FLAGS.items()},
+    "n_devices": "n", "n_channels": "m", "stop_arrivals": "arrivals", "stop_time": "horizon",
+    "warmup_fraction": "warmup", "n_reps": "reps",
+}
 
 def _resolve_seed(args: argparse.Namespace) -> int:
     """The seed from --seed (or --config), else the environment, else 1."""
@@ -247,7 +253,7 @@ def _combos(args) -> list[PolicyScheme]:
 def _require(args, *names: str) -> None:
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
-        flags = ", ".join("--" + _FLAG_OF_DEST.get(n, n.replace("_", "-")) for n in missing)
+        flags = ", ".join("--" + _FLAG_OF_FIELD[n] for n in missing)
         raise UsageError(f"missing required flags: {flags}")
 
 
@@ -360,7 +366,7 @@ def _cmd_analytic(args, output: _Output) -> int:
     _require(args, *(n for n in names if n != which))
     base = {n: getattr(args, n) for n in names}
     points = [base] if which is None else [dict(base, **{which: v}) for v in grid]
-    x = "p" if which is None else _FLAG_OF_DEST.get(which, which)  # the swept column
+    x = "p" if which is None else _FLAG_OF_FIELD[which]  # the swept column
     return _add_analytic(output, "analytic.csv", _combos(args), points, x)
 
 
@@ -407,7 +413,7 @@ def _equilibrium_lines(policies: tuple[Policy, ...], params: SystemParams) -> li
 def _sweep_lines(combos: list[PolicyScheme], params: SystemParams,
                  which: str, grid: np.ndarray) -> list[str]:
     lines = ["policy,scheme,param,value,k,aoi"]
-    name = _FLAG_OF_DEST.get(which, which)
+    name = _FLAG_OF_FIELD[which]
     for ps in combos:
         for value in grid:
             probe = meanfield.with_param(params, which, float(value))
@@ -454,6 +460,8 @@ def _cmd_simulate(args, output: _Output) -> int:
                           n_devices=args.n, n_channels=args.m)
     if args.arrivals is None and args.horizon is None:
         raise UsageError("give a stop criterion: --arrivals or --horizon")
+    if args.arrivals is not None and args.horizon is not None:
+        raise UsageError("give one stop criterion, not both: --arrivals or --horizon")
     seed = _resolve_seed(args)
     combos = _combos(args)
     single = len(combos) == 1
@@ -640,6 +648,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _as_typed(exc: AoiError) -> AoiError:
+    """``exc``, naming the flag that sets its field where it names a field."""
+    field = getattr(exc, "field", None)
+    if field not in _FLAG_OF_FIELD:
+        return exc
+    return type(exc)(*("--" + _FLAG_OF_FIELD[field] if arg == field else arg
+                       for arg in exc.args))
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -649,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
         output.flush()
         return code
     except (UsageError, InvalidParameter, InvalidConfig, GridPointInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_as_typed(exc)}", file=sys.stderr)
         return _EXIT_USAGE
     except AoiError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -31,9 +31,15 @@ consecutive blocks of shape (n_devices, BLOCK) with BLOCK = 64; device d
 consumes row d, so draw sequences are independent of event interleaving
 across devices and replications are reproducible under any parallelism.
 BLOCK and the block shape are part of the contract: changing either
-changes every draw.  A stream keeps a block as C values in one ``array``
-until every device has taken its row, and a draw becomes a Python number
-only when it is read.
+changes every draw.  A stream cuts a block into its N rows when it
+generates it, each row C values in its own ``array``, and keeps a row only
+until its device takes it; a draw becomes a Python number only when it is
+read.
+
+An arrival horizon ends at an order statistic of all devices' arrival
+times, found before the run in a pass over the arrival stream.  The pass
+keeps no more of the stream than a bounded round of blocks and the times
+inside a bracket around each order statistic it looks for.
 
 Events on the heap: each device has exactly one pending event, its next
 arrival while idle, its backoff expiry while waiting, or its service
@@ -64,6 +70,7 @@ from array import array
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from heapq import heapify, heapreplace
 
 import numpy as np
@@ -73,7 +80,18 @@ from .core import (FAILURE_TARGET, IDLE, SERVICE, WAITING, AoiError, PolicySchem
 
 
 class InvalidConfig(AoiError):
-    """The simulation configuration is incomplete or out of range."""
+    """The simulation configuration is incomplete or out of range; ``field``
+    names the offending field, or is ``None`` where no one field is at fault."""
+
+    def __init__(self, message: str, field: str | None = None):
+        # both arguments go to ``args``, so a pickled copy (an error raised in
+        # a worker process) is rebuilt with the same message and field
+        super().__init__(message, field)
+        self.field = field
+
+    def __str__(self) -> str:
+        message, field = self.args
+        return message if field is None else f"{field} {message}"
 
 
 class ChannelAccounting(AoiError):
@@ -83,7 +101,8 @@ class ChannelAccounting(AoiError):
 _P_ARRIVAL, _P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS = range(5)
 
 _MAX_SAMPLES = 10_000_000  # trajectory samples per run, as meanfield bounds its steps
-_MAX_ARRIVALS = 10_000_000  # an arrival horizon holds all its times to find its end
+_ROUND_VALUES = 1 << 16  # arrival times drawn at most in one round of an arrival horizon's pass
+_BRACKET_SD = 8.0  # half-width of an order statistic's first bracket, in standard deviations
 _NORMAL_95 = 1.959963984540054
 
 
@@ -113,30 +132,27 @@ class SimConfig:
         if self.params.n_devices is None or self.params.n_channels is None:
             raise InvalidConfig("n_devices and n_channels must both be set for simulation")
         if not isinstance(self.seed, int):
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+            raise InvalidConfig(f"must be an integer, got {self.seed!r}", "seed")
         if not 0 <= self.seed < 1 << 64:
-            raise InvalidConfig(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise InvalidConfig(f"must lie in [0, 2**64), got {self.seed}", "seed")
         if (self.stop_arrivals is None) == (self.stop_time is None):
             raise InvalidConfig("exactly one of stop_arrivals / stop_time must be set")
         if self.stop_arrivals is not None:
             if not (isinstance(self.stop_arrivals, int) and self.stop_arrivals >= 1):
-                raise InvalidConfig(
-                    f"stop_arrivals must be an integer >= 1, got {self.stop_arrivals!r}")
-            if self.stop_arrivals > _MAX_ARRIVALS:
-                raise InvalidConfig(f"stop_arrivals={self.stop_arrivals} is more than "
-                                    f"{_MAX_ARRIVALS}; a stop_time horizon runs longer")
+                raise InvalidConfig(f"must be an integer >= 1, got {self.stop_arrivals!r}",
+                                    "stop_arrivals")
         if self.stop_time is not None and not 0 < self.stop_time < math.inf:
-            raise InvalidConfig(f"stop_time must be positive and finite, got {self.stop_time}")
+            raise InvalidConfig(f"must be positive and finite, got {self.stop_time}", "stop_time")
         if not 0.0 <= self.warmup_fraction <= 0.5:
-            raise InvalidConfig(
-                f"warmup_fraction must lie in [0, 0.5], got {self.warmup_fraction}")
+            raise InvalidConfig(f"must lie in [0, 0.5], got {self.warmup_fraction}",
+                                "warmup_fraction")
         if self.sample_dt is not None and not 0 < self.sample_dt < math.inf:
-            raise InvalidConfig(f"sample_dt must be positive and finite, got {self.sample_dt}")
+            raise InvalidConfig(f"must be positive and finite, got {self.sample_dt}", "sample_dt")
         if self.stop_time is not None:
             _check_samples(self.stop_time, self.sample_dt)
         if not (isinstance(self.replication, int) and 0 <= self.replication < 1 << 61):
-            raise InvalidConfig(
-                f"replication must be an integer in [0, 2**61), got {self.replication!r}")
+            raise InvalidConfig(f"must be an integer in [0, 2**61), got {self.replication!r}",
+                                "replication")
 
 
 @dataclass(frozen=True)
@@ -198,6 +214,12 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 BLOCK = 64
 
 
+@lru_cache(maxsize=8)
+def _row_slices(n: int) -> tuple[slice, ...]:
+    """The slices that cut a flat (n, BLOCK) block into its n rows."""
+    return tuple(slice(d * BLOCK, (d + 1) * BLOCK) for d in range(n))
+
+
 class _Stream:
     """One purpose's blocked, counter-addressed random stream.
 
@@ -207,11 +229,13 @@ class _Stream:
     holds device ``d``'s unread draws of its current block row, reversed, so
     the next draw is ``draws[d].pop()``.  When that is empty, :meth:`refill`
     moves the device to its row in the next block, generating the block on
-    first use.  A block is kept as one flat ``array`` of C values of the
-    block's dtype, each row reversed, so a Python number is made only for a
-    draw that is read.  A device takes a copy of its row, and the block is
-    dropped once every device has taken its row.  Block 0 is handed to every
-    device at once, on the first refill of any of them.
+    first use.  A generated block is cut at once into its n rows, each an
+    ``array`` of C values of the block's dtype, reversed, so a Python number
+    is made only for a draw that is read.  A block keeps only the rows no
+    device has taken: a device takes its row and leaves ``None`` in its
+    place, and the block is dropped once every device has taken its row.
+    Block 0 is handed to every device at once, on the first refill of any
+    of them.
     """
 
     def __init__(self, config: SimConfig, purpose: int,
@@ -220,7 +244,7 @@ class _Stream:
         self._sample = sample
         self._gen: np.random.Generator | None = None
         self._n = n = config.params.n_devices
-        self._blocks: dict[int, list] = {}  # index -> [flat block, devices yet to take a row]
+        self._blocks: dict[int, list] = {}  # index -> [rows not yet taken, how many]
         self._next_row = [0] * n
         self.draws: list[array | tuple] = [()] * n  # () until the device's first refill
 
@@ -234,17 +258,20 @@ class _Stream:
     def refill(self, device: int):
         """Move ``device`` to its next block row and return that row's first draw."""
         j = self._next_row[device]
+        self._next_row[device] = j + 1
         entry = self._blocks.get(j)
-        if entry is None:  # no device has reached block j yet
+        if entry is None:  # no device has reached block j yet: cut it into rows
             block = self.blocks(1)[0]
             flat = array(block.dtype.char, block[:, ::-1].tobytes())
+            rows = [flat[s] for s in _row_slices(self._n)]
             if j == 0:  # every device is still on block 0: hand out all its rows
-                self.draws[:] = [flat[d * BLOCK:(d + 1) * BLOCK] for d in range(self._n)]
+                self.draws[:] = rows
                 self._next_row[:] = [1] * self._n
-                return self.draws[device].pop()
-            entry = self._blocks[j] = [flat, self._n]
-        self._next_row[device] = j + 1
-        row = self.draws[device] = entry[0][device * BLOCK:(device + 1) * BLOCK]
+                return rows[device].pop()
+            entry = self._blocks[j] = [rows, self._n]
+        rows = entry[0]
+        row = self.draws[device] = rows[device]
+        rows[device] = None
         entry[1] -= 1
         if not entry[1]:
             del self._blocks[j]
@@ -259,36 +286,75 @@ def _arrival_horizon(config: SimConfig) -> tuple[float, float]:
     """An arrival horizon's ``(t_warm, t_stop)``.
 
     ``t_stop`` is the time of the ``stop_arrivals``-th arrival and ``t_warm``
-    that of the warm-up's last (0 without warm-up).  Device d's arrival times
-    are the running sum of row d of the arrival stream's consecutive (n,
-    BLOCK) blocks, carried from block to block, so they are bit for bit the
-    times ``run`` draws one at a time.  The first round draws one block;
-    until every arrival up to the horizon is drawn, each round draws as many
-    blocks again as drawn so far.
+    that of the warm-up's last (0 without warm-up).  The a-th arrival of N
+    devices at rate lam is Gamma(a, N lam), so each is first looked for in
+    the bracket ``(a -+ _BRACKET_SD * sqrt(a)) / (N lam)``; when a pass finds
+    one outside its bracket, the pass runs again from the stream's start
+    with the brackets four times as wide.
     """
-    n, a_stop = config.params.n_devices, config.stop_arrivals
-    stream = _Stream(config, _P_ARRIVAL, _exponential(config.params.lam))
-    times = np.empty((n, 0))
-    last = 0.0
-    while True:
-        more = stream.blocks(max(1, times.shape[1] // BLOCK)).transpose(1, 0, 2).reshape(n, -1)
-        more[:, 0] += last
-        np.cumsum(more, axis=1, out=more)
-        times = np.concatenate((times, more), axis=1)
-        last = times[:, -1]
-        if np.count_nonzero(times <= last.min()) >= a_stop:  # all drawn up to last.min()
-            break
-    del more  # the partition below copies the times once more
+    a_stop = config.stop_arrivals
     a_warm = math.ceil(config.warmup_fraction * a_stop)
-    order = np.partition(times, [a_warm - 1, a_stop - 1] if a_warm else a_stop - 1, axis=None)
-    return (float(order[a_warm - 1]) if a_warm else 0.0), float(order[a_stop - 1])
+    ranks = [a_warm, a_stop] if a_warm else [a_stop]
+    width = _BRACKET_SD
+    while (times := _order_statistics(config, ranks, width)) is None:
+        width *= 4.0
+    return (times[0] if a_warm else 0.0), times[-1]
+
+
+def _order_statistics(config: SimConfig, ranks: list[int], width: float) -> list[float] | None:
+    """The ``ranks``-th smallest of all devices' arrival times, or ``None``
+    if one lies outside its bracket of ``width`` standard deviations.
+
+    Device d's arrival times are the running sum of row d of the arrival
+    stream's consecutive (n, BLOCK) blocks, carried from block to block, so
+    they are bit for bit the times ``run`` draws one at a time.  The first
+    round draws one block; until every arrival up to the last rank's time is
+    drawn, each round draws as many blocks again as drawn so far, up to
+    ``_ROUND_VALUES`` times.  A round keeps, for each rank, only the count
+    of its times below the rank's bracket and its times inside it.
+    """
+    n, rate = config.params.n_devices, config.params.n_devices * config.params.lam
+    lows = [(a - width * math.sqrt(a)) / rate for a in ranks]
+    highs = [(a + width * math.sqrt(a)) / rate for a in ranks]
+    below = [0] * len(ranks)
+    inside: list[list[np.ndarray]] = [[] for _ in ranks]
+    stream = _Stream(config, _P_ARRIVAL, _exponential(config.params.lam))
+    cap = max(1, _ROUND_VALUES // (n * BLOCK))
+    drawn, last = 0, 0.0
+    while True:
+        k = min(max(1, drawn // BLOCK), cap)
+        times = stream.blocks(k).transpose(1, 0, 2).reshape(n, -1)
+        times[:, 0] += last
+        np.cumsum(times, axis=1, out=times)
+        drawn += k * BLOCK
+        last = times[:, -1].copy()
+        for i, (low, high) in enumerate(zip(lows, highs)):
+            below[i] += np.count_nonzero(times < low)
+            inside[i].append(times[(times >= low) & (times <= high)])
+        # Every arrival up to ``x`` is drawn: once x reaches the last rank's
+        # bracket, its count below and its times kept up to x are complete.
+        x = last.min()
+        if below[-1] >= ranks[-1]:  # the last rank's time lies below its bracket
+            return None
+        if x >= lows[-1]:
+            if below[-1] + sum(np.count_nonzero(v <= x) for v in inside[-1]) >= ranks[-1]:
+                break
+            if x >= highs[-1]:  # ... or above it
+                return None
+    found = []
+    for a, b, kept in zip(ranks, below, inside):
+        kept = np.concatenate(kept)
+        if not b < a <= b + np.count_nonzero(kept <= x):
+            return None
+        found.append(float(np.partition(kept, a - b - 1)[a - b - 1]))
+    return found
 
 
 def _check_samples(t_stop: float, sample_dt: float | None) -> None:
     """Refuse a trajectory of more than ``_MAX_SAMPLES`` samples before any is taken."""
     if sample_dt is not None and t_stop / sample_dt > _MAX_SAMPLES:
-        raise InvalidConfig(f"sample_dt={sample_dt!r} asks for more than {_MAX_SAMPLES} "
-                            "samples over the horizon")
+        raise InvalidConfig(f"asks for more than {_MAX_SAMPLES} samples over the horizon, "
+                            f"got {sample_dt!r}", "sample_dt")
 
 
 def _check_channels(busy_until: list[float], n_serv: int) -> None:
@@ -561,9 +627,9 @@ def replicate(config: SimConfig, n_reps: int, parallelism: int = 1) -> PooledRes
     ``config.replication + j``, each built and so checked before the first runs.
     """
     if n_reps < 1:
-        raise InvalidConfig(f"n_reps must be >= 1, got {n_reps}")
+        raise InvalidConfig(f"must be >= 1, got {n_reps}", "n_reps")
     if parallelism < 1:
-        raise InvalidConfig(f"parallelism must be >= 1, got {parallelism}")
+        raise InvalidConfig(f"must be >= 1, got {parallelism}", "parallelism")
     configs = [replace(config, replication=config.replication + j) for j in range(n_reps)]
     # Under fork, the pool starts all its workers at the first submit, so the
     # count is capped by the replications and by the CPUs this process may use.
@@ -573,6 +639,9 @@ def replicate(config: SimConfig, n_reps: int, parallelism: int = 1) -> PooledRes
     if workers == 1:
         results = list(map(run, configs))
     else:
+        # numpy loads numpy.random on first use.  Loaded here, it is shared
+        # by the forked workers instead of imported again by each of them.
+        import numpy.random  # noqa: F401
         chunk = max(1, n_reps // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, configs, chunksize=chunk))

@@ -140,6 +140,13 @@ def test_criterion_5_ode_convergence():
 
 
 def test_criterion_6_single_device_against_closed_form():
+    """One device's simulated AoI over 200k arrivals is within 2 % of 2.75.
+
+    The false-failure probability of the accuracy gate is about 1e-11.
+    Over 30 other seeds the relative error was -0.01 % with standard
+    deviation 0.30 % (largest 0.6 %), which puts the gate 6.7 standard
+    deviations out.  The 10 s time gate depends on machine load.
+    """
     params = SystemParams(lam=1.0, mu=1.0, w=1.0, p=1.0, gamma=1.0,
                           n_devices=1, n_channels=1)
     config = sim.SimConfig(params=params, ps=PolicyScheme(Policy.I, Scheme.WP),
@@ -155,6 +162,16 @@ def test_criterion_6_single_device_against_closed_form():
 
 
 def test_criterion_7_simulator_vs_mean_field():
+    """W-WP and W-WOP pooled over 20 replications at N = 1000 are within 3 %
+    of the mean field.
+
+    The false-failure probability of the accuracy gate is negligible.  Over
+    25 other seeds one replication's relative error was -0.18 % (WP) and
+    -0.20 % (WOP) with standard deviations 0.76 % and 0.70 % (largest
+    1.3 %), so the mean of 20 has a standard deviation near 0.17 % and the
+    gate is over 16 of them out.  The 300 s time gate depends on machine
+    load.
+    """
     # 200k arrivals per replication satisfies the >= 50k requirement and,
     # with a 0.2 warm-up, keeps the sawtooth initialization transient well
     # below the 3% gate (at exactly 50k/0.1 the transient alone is ~4.5%).

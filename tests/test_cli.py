@@ -259,12 +259,12 @@ def test_simulate_bad_input_is_refused_before_any_replication(capsys, monkeypatc
     monkeypatch.setattr(sim, "replicate", no_replication)
     for argv, code, message in [
         (["--n", "0", "--m", "4", "--arrivals", "10"], 1,
-         "error: invalid parameter 'n_devices': must be a positive integer, got 0\n"),
+         "error: invalid parameter '--n': must be a positive integer, got 0\n"),
         (["--n", "20", "--m", "4", "--arrivals", "10", "--seed", "18446744073709551617"], 1,
-         "error: seed must lie in [0, 2**64), got 18446744073709551617\n"),
+         "error: --seed must lie in [0, 2**64), got 18446744073709551617\n"),
         # p = 0 has no mean-field AoI to compare with
         (["--n", "20", "--m", "4", "--arrivals", "10", "--p", "0", "--policy", "w", "--compare"],
-         1, "error: invalid parameter 'p': must be positive under policy (W)\n"),
+         1, "error: invalid parameter '--p': must be positive under policy (W)\n"),
         (["--n", "20", "--m", "4", "--arrivals", "10", "--p", "0", "--policy", "i", "--compare"],
          2, "numerical failure: p = 0.0: no packet is ever delivered\n"),
     ]:
@@ -314,21 +314,28 @@ def test_simulate_missing_channels_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("stop, message", [
-    (["--horizon", "inf"], "error: stop_time must be positive and finite, got inf\n"),
+    (["--horizon", "inf"], "error: --horizon must be positive and finite, got inf\n"),
     (["--arrivals", "1"], "error: horizon too short: no time left after warm-up\n"),
     (["--arrivals", "100", "--sample-dt", "inf"],
-     "error: sample_dt must be positive and finite, got inf\n"),
+     "error: --sample-dt must be positive and finite, got inf\n"),
     # too many samples: refused before the first one, for either kind of horizon
     (["--horizon", "1", "--sample-dt", "1e-17"],
-     "error: sample_dt=1e-17 asks for more than 10000000 samples over the horizon\n"),
+     "error: --sample-dt asks for more than 10000000 samples over the horizon, got 1e-17\n"),
     (["--horizon", "1000", "--sample-dt", "1e-5"],
-     "error: sample_dt=1e-05 asks for more than 10000000 samples over the horizon\n"),
+     "error: --sample-dt asks for more than 10000000 samples over the horizon, got 1e-05\n"),
     (["--arrivals", "100", "--sample-dt", "1e-300"],
-     "error: sample_dt=1e-300 asks for more than 10000000 samples over the horizon\n"),
+     "error: --sample-dt asks for more than 10000000 samples over the horizon, got 1e-300\n"),
     ([], "error: give a stop criterion: --arrivals or --horizon\n"),
-    # an arrival horizon holds all its arrival times at once to find its end
-    (["--arrivals", "10000001"],
-     "error: stop_arrivals=10000001 is more than 10000000; a stop_time horizon runs longer\n"),
+    # each error names the flag the user typed, not the model's field
+    (["--arrivals", "100", "--horizon", "5"],
+     "error: give one stop criterion, not both: --arrivals or --horizon\n"),
+    (["--arrivals", "0"], "error: --arrivals must be an integer >= 1, got 0\n"),
+    (["--arrivals", "100", "--warmup", "0.7"], "error: --warmup must lie in [0, 0.5], got 0.7\n"),
+    (["--arrivals", "100", "--lambda", "-1"],
+     "error: invalid parameter '--lambda': must be a positive finite number, got -1.0\n"),
+    (["--arrivals", "100", "--n", "0"],
+     "error: invalid parameter '--n': must be a positive integer, got 0\n"),
+    (["--arrivals", "100", "--reps", "0"], "error: --reps must be >= 1, got 0\n"),
 ])
 def test_simulate_unusable_horizon_is_usage_error(capsys, stop, message):
     code, out, err = run_cli(capsys, "simulate", "--lambda", "0.8", "--mu", "1", "--w", "2",
@@ -354,7 +361,7 @@ def test_trajectory_step_count_is_bounded(capsys):
     """A horizon of too many steps is refused before the step list is built."""
     code, out, err = run_cli(capsys, "meanfield", *MF_ARGS, "--trajectory", "--t-end", "1e300")
     assert code == 1 and out == ""
-    assert err.startswith("error: invalid parameter 't_end': ")
+    assert err.startswith("error: invalid parameter '--t-end': ")
 
 
 def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys, monkeypatch):

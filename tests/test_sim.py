@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import math
 import os
+import pickle
 import random
 import tracemalloc
 from dataclasses import replace
@@ -65,12 +66,19 @@ def test_config_validation():
     for stop_arrivals in (50.5, 0):  # np.partition needs an integer index
         with pytest.raises(sim.InvalidConfig, match="stop_arrivals must be an integer >= 1"):
             sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, stop_arrivals=stop_arrivals)
-    # refused before the arrival pass, which holds every arrival time at once
-    with pytest.raises(sim.InvalidConfig, match="is more than 10000000; a stop_time horizon"):
-        sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, stop_arrivals=10**7 + 1)
-    sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, stop_arrivals=10**7)
+    # the arrival pass keeps only the times near its order statistics: no cap
+    sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=1, stop_arrivals=10**7 + 1)
     with pytest.raises(sim.InvalidConfig):
         sim.replicate(good, n_reps=0)
+
+
+def test_invalid_config_survives_pickling():
+    # errors raised in replicate's worker processes reach the caller pickled
+    for exc in (sim.InvalidConfig("must be positive and finite, got inf", "stop_time"),
+                sim.InvalidConfig("horizon too short: no time left after warm-up")):
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is sim.InvalidConfig
+        assert (str(copy), copy.field) == (str(exc), exc.field)
 
 
 def test_channel_accounting_mismatch_is_raised():
@@ -116,6 +124,12 @@ def test_replicate_checks_every_replication_before_any_runs(monkeypatch):
 
 
 def test_single_device_matches_closed_form():
+    """One device's simulated AoI is within 2 % of the closed form.
+
+    About 0.2 % of seeds would fail this with correct code.  Over 100 other
+    seeds the relative error was -0.14 % with standard deviation 0.64 %
+    (largest 1.8 %, none failed); a normal model puts 2.1e-3 beyond 2 %.
+    """
     # one device always senses an idle channel, so k = w and the
     # closed form at lam = mu = k = p = 1 gives 2.75
     config = sim.SimConfig(params=_single_device_params(), ps=I_WP, seed=42,
@@ -129,6 +143,16 @@ def test_single_device_matches_closed_form():
 
 @pytest.mark.parametrize("ps", PolicyScheme.all_combinations(), ids=lambda ps: ps.label)
 def test_single_device_failure_branch_matches_closed_form(ps):
+    """Each pair's pooled AoI at p < 1 is within 5 standard errors of its
+    closed form.
+
+    About 1 % of seeds would fail some pair with correct code.  The gap is
+    a Student t with 7 degrees of freedom (8 replications), which passes 5
+    with probability 1.6e-3, or 1.7e-3 with the measured shift; at most six
+    times that over the six pairs.  Over 40 other seeds (240 pairs) the
+    gaps were -0.22 standard errors on average with spread 0.96, largest
+    4.4, none failed.
+    """
     # with N = M = 1 the channel is always free, so k = w stays exact at
     # p < 1, where every failure goes through the policy's branch
     params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=1.0, n_devices=1, n_channels=1)
@@ -259,6 +283,12 @@ def test_warmup_boundary_no_event_reaches():
 
 
 def test_effective_k_estimate_tracks_mean_field():
+    """N = 300's time-averaged access rate is within 5 % of the mean field's k*.
+
+    About 0.8 % of seeds would fail this with correct code.  Over 40 other
+    seeds the relative error was +0.26 % with standard deviation 1.87 %
+    (largest 4.6 %, none failed); a normal model puts 8.1e-3 beyond 5 %.
+    """
     params = _params(300, 60)
     config = sim.SimConfig(params=params, ps=W_WP, seed=17, stop_arrivals=40_000,
                            warmup_fraction=0.2)
@@ -268,6 +298,12 @@ def test_effective_k_estimate_tracks_mean_field():
 
 
 def test_single_run_near_mean_field_prediction():
+    """One N = 1000 run's mean AoI is within 3 % of the mean field's.
+
+    About 3e-4 of seeds would fail this with correct code.  Over 30 other
+    seeds the relative error was -0.38 % with standard deviation 0.75 %
+    (largest 1.7 %, none failed); a normal model puts 2.5e-4 beyond 3 %.
+    """
     params = _params(1000, 200)
     config = sim.SimConfig(params=params, ps=W_WP, seed=99, stop_arrivals=100_000,
                            warmup_fraction=0.2)
@@ -340,6 +376,12 @@ def test_half_width_shrinks_with_replications():
 
 
 def test_ensemble_mean_tracks_the_ode():
+    """The mean of 400 N = 100 trajectories of x_I stays within 0.01 of the ODE.
+
+    The false-failure probability is negligible.  Over 25 other seeds the
+    worst gap was 0.0035 on average with standard deviation 0.0012 (largest
+    0.0069, none failed), 5.5 standard deviations below the gate.
+    """
     params = _params(100, 20)
     config = sim.SimConfig(params=params, ps=W_WP, seed=2, stop_time=10.0,
                            warmup_fraction=0.0, sample_dt=1.0)
@@ -502,6 +544,66 @@ def test_stream_frees_blocks_every_device_has_left():
     assert at_40 - at_4 < 64 * 1024
 
 
+def test_stream_keeps_only_the_rows_no_device_has_taken():
+    # Device 0 stays on block 0 while the others take 20 blocks: each of
+    # those blocks keeps device 0's row, not the 512 kB of the whole block.
+    n = 1000
+    config = sim.SimConfig(params=_params(n, 200), ps=W_WP, seed=3, stop_arrivals=1)
+    stream = sim._Stream(config, sim._P_BACKOFF, _SAMPLERS["exponential"])
+
+    def next_block():
+        for d in range(1, n):
+            stream.refill(d)
+
+    tracemalloc.start()
+    try:
+        next_block()  # so the rows the devices hold are traced at both ends
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            next_block()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1 << 20
+    assert stream.draws[0] and len(stream._blocks) == 21
+
+
+def _arrival_order_statistics(config, ranks, n_blocks):
+    """The ``ranks``-th smallest arrival times of ``n_blocks`` blocks of
+    ``config``'s arrival stream, all held at once."""
+    n = config.params.n_devices
+    key = np.array([config.seed, config.replication << 3], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    draws = gen.exponential(1.0 / config.params.lam, (n_blocks, n, 64))
+    times = np.cumsum(draws.transpose(1, 0, 2).reshape(n, -1), axis=1)
+    in_order = np.sort(times, axis=None)
+    assert in_order[max(ranks) - 1] < times[:, -1].min()  # every arrival up to it drawn
+    return [float(in_order[a - 1]) if a else 0.0 for a in ranks]
+
+
+def test_arrival_horizon_widens_a_missed_bracket(monkeypatch):
+    # Brackets a hundredth of a standard deviation wide miss their order
+    # statistics; the pass runs again with wider ones until both are found.
+    passes = []
+    order_statistics = sim._order_statistics
+
+    def counting(config, ranks, width):
+        passes.append(width)
+        return order_statistics(config, ranks, width)
+
+    monkeypatch.setattr(sim, "_order_statistics", counting)
+    monkeypatch.setattr(sim, "_BRACKET_SD", 0.01)
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=7.0, n_devices=7, n_channels=1)
+    for stop_arrivals in (1, 2, 50, 900):
+        passes.clear()
+        config = sim.SimConfig(params=params, ps=W_WP, seed=5, replication=2,
+                               stop_arrivals=stop_arrivals, warmup_fraction=0.2)
+        a_warm = math.ceil(0.2 * stop_arrivals)
+        want = _arrival_order_statistics(config, [a_warm, stop_arrivals], 20)
+        assert list(sim._arrival_horizon(config)) == want, stop_arrivals
+        assert len(passes) > 1 and passes[1] == 4 * passes[0], stop_arrivals
+
+
 @pytest.mark.parametrize("rounds", ["one-call", "top-up"])
 @pytest.mark.parametrize("n, stop", [(1, dict(stop_arrivals=500)), (7, dict(stop_arrivals=900)),
                                      (7, dict(stop_time=150.0))])
@@ -635,3 +737,22 @@ def test_time_horizon_memory_does_not_grow_with_its_arrivals():
 
     traced_peak(2000.0)  # warm-up
     assert traced_peak(20_000.0) - traced_peak(2000.0) < 512 * 1024
+
+
+def test_arrival_horizon_memory_does_not_grow_with_its_arrivals():
+    # The arrival pass keeps a bounded round of blocks and the times near its
+    # two order statistics, so ten times the arrivals leave its peak flat.
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0, n_devices=10, n_channels=2)
+
+    def traced_peak(stop_arrivals):
+        config = sim.SimConfig(params=params, ps=W_WP, seed=1, stop_arrivals=stop_arrivals,
+                               warmup_fraction=0.2)
+        tracemalloc.start()
+        try:
+            sim._arrival_horizon(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(10**4)  # warm-up
+    assert traced_peak(10**6) < 2 * traced_peak(10**5)
