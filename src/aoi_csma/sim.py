@@ -34,7 +34,9 @@ BLOCK and the block shape are part of the contract: changing either
 changes every draw.  A stream cuts a block into its N rows when it
 generates it, each row C values in its own ``array``, and keeps a row only
 until its device takes it; a draw becomes a Python number only when it is
-read.
+read.  The cut goes through one reused buffer per thread, dtype and N, so
+a run does not allocate, fault in and free a block-sized temporary for
+each block it cuts.
 
 An arrival horizon ends at an order statistic of all devices' arrival
 times, found before the run in a pass over the arrival stream.  The pass
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from array import array
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -220,6 +223,20 @@ def _row_slices(n: int) -> tuple[slice, ...]:
     return tuple(slice(d * BLOCK, (d + 1) * BLOCK) for d in range(n))
 
 
+class _CutBuffers(threading.local):
+    """Each thread's buffers that stream blocks are cut through, by typecode and n."""
+
+    def __init__(self):
+        @lru_cache(maxsize=8)
+        def get(char: str, n: int) -> tuple[array, np.ndarray]:
+            flat = array(char, [0]) * (n * BLOCK)
+            return flat, np.frombuffer(flat, dtype=char).reshape(n, BLOCK)
+        self.get = get
+
+
+_cut_buffers = _CutBuffers()
+
+
 class _Stream:
     """One purpose's blocked, counter-addressed random stream.
 
@@ -231,9 +248,14 @@ class _Stream:
     moves the device to its row in the next block, generating the block on
     first use.  A generated block is cut at once into its n rows, each an
     ``array`` of C values of the block's dtype, reversed, so a Python number
-    is made only for a draw that is read.  A block keeps only the rows no
-    device has taken: a device takes its row and leaves ``None`` in its
-    place, and the block is dropped once every device has taken its row.
+    is made only for a draw that is read.  The reversed block is copied into
+    a buffer that the thread reuses for every block of that dtype and n, and
+    the rows are sliced from it as copies: a block-sized temporary made and
+    freed per block would be handed back to the kernel and faulted in again
+    by the next.  The buffer is per thread because numpy's copy releases the
+    GIL.  A block keeps only the rows no device has taken: a device takes
+    its row and leaves ``None`` in its place, and the block is dropped once
+    every device has taken its row.
     Block 0 is handed to every device at once, on the first refill of any
     of them.
     """
@@ -262,7 +284,9 @@ class _Stream:
         entry = self._blocks.get(j)
         if entry is None:  # no device has reached block j yet: cut it into rows
             block = self.blocks(1)[0]
-            flat = array(block.dtype.char, block[:, ::-1].tobytes())
+            flat, view = _cut_buffers.get(block.dtype.char, self._n)
+            np.copyto(view, block[:, ::-1])
+            del block  # freed before the rows are made
             rows = [flat[s] for s in _row_slices(self._n)]
             if j == 0:  # every device is still on block 0: hand out all its rows
                 self.draws[:] = rows

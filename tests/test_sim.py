@@ -6,7 +6,9 @@ import math
 import os
 import pickle
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +182,28 @@ def test_replicate_parallelism_is_bitwise_identical():
     assert serial.stderr == parallel.stderr
     for r_s, r_p in zip(serial.results, parallel.results):
         assert np.array_equal(r_s.avg_aoi_per_device, r_p.avg_aoi_per_device)
+
+
+def test_runs_in_threads_match_sequential_runs():
+    # Each thread cuts its stream blocks through its own buffers, so runs in
+    # concurrent threads draw what they draw alone.  A short switch interval
+    # lets a thread lose the interpreter between copying a block and slicing
+    # its rows.
+    configs = [sim.SimConfig(params=_params(1000, 200), ps=W_WP, seed=seed, stop_time=10.0)
+               for seed in range(21, 29)]
+    counters = ("arrivals", "delivered", "failed", "preempted", "discarded", "replaced", "held")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(sim.run, configs))
+    finally:
+        sys.setswitchinterval(interval)
+    for config, got in zip(configs, threaded):
+        want = sim.run(config)
+        assert np.array_equal(got.avg_aoi_per_device, want.avg_aoi_per_device)
+        assert np.array_equal(got.other_avg_aoi_per_device, want.other_avg_aoi_per_device)
+        assert [getattr(got, c) for c in counters] == [getattr(want, c) for c in counters]
 
 
 def test_replicate_starts_no_more_workers_than_replications(monkeypatch):
@@ -511,13 +535,60 @@ def test_stream_hands_device_d_row_d_of_each_block():
             q = stream.draws[d]
             got[d].append(q.pop() if q else stream.refill(d))
 
-        key = np.array([11, (5 << 3) | sim._P_SUCCESS], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        blocks = [sample(gen, (n, 64)).tolist() for _ in range(4)]
-        for d, count in enumerate(counts):
-            want = [draw for block in blocks for draw in block[d]][:count]
+        for d, want in enumerate(_reference_rows(config, sim._P_SUCCESS, sample, counts)):
             assert got[d] == want, name
             assert [type(draw) for draw in got[d]] == [type(draw) for draw in want], name
+
+
+def _reference_rows(config, purpose, sample, counts):
+    """Each device's first ``counts[d]`` draws of ``config``'s ``purpose``
+    stream, built by hand from its Philox generator: row d of consecutive
+    (n, 64) blocks, as the Python numbers ``tolist`` makes."""
+    key = np.array([config.seed, (config.replication << 3) | purpose], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    blocks = [sample(gen, (len(counts), 64)).tolist() for _ in range(-(-max(counts) // 64))]
+    return [[draw for block in blocks for draw in block[d]][:count]
+            for d, count in enumerate(counts)]
+
+
+def test_streams_sharing_a_cut_buffer_keep_their_own_rows():
+    # Streams of one dtype cut their blocks through one reused buffer per n.
+    # Drawn in turn, with devices still reading rows of earlier blocks, each
+    # device still gets its own rows: a row is a copy, not a view of the
+    # buffer that the next cut overwrites.
+    # (purpose, draws per device), at n = 3, 5 and 3
+    streams = [(sim._P_SUCCESS, (200, 70, 131)), (sim._P_SUCCESS, (90, 150, 7, 64, 129)),
+               (sim._P_BACKOFF, (65, 190, 100))]
+    configs = [sim.SimConfig(params=_params(len(counts), 1, gamma=float(len(counts))), ps=W_WP,
+                             seed=11, replication=5, stop_arrivals=1) for _, counts in streams]
+    order = [(i, d) for i, (_, counts) in enumerate(streams) for d, count in enumerate(counts)
+             for _ in range(count)]
+    random.Random(1).shuffle(order)
+    for name, sample in _SAMPLERS.items():
+        cut = [sim._Stream(config, purpose, sample)
+               for config, (purpose, _) in zip(configs, streams)]
+        got = [[[] for _ in counts] for _, counts in streams]
+        for i, d in order:
+            q = cut[i].draws[d]
+            got[i][d].append(q.pop() if q else cut[i].refill(d))
+        for config, (purpose, counts), rows in zip(configs, streams, got):
+            assert rows == _reference_rows(config, purpose, sample, counts), (name, counts)
+
+
+def test_cutting_a_block_makes_no_block_sized_temporary():
+    # Once a buffer for its dtype and n exists, cutting a block costs numpy's
+    # block (512 kB at n = 1000) and the n rows (about 579 kB), no more.
+    n = 1000
+    config = sim.SimConfig(params=_params(n, 200), ps=W_WP, seed=3, stop_arrivals=1)
+    sim._Stream(config, sim._P_BACKOFF, _SAMPLERS["exponential"]).refill(0)
+    stream = sim._Stream(config, sim._P_SERVICE, _SAMPLERS["exponential"])
+    tracemalloc.start()
+    try:
+        stream.refill(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 2**20
 
 
 def test_stream_frees_blocks_every_device_has_left():
