@@ -9,7 +9,8 @@ environment does).  Each pair goes to stderr as it ends.  Prints one JSON
 object: ``pairs`` (each side's metrics, ``fail_frac`` and ``repeats``, and
 whether their CSV SHA-256s matched) and ``summary`` (per metric: quartiles,
 the change's wins and ties, and the median change against the parent's
-interquartile range).
+interquartile range).  A run that fails stops the script with its side, seed
+and the end of its stderr.
 """
 
 from __future__ import annotations
@@ -22,13 +23,26 @@ import subprocess
 import sys
 
 
-def run_side(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One benchmark run in ``checkout``: its metrics and its environment line."""
-    out = subprocess.run(
+STDERR_TAIL_LINES = 20
+
+
+def run_side(side: str, checkout: str, workload: str, seed: int,
+             seconds: float) -> tuple[dict, dict]:
+    """One benchmark run in ``checkout``: its metrics and its environment line.
+
+    A failing run ends the script, naming the side and the seed and printing
+    the last lines of that run's stderr.
+    """
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        capture_output=True, text=True, check=True).stdout.strip().splitlines()
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
+        sys.exit(f"{side} run failed with code {proc.returncode} "
+                 f"(checkout {checkout}, workload {workload}, seed {seed}); its stderr ends:\n{tail}")
+    out = proc.stdout.strip().splitlines()
     return json.loads(out[-1])["metrics"], json.loads(out[-2])
 
 
@@ -64,7 +78,8 @@ def main() -> None:
         pair = {"seed": args.seed + i, "first": order[0], "parent": None, "change": None}
         digests = {}
         for side in order:
-            metrics, env = run_side(checkouts[side], args.workload, pair["seed"], args.seconds)
+            metrics, env = run_side(side, checkouts[side], args.workload, pair["seed"],
+                                    args.seconds)
             pair[side] = {name: round(m["value"], 4) for name, m in metrics.items()}
             pair[side].update(fail_frac=env["fail_frac"], repeats=env["repeats"])
             digests[side] = env["csv_sha256"]

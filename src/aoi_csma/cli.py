@@ -45,6 +45,9 @@ _EXIT_NUMERICAL = 2
 _EXIT_THRESHOLD = 3
 
 _MAX_GRID = 1_000_000  # points per grid, as meanfield bounds its steps and sim its samples
+# Shorter runs of repeated trajectory states are formatted in full: in CPython
+# 3.11 a stretch of their own costs about what formatting ten rows' states does.
+_MIN_REPEAT_RUN = 16
 
 class UsageError(AoiError):
     """Bad command line or config file content."""
@@ -57,21 +60,29 @@ def _fmt(x: float) -> str:
 def _trajectory_lines(times, states) -> list[str]:
     """Rows of a trajectory of (x_I, x_W, x_S), mean-field or empirical.
 
-    Each row is formatted from its Python floats with ``%``, which gives the
-    text of ``_fmt`` per field.  Rows are converted 1024 at a time, so no
-    list of every value is held.  A state equal to the row before, with every
-    component positive (so equal means the same bits), reuses that row's
-    text; the time is formatted for every row.
+    Fields are formatted from Python floats with ``%``, which gives the text
+    of ``_fmt`` per field.  The rows are cut into stretches of at most 1024,
+    each formatted with one ``%``, so no list of every value is held.  A
+    state equal to the row before, with every component positive (so equal
+    means the same bits), has that row's text, so a run of at least
+    ``_MIN_REPEAT_RUN`` such rows is a stretch that formats only its times,
+    after the fixed state text; other stretches format all four fields.
     """
     rows = np.column_stack((times, states))
+    repeats = np.zeros(len(rows), dtype=bool)
+    repeats[1:] = ((rows[1:, 1:] == rows[:-1, 1:]) & (rows[1:, 1:] > 0.0)).all(axis=1)
+    starts = np.flatnonzero(np.diff(repeats, prepend=True))
+    lengths = np.diff(starts, append=len(rows))
+    repeats &= np.repeat(lengths >= _MIN_REPEAT_RUN, lengths)
+    starts = np.flatnonzero(np.diff(repeats, prepend=True)).tolist()
     lines = ["t,x_I,x_W,x_S"]
-    last = text = None
-    for start in range(0, len(rows), 1024):
-        for t, xi, xw, xs in rows[start:start + 1024].tolist():
-            if not ((xi, xw, xs) == last and xi > 0.0 and xw > 0.0 and xs > 0.0):
-                last = xi, xw, xs
-                text = ",%.9g,%.9g,%.9g" % (xi, xw, xs)
-            lines.append("%.9g" % t + text)
+    for first, end in zip(starts, [*starts[1:], len(rows)]):
+        row, columns = "%.9g,%.9g,%.9g,%.9g", slice(None)
+        if repeats[first]:
+            row, columns = "%.9g" + ",%.9g,%.9g,%.9g" % tuple(rows[first, 1:].tolist()), slice(1)
+        for start in range(first, end, 1024):
+            block = rows[start:min(start + 1024, end), columns]
+            lines += ("\n".join([row] * len(block)) % tuple(block.ravel().tolist())).split("\n")
     return lines
 
 
@@ -228,6 +239,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"malformed grid {text!r}") from None
+    if not (np.isfinite(start) and np.isfinite(end)):
+        raise UsageError(f"grid ends must be finite, got {text!r}")
     if count < 2 or not end > start:
         raise UsageError(f"grid must be strictly increasing with count >= 2, got {text!r}")
     if count > _MAX_GRID:
@@ -382,8 +395,7 @@ def _cmd_crossvalidate(args, output: _Output) -> int:
     deviations = []
     for ps in PolicyScheme.all_combinations():
         via_chain = shs.average_aoi(ps, lam=lam, mu=mu, k=k, p=p)
-        direct = np.array([closedform.avg_aoi(ps, lam=a, mu=b, k=c, p=d)
-                           for a, b, c, d in tuples.tolist()])
+        direct = closedform.avg_aoi(ps, lam=lam, mu=mu, k=k, p=p)
         with np.errstate(invalid="ignore"):  # an infinite closed form gives inf/inf
             deviations.append(np.abs(via_chain - direct) / direct)
     # np.max propagates NaN, so a NaN deviation fails below
@@ -414,13 +426,11 @@ def _sweep_lines(combos: list[PolicyScheme], params: SystemParams,
                  which: str, grid: np.ndarray) -> list[str]:
     lines = ["policy,scheme,param,value,k,aoi"]
     name = _FLAG_OF_FIELD[which]
+    values = [float(value) for value in grid]
     for ps in combos:
-        for value in grid:
-            probe = meanfield.with_param(params, which, float(value))
-            eq = meanfield.equilibrium(ps.policy, probe)
-            aoi = closedform.avg_aoi(ps, lam=probe.lam, mu=probe.mu, k=eq.k_star, p=probe.p)
-            lines.append(f"{ps.policy.value},{ps.scheme.value},{name},{_fmt(value)},"
-                         f"{_fmt(eq.k_star)},{_fmt(aoi)}")
+        *_, k, aoi = meanfield.aoi_along(ps, params, which, values)
+        lines += [f"{ps.policy.value},{ps.scheme.value},{name},%.9g,%.9g,%.9g" % row
+                  for row in zip(values, k.tolist(), aoi.tolist())]
     return lines
 
 

@@ -4,11 +4,16 @@ Each of the six (policy, scheme) combinations has an explicit average-AoI
 expression in terms of (lam, mu, k, p), valid under a given stationary
 distribution with effective waiting rate k.  The expressions are coded
 term by term following their printed grouping (base + coupling + correction).
+``avg_aoi`` takes float or array rates, as ``shs.average_aoi`` does: numpy's
+float64 arithmetic rounds as Python's does, so an array gives, element by
+element, the floats the scalar calls give.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .core import AoiError, InvalidParameter, Policy, PolicyScheme, Scheme, StateFractions
 
@@ -17,7 +22,14 @@ class DivergentAoi(AoiError):
     """The average AoI is infinite (p = 0 or a rate is zero)."""
 
 
-def _check_rates(lam: float, mu: float, k: float, p: float) -> None:
+def _check_rates(lam, mu, k, p) -> None:
+    """Raise for a rate out of its domain; arrays raise what their first bad point raises."""
+    if isinstance(lam + mu + k + p, np.ndarray):  # at least one rate is an array
+        rates = np.array(np.broadcast_arrays(lam, mu, k, p), dtype=float).reshape(4, -1)
+        good = np.isfinite(rates).all(axis=0) & (rates > 0.0).all(axis=0) & (rates[3] <= 1.0)
+        if not good.all():
+            _check_rates(*rates[:, np.argmin(good)].tolist())
+        return
     for name, value in (("lam", lam), ("mu", mu), ("k", k), ("p", p)):
         if not (math.isfinite(value) and value >= 0.0):
             raise InvalidParameter(name, f"must be a positive finite number, got {value!r}")
@@ -30,8 +42,11 @@ def _check_rates(lam: float, mu: float, k: float, p: float) -> None:
             raise DivergentAoi(f"{name} = {value}: rate must be positive")
 
 
-def avg_aoi(ps: PolicyScheme, lam: float, mu: float, k: float, p: float) -> float:
-    """Average AoI for one (policy, scheme) at effective waiting rate k."""
+def avg_aoi(ps: PolicyScheme, lam, mu, k, p) -> float | np.ndarray:
+    """Average AoI for one (policy, scheme) at effective waiting rate k.
+
+    Floats give a float; arrays (broadcast together) give an array.
+    """
     _check_rates(lam, mu, k, p)
     pol, sch = ps.policy, ps.scheme
 

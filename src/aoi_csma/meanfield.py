@@ -109,8 +109,18 @@ def drift(policy: Policy, params: SystemParams, x: StateFractions) -> np.ndarray
     return np.array(_drift(policy, params)(x.x_i, x.x_w, x.x_s))
 
 
-def equilibrium(policy: Policy, params: SystemParams) -> Equilibrium:
-    """Unique feasible fixed point of the mean-field ODE, from its radical.
+def _anywhere(cond) -> bool:
+    """Whether ``cond`` holds at some point: a bool from floats, a boolean array from arrays."""
+    return cond if isinstance(cond, bool) else bool(cond.any())
+
+
+def _everywhere(cond) -> bool:
+    """Whether ``cond`` holds at every point, taken as ``_anywhere`` takes it."""
+    return cond if isinstance(cond, bool) else bool(cond.all())
+
+
+def _radical(policy: Policy, lam, mu, w, gamma, p):
+    """(x_i, x_w, x_s, k*) of the equilibrium from its radical, for floats or arrays.
 
     Solved in the busy probability y = gamma * x_s, whose quadratic
     A*y^2 - B*y + lam*gamma has value -lam*mu_term/w at y = 1, so exactly one
@@ -118,40 +128,47 @@ def equilibrium(policy: Policy, params: SystemParams) -> Equilibrium:
     form (no cancellation); near saturation, 1 - y is recovered from the
     root-product identity A*(1 - y_minus)*(y_plus - 1) = lam*mu_term/w so
     that k keeps full relative precision.  A residual guard on the
-    fixed-point equation catches transcription errors.
+    fixed-point equation catches transcription errors.  Floats are computed
+    with Python's arithmetic and arrays element-wise with numpy's, which
+    rounds alike; an array raises when any element would, with a message
+    about the whole array.
     """
-    lam, mu, w, gamma, p = params.lam, params.mu, params.w, params.gamma, params.p
-    if policy is not Policy.I and not p > 0.0:
+    if policy is not Policy.I and not _everywhere(p > 0.0):
         raise InvalidParameter("p", f"must be positive under policy ({policy.value})")
-
     p_eff = 1.0 if policy is Policy.I else p          # service-exit total uses mu*p_eff
     mu_term = mu * p if policy is Policy.S else mu    # the lam*mu coefficient
     a = lam + mu * p_eff
     b = a + lam * mu_term / w + lam * gamma
     c = lam * gamma
     disc = b * b - 4.0 * a * c
-    if disc < 0.0:
+    if _anywhere(disc < 0.0):
         raise NoFeasibleRoot(f"negative discriminant {disc}")
-    sqrt_disc = math.sqrt(disc)
+    sqrt_disc = np.sqrt(disc) if isinstance(disc, np.ndarray) else math.sqrt(disc)
     y_minus = 2.0 * c / (b + sqrt_disc)
     y_plus = (b + sqrt_disc) / (2.0 * a)
-    if not 0.0 < y_minus < 1.0 <= y_plus:
+    if not _everywhere((0.0 < y_minus) & (y_minus < 1.0) & (1.0 <= y_plus)):
         raise NoFeasibleRoot("no equilibrium root with busy probability in (0, 1)")
     one_minus_y = 1.0 - y_minus
-    if one_minus_y < 0.01:
-        one_minus_y = lam * mu_term / (w * a * (y_plus - 1.0))
+    near = one_minus_y < 0.01
+    if _anywhere(near):
+        from_product = lam * mu_term / (w * a * (y_plus - 1.0))
+        one_minus_y = (np.where(near, from_product, one_minus_y)
+                       if isinstance(near, np.ndarray) else from_product)
 
     x_s = y_minus / gamma
     k = w * one_minus_y
     fixed_point = lam * k / (a * k + lam * mu_term)
-    if abs(x_s - fixed_point) > 1e-9:
+    if _anywhere(abs(x_s - fixed_point) > 1e-9):
         raise NoFeasibleRoot(f"fixed-point residual {abs(x_s - fixed_point)} too large")
+    return (mu * p_eff / lam) * x_s, mu_term * x_s / k, x_s, k
 
-    x_i = (mu * p_eff / lam) * x_s
-    x_w = mu_term * x_s / k
+
+def equilibrium(policy: Policy, params: SystemParams) -> Equilibrium:
+    """Unique feasible fixed point of the mean-field ODE, from its radical (``_radical``)."""
+    x_i, x_w, x_s, k = _radical(policy, params.lam, params.mu, params.w, params.gamma, params.p)
     x_star = StateFractions(x_i, x_w, x_s)
     residual = float(np.abs(drift(policy, params, x_star)).max())
-    margin = min(lam, k, w * gamma * x_w)
+    margin = min(params.lam, k, params.w * params.gamma * x_w)
     return Equilibrium(x_star=x_star, k_star=k, residual=residual, stability_margin=margin)
 
 
@@ -257,6 +274,34 @@ def aoi_at_equilibrium(ps: PolicyScheme, params: SystemParams) -> float:
     return closedform.avg_aoi(ps, lam=params.lam, mu=params.mu, k=eq.k_star, p=params.p)
 
 
+def aoi_along(ps: PolicyScheme, params: SystemParams, which: str, values) -> np.ndarray:
+    """Rows x_i, x_w, x_s, k* and mean-field AoI at each value of parameter ``which``.
+
+    Every point's parameters are built and checked as ``with_param`` does,
+    then all points are evaluated as one batch.  Where the batch raises or
+    gives a value that is not finite, the points are evaluated one at a time
+    instead, so the first failing point raises what it would alone.
+    """
+    try:
+        probes = [with_param(params, which, value) for value in values]
+        lam, mu, w, gamma, p = np.array([(q.lam, q.mu, q.w, q.gamma, q.p)
+                                         for q in probes]).reshape(-1, 5).T
+        with np.errstate(all="ignore"):
+            *x, k = _radical(ps.policy, lam, mu, w, gamma, p)
+            rows = np.array([*x, k, closedform.avg_aoi(ps, lam=lam, mu=mu, k=k, p=p)])
+        if np.isfinite(rows).all():
+            return rows
+    except AoiError:
+        pass
+    rows = []
+    for value in values:
+        probe = with_param(params, which, value)
+        eq = equilibrium(ps.policy, probe)
+        aoi = closedform.avg_aoi(ps, lam=probe.lam, mu=probe.mu, k=eq.k_star, p=probe.p)
+        rows.append((*eq.x_star.as_tuple(), eq.k_star, aoi))
+    return np.array(rows).reshape(-1, 5).T
+
+
 # ---------------------------------------------------------------------------
 # Numerical monotonicity verification.
 
@@ -341,27 +386,28 @@ def monotonicity_report(
     if not values:
         raise GridPointInvalid("empty grid")
 
-    d_x, d_aoi = [], []
+    steps, stencil, invalid = [], [], None
     for value in values:
         h = _REL_STEP * abs(value)
         lo, hi = value - h, value + h
         if not (h > 0 and lo > 0):
-            raise GridPointInvalid(f"{which} = {value} too close to zero for step {h}")
-        if which == "p" and hi > 1.0:
-            raise GridPointInvalid(f"p = {value} + step exceeds 1")
-        per_point = []
-        for v in (lo, hi):
-            probe = with_param(params, which, v)
-            eq = equilibrium(policy, probe)
-            aoi = closedform.avg_aoi(ps, lam=probe.lam, mu=probe.mu, k=eq.k_star, p=probe.p)
-            per_point.append((eq.x_star, aoi))
-        (x_lo, aoi_lo), (x_hi, aoi_hi) = per_point
-        scale = 2.0 * h
-        d_x.append([(b - a) / scale for a, b in zip(x_lo.as_tuple(), x_hi.as_tuple())])
-        d_aoi.append((aoi_hi - aoi_lo) / scale)
+            invalid = GridPointInvalid(f"{which} = {value} too close to zero for step {h}")
+        elif which == "p" and hi > 1.0:
+            invalid = GridPointInvalid(f"p = {value} + step exceeds 1")
+        if invalid is not None:
+            break
+        steps.append(h)
+        stencil += [lo, hi]
+    # the points before an invalid one are evaluated first, as one at a time they would be
+    rows = aoi_along(ps, params, which, stencil)
+    if invalid is not None:
+        raise invalid
+    scale = 2.0 * np.array(steps)
+    d_x = ((rows[:3, 1::2] - rows[:3, 0::2]) / scale).T
+    d_aoi = (rows[4, 1::2] - rows[4, 0::2]) / scale
 
     verdicts: dict[str, str] = {}
-    columns = (*zip(*d_x), d_aoi)
+    columns = (*d_x.T, d_aoi)
     for quantity, claim, column in zip(("x_i", "x_w", "x_s", "aoi"),
                                        _CLAIMS[policy, which], columns):
         if claim is None:
@@ -369,4 +415,4 @@ def monotonicity_report(
         else:
             matched = all(_sign(d) == claim for d in column)
             verdicts[quantity] = "match" if matched else "mismatch"
-    return MonotonicityReport(d_x=np.array(d_x), d_aoi=np.array(d_aoi), verdicts=verdicts)
+    return MonotonicityReport(d_x=d_x, d_aoi=d_aoi, verdicts=verdicts)

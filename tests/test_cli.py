@@ -112,6 +112,7 @@ def test_bad_sweep_syntax_is_usage_error(capsys):
         ("p=0:1:x", "malformed grid '0:1:x'"),
         ("p", "sweep must be <param>=<start:end:count>, got 'p'"),
         ("p=0.1:1:1000001", "grid must have at most 1000000 points, got '0.1:1:1000001'"),
+        ("p=0.1:inf:3", "grid ends must be finite, got '0.1:inf:3'"),
     ]:
         code, out, err = run_cli(capsys, "analytic", "--lambda", "1", "--mu", "1", "--k", "1",
                                  "--sweep", sweep)
@@ -196,8 +197,17 @@ def test_meanfield_sweep_through_p_zero_is_numerical_failure(capsys):
     code, _, err = run_cli(capsys, "meanfield", "--policy", "I", "--lambda", "0.8",
                            "--mu", "1", "--w", "2", "--gamma", "5", "--p", "0.7",
                            "--sweep", "p=0.0:1.0:3")
-    assert code == 2
-    assert "numerical failure" in err
+    assert (code, err) == (2, "numerical failure: p = 0.0: no packet is ever delivered\n")
+
+
+@pytest.mark.parametrize("extra, code, message", [
+    (["--policy", "W", "--sweep", "p=0.0:1.0:3"], 1,
+     "error: invalid parameter '--p': must be positive under policy (W)"),
+    (["--monotonicity", "p=0.5:1:3"], 1, "error: p = 1.0 + step exceeds 1"),
+])
+def test_failing_grid_reports_its_first_failing_point(capsys, extra, code, message):
+    # a whole grid is evaluated at once, but fails as the first failing point does alone
+    assert run_cli(capsys, "meanfield", *MF_ARGS, *extra) == (code, "", message + "\n")
 
 
 def test_meanfield_trajectory_leaving_the_channel_bound_is_numerical_failure(capsys):
@@ -736,6 +746,12 @@ def test_csv_rows_reuse_a_repeated_state_only_when_its_bits_repeat():
     lines = _trajectory_lines(times, states)
     assert lines[1:] == [",".join(_fmt(v) for v in (t, *row)) for t, row in zip(times, states)]
     assert lines[4].endswith(",0") and lines[5].endswith(",-0")
+    # runs long enough to be formatted as times after a fixed state text,
+    # one of them across a 1024-row stretch boundary
+    states = [row for row in states for _ in range(20)] + [[0.3, 0.3, 0.4]] * 1100
+    times = [0.01 * i for i in range(len(states))]
+    lines = _trajectory_lines(times, states)
+    assert lines[1:] == [",".join(_fmt(v) for v in (t, *row)) for t, row in zip(times, states)]
 
 
 def test_meanfield_csv_serialization_formats(tmp_path, capsys):

@@ -41,6 +41,24 @@ def test_breakdown_terms_sum_to_total(lam, mu, k, p):
         assert cf.avg_aoi(ps, lam=lam, mu=mu, k=k, p=p) > 0
 
 
+@given(st.lists(st.tuples(rates, rates, rates, probs), min_size=1, max_size=40))
+def test_arrays_give_the_scalar_values_bit_for_bit(tuples):
+    lam, mu, k, p = np.array(tuples).T
+    for ps in PolicyScheme.all_combinations():
+        scalars = [cf.avg_aoi(ps, lam=a, mu=b, k=c, p=d) for a, b, c, d in tuples]
+        assert cf.avg_aoi(ps, lam=lam, mu=mu, k=k, p=p).tobytes() == np.array(scalars).tobytes()
+
+
+def test_arrays_raise_what_their_first_bad_point_raises():
+    ones = np.ones(3)
+    with pytest.raises(InvalidParameter, match=r"'p': must lie in \(0, 1\], got 1.5"):
+        cf.avg_aoi(W_WP, lam=ones, mu=ones, k=np.array([1.0, 1.0, -1.0]),
+                   p=np.array([0.5, 1.5, 0.5]))
+    with pytest.raises(cf.DivergentAoi, match=r"^p = 0.0: no packet is ever delivered$"):
+        cf.avg_aoi(W_WP, lam=ones, mu=1.0, k=np.array([1.0, 1.0, -1.0]), p=np.array([0.0, 1.5, 1]))
+    assert cf.avg_aoi(I_WP, lam=ones, mu=1, k=1, p=1).tolist() == [2.75] * 3
+
+
 def test_stationary_examples():
     # policy (I) is p-independent
     pi = cf.stationary(Policy.I, lam=1, mu=1, k=1, p=0.3)

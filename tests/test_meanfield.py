@@ -32,6 +32,17 @@ param_sets = st.builds(
     gamma=st.floats(0.2, 10.0),
 )
 
+# busy probability above 0.99 for most draws, where the equilibrium takes 1 - y
+# from the root product
+saturated_sets = st.builds(
+    SystemParams,
+    lam=st.floats(2.0, 5.0),
+    mu=st.floats(0.05, 0.2),
+    w=st.floats(3.0, 5.0),
+    p=st.floats(0.05, 1.0),
+    gamma=st.floats(5.0, 10.0),
+)
+
 
 def _feasible_point(params: SystemParams, u: tuple[float, float, float]) -> StateFractions:
     """Map three uniforms onto the simplex with x_s inside the feasible wedge."""
@@ -133,6 +144,26 @@ def test_equilibrium_invariants(params, ):
         mu_w = params.mu * params.p if policy is Policy.S else params.mu
         assert abs(x.x_i - (mu_i / params.lam) * x.x_s) < 1e-12
         assert abs(x.x_w - mu_w * x.x_s / k) < 1e-12
+
+
+@given(points=st.lists(st.one_of(param_sets, saturated_sets), min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_array_equilibria_give_the_scalar_values_bit_for_bit(points):
+    rates = np.array([(q.lam, q.mu, q.w, q.gamma, q.p) for q in points]).T
+    for policy in Policy:
+        scalars = [mf.equilibrium(policy, q) for q in points]
+        x_i, x_w, x_s, k = mf._radical(policy, *rates)
+        assert k.tobytes() == np.array([eq.k_star for eq in scalars]).tobytes()
+        assert np.column_stack((x_i, x_w, x_s)).tobytes() == np.array(
+            [eq.x_star.as_tuple() for eq in scalars]).tobytes()
+
+
+def test_saturated_points_take_the_root_product_branch():
+    # the points test_array_equilibria_give_the_scalar_values_bit_for_bit
+    # draws to reach 1 - y < 0.01 do reach it
+    for policy in Policy:
+        eq = mf.equilibrium(policy, SystemParams(lam=3.0, mu=0.1, w=4.0, p=0.5, gamma=8.0))
+        assert 1.0 - 8.0 * eq.x_star.x_s < 0.01
 
 
 def test_equilibrium_requires_positive_p_under_feedback():
