@@ -10,7 +10,8 @@ object: ``pairs`` (each side's metrics, ``fail_frac`` and ``repeats``, and
 whether their CSV SHA-256s matched) and ``summary`` (per metric: quartiles,
 the change's wins and ties, and the median change against the parent's
 interquartile range).  A run that fails stops the script with its side, seed
-and the end of its stderr.
+and the end of its stderr.  When the CSV SHA-256s of any pair differ, the
+script exits 1 after printing the JSON, naming those pairs' seeds.
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ def main() -> None:
         print(json.dumps(pair), file=sys.stderr, flush=True)
     summary = {name: summarise(pairs, name, how == "lower") for name, how in better.items()}
     print(json.dumps({"pairs": pairs, "summary": summary}, indent=1))
+    changed = [p["seed"] for p in pairs if not p["csv_sha256_identical"]]
+    if changed:
+        sys.exit(f"CSV bytes differ between parent and change at seeds {changed}")
 
 
 if __name__ == "__main__":

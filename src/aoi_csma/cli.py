@@ -20,7 +20,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -57,37 +57,58 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _trajectory_lines(times, states) -> list[str]:
-    """Rows of a trajectory of (x_I, x_W, x_S), mean-field or empirical.
+def _csv(lines: list[str]) -> str:
+    """A document's text: its lines, each ended by LF."""
+    return "\n".join(lines) + "\n"
 
-    Fields are formatted from Python floats with ``%``, which gives the text
-    of ``_fmt`` per field.  The rows are cut into stretches of at most 1024,
-    each formatted with one ``%``, so no list of every value is held.  A
-    state equal to the row before, with every component positive (so equal
-    means the same bits), has that row's text, so a run of at least
-    ``_MIN_REPEAT_RUN`` such rows is a stretch that formats only its times,
-    after the fixed state text; other stretches format all four fields.
+
+def _time_column(times) -> list[str]:
+    """Each time as ``_fmt`` gives it, formatted from Python floats with ``%``
+    in blocks of 1024, so no list of every value is held."""
+    times = np.asarray(times, dtype=float)
+    column = []
+    for start in range(0, len(times), 1024):
+        block = times[start:start + 1024].tolist()
+        column += ("\n".join(["%.9g"] * len(block)) % tuple(block)).split("\n")
+    return column
+
+
+def _trajectory_csv(column: list[str], states) -> str:
+    """The CSV text of a trajectory of (x_I, x_W, x_S), mean-field or empirical.
+
+    ``column`` is the sample times as ``_time_column`` gives them, so
+    trajectories with the same times format them once.  The states are
+    formatted from Python floats with ``%``, which gives the text of
+    ``_fmt`` per field, in stretches of at most 1024 rows.  A state equal to
+    the row before, with every component positive (so equal means the same
+    bits), has that row's text, so a run of at least ``_MIN_REPEAT_RUN``
+    such rows is a stretch that joins its times with the fixed state text;
+    other stretches format the three states of each row.
     """
-    rows = np.column_stack((times, states))
-    repeats = np.zeros(len(rows), dtype=bool)
-    repeats[1:] = ((rows[1:, 1:] == rows[:-1, 1:]) & (rows[1:, 1:] > 0.0)).all(axis=1)
+    states = np.asarray(states, dtype=float).reshape(-1, 3)
+    repeats = np.zeros(len(states), dtype=bool)
+    repeats[1:] = ((states[1:] == states[:-1]) & (states[1:] > 0.0)).all(axis=1)
     starts = np.flatnonzero(np.diff(repeats, prepend=True))
-    lengths = np.diff(starts, append=len(rows))
+    lengths = np.diff(starts, append=len(states))
     repeats &= np.repeat(lengths >= _MIN_REPEAT_RUN, lengths)
     starts = np.flatnonzero(np.diff(repeats, prepend=True)).tolist()
-    lines = ["t,x_I,x_W,x_S"]
-    for first, end in zip(starts, [*starts[1:], len(rows)]):
-        row, columns = "%.9g,%.9g,%.9g,%.9g", slice(None)
+    parts = ["t,x_I,x_W,x_S\n"]
+    for first, end in zip(starts, [*starts[1:], len(states)]):
         if repeats[first]:
-            row, columns = "%.9g" + ",%.9g,%.9g,%.9g" % tuple(rows[first, 1:].tolist()), slice(1)
+            tail = ",%.9g,%.9g,%.9g\n" % tuple(states[first].tolist())
+            parts.append(tail.join(column[first:end]) + tail)
+            continue
         for start in range(first, end, 1024):
-            block = rows[start:min(start + 1024, end), columns]
-            lines += ("\n".join([row] * len(block)) % tuple(block.ravel().tolist())).split("\n")
-    return lines
+            stop = min(start + 1024, end)
+            cells = [None] * (4 * (stop - start))
+            cells[0::4] = column[start:stop]
+            cells[1::4], cells[2::4], cells[3::4] = states[start:stop].T.tolist()
+            parts.append("%s,%.9g,%.9g,%.9g\n" * (stop - start) % tuple(cells))
+    return "".join(parts)
 
 
 def _aoi_lines(avg_aoi_per_device: np.ndarray) -> list[str]:
-    """One row per device of its average AoI, formatted as ``_trajectory_lines``."""
+    """One row per device of its average AoI, formatted as ``_trajectory_csv``."""
     return ["device_id,avg_aoi"] + ["%d,%.9g" % row
                                     for row in enumerate(avg_aoi_per_device.tolist())]
 
@@ -117,17 +138,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def parse_known_args(self, args=None, namespace=None):
-        """With --config, the file's values become this parser's defaults and
-        args are parsed again.  A flag beats the file, the file beats the
-        built-in default, and file values are converted like flag text."""
+        """With --config, the file's values, converted like flag text, are
+        set on the parsed namespace and args are parsed into it again.  A flag
+        beats the file and the file beats the built-in default; the parser
+        itself is left as it was, so it can parse the next command line."""
         parsed, extras = super().parse_known_args(args, namespace)
         if "--config" not in self._option_string_actions or parsed.config is None:
             return parsed, extras
-        self.set_defaults(**_config_defaults(self, parsed.config))
-        return super().parse_known_args(args, namespace)
+        vars(parsed).update(_config_values(self, parsed.config))
+        return super().parse_known_args(args, parsed)
 
 
-def _config_defaults(parser: _Parser, path: str) -> dict:
+def _config_values(parser: _Parser, path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -144,7 +166,10 @@ def _config_defaults(parser: _Parser, path: str) -> dict:
         if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise UsageError(f"config file key {key!r} takes "
                              + ("true or false" if switch else "a string or a number"))
-        defaults[action.dest] = value if isinstance(value, (bool, str)) else str(value)
+        try:
+            defaults[action.dest] = value if switch else parser._get_value(action, str(value))
+        except argparse.ArgumentError as exc:
+            parser.error(str(exc))
     return defaults
 
 
@@ -277,11 +302,14 @@ def _mean_field_params(args) -> SystemParams:
 
 @dataclass
 class _Output:
-    """Collects named CSV documents; writes files under out_dir or to stdout."""
+    """Collects named CSV documents; writes files under out_dir or to stdout.
+
+    A document is held as its whole text, one string, not as a list of lines.
+    """
 
     out_dir: str | None
     gnuplot: bool = False
-    documents: list[tuple[str, list[str], str | None]] = field(default_factory=list)
+    documents: list[tuple[str, str, str | None]] = field(default_factory=list)
     messages: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -290,9 +318,10 @@ class _Output:
         if self.out_dir and os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
             raise UsageError(f"--out must name a directory, got the file {self.out_dir}")
 
-    def add(self, name: str, lines: list[str], x: str | None = None) -> None:
-        """``x`` names the column --gnuplot-script plots the document against."""
-        self.documents.append((name, lines, x))
+    def add(self, name: str, text: str, x: str | None = None) -> None:
+        """``text`` is the CSV with a header, each line ended by LF; ``x`` names
+        the column --gnuplot-script plots the document against."""
+        self.documents.append((name, text, x))
 
     def say(self, message: str) -> None:
         self.messages.append(message)
@@ -302,30 +331,30 @@ class _Output:
             try:
                 if self.documents:
                     os.makedirs(self.out_dir, exist_ok=True)
-                for name, lines, _ in self.documents:
+                for name, text, _ in self.documents:
                     path = os.path.join(self.out_dir, name)
                     with open(path, "w", newline="\n") as fh:
-                        fh.write("\n".join(lines) + "\n")
+                        fh.write(text)
                 if self.gnuplot and (script := self._gnuplot_script()) is not None:
                     with open(os.path.join(self.out_dir, "plot.gp"), "w", newline="\n") as fh:
                         fh.write(script)
             except OSError as exc:  # a file on the --out path, a full disk
                 raise UsageError(f"cannot write {self.out_dir}: {exc.strerror or exc}") from None
         else:
-            for name, lines, _ in self.documents:
+            for name, text, _ in self.documents:
                 if len(self.documents) > 1:
                     sys.stdout.write(f"# {name}\n")
-                sys.stdout.write("\n".join(lines) + "\n")
+                sys.stdout.write(text)
         for message in self.messages:
             sys.stdout.write(message + "\n")
 
     def _gnuplot_script(self) -> str | None:
         """One plot per document added with an x column; None when there is none."""
         plots = []
-        for name, lines, x in self.documents:
+        for name, text, x in self.documents:
             if x is None:
                 continue
-            header = lines[0].split(",")
+            header = text[:text.index("\n")].split(",")
             xcol = header.index(x) + 1
             if "aoi" in header:  # one curve per (policy, scheme)
                 ycol = header.index("aoi") + 1
@@ -366,7 +395,7 @@ def _add_analytic(output: _Output, name: str, combos, points: list[dict], x: str
             except AoiError as exc:
                 failures += 1
                 lines.append(f"{prefix},{type(exc).__name__},{type(exc).__name__}")
-    output.add(name, lines, x)
+    output.add(name, _csv(lines), x)
     if failures:
         output.say(f"warning: {failures} grid point(s) failed")
         return _EXIT_NUMERICAL
@@ -427,8 +456,7 @@ def _sweep_lines(combos: list[PolicyScheme], params: SystemParams,
     lines = ["policy,scheme,param,value,k,aoi"]
     name = _FLAG_OF_FIELD[which]
     values = [float(value) for value in grid]
-    for ps in combos:
-        *_, k, aoi = meanfield.aoi_along(ps, params, which, values)
+    for ps, (*_, k, aoi) in zip(combos, meanfield.aoi_along(combos, params, which, values)):
         lines += [f"{ps.policy.value},{ps.scheme.value},{name},%.9g,%.9g,%.9g" % row
                   for row in zip(values, k.tolist(), aoi.tolist())]
     return lines
@@ -442,23 +470,25 @@ def _cmd_meanfield(args, output: _Output) -> int:
 
     if args.sweep:
         which, grid = _parse_sweep(args.sweep, meanfield.SWEEPABLE)
-        output.add("sweep.csv", _sweep_lines(_combos(args), params, which, grid), "value")
+        output.add("sweep.csv", _csv(_sweep_lines(_combos(args), params, which, grid)), "value")
     if args.trajectory:
+        column = None  # every policy's trajectory has the same sample times
         for pol in args.policy:
             traj = meanfield.integrate(pol, params, args.x0, t_end=args.t_end, dt=args.dt)
-            output.add(f"trajectory_{pol.value}.csv", _trajectory_lines(traj.times, traj.states),
-                       "t")
+            column = column or _time_column(traj.times)
+            output.add(f"trajectory_{pol.value}.csv", _trajectory_csv(column, traj.states), "t")
     if args.monotonicity:
         which, grid = _parse_sweep(args.monotonicity, meanfield.SWEEPABLE)
-        for ps in _combos(args):
-            report = meanfield.monotonicity_report(ps.policy, ps.scheme, params, which, grid)
+        combos = _combos(args)
+        for ps, report in zip(combos, meanfield.monotonicity_report(combos, params, which, grid)):
             rows = [f"{which},{_fmt(v)},{_fmt(d)},{sign}"
                     for v, d, sign in zip(grid, report.d_aoi, report.aoi_signs())]
-            output.add(f"monotonicity_{ps.label}_{which}.csv", ["param,value,dAoI,sign", *rows])
+            output.add(f"monotonicity_{ps.label}_{which}.csv",
+                       _csv(["param,value,dAoI,sign", *rows]))
             verdicts = " ".join(f"{k}={v}" for k, v in report.verdicts.items())
             output.say(f"monotonicity {ps.label} d/d{which}: {verdicts}")
     if not any(wants):
-        output.add("equilibrium.csv", _equilibrium_lines(args.policy, params))
+        output.add("equilibrium.csv", _csv(_equilibrium_lines(args.policy, params)))
     return _EXIT_OK
 
 
@@ -491,11 +521,11 @@ def _cmd_simulate(args, output: _Output) -> int:
         pooled = runs[ps.policy].as_scheme(ps.scheme)
         first = pooled.results[0]
         tag = "" if single else f"_{ps.label}"
-        output.add(f"summary{tag}.csv", _summary_lines(pooled))
-        output.add(f"aoi{tag}.csv", _aoi_lines(first.avg_aoi_per_device))
+        output.add(f"summary{tag}.csv", _csv(_summary_lines(pooled)))
+        output.add(f"aoi{tag}.csv", _csv(_aoi_lines(first.avg_aoi_per_device)))
         if args.sample_dt is not None:
-            output.add(f"traj{tag}.csv",
-                       _trajectory_lines(first.trajectory_times, first.trajectory_fractions), "t")
+            output.add(f"traj{tag}.csv", _trajectory_csv(_time_column(first.trajectory_times),
+                                                         first.trajectory_fractions), "t")
         if args.compare:
             target = targets[ps]
             rel = (pooled.mean_aoi - target) / target
@@ -522,8 +552,8 @@ def _write_sweeps(csv_name: str, args, output: _Output, **params) -> int:
         if key.endswith("_grid"):
             which = key.removesuffix("_grid")
             base = SystemParams(**{**fixed, which: grid[0]})  # _sweep_lines sets each grid value
-            output.add(csv_name.format(which), _sweep_lines(
-                list(PolicyScheme.all_combinations()), base, which, np.linspace(*grid)), "value")
+            output.add(csv_name.format(which), _csv(_sweep_lines(
+                list(PolicyScheme.all_combinations()), base, which, np.linspace(*grid))), "value")
     return _EXIT_OK
 
 
@@ -541,14 +571,14 @@ def _write_accuracy(args, output: _Output, *, populations, t_end, ode_dt, pair, 
     traj = meanfield.integrate(pair.policy, SystemParams(**rates), StateFractions(1.0, 0.0, 0.0),
                                t_end=t_end, dt=ode_dt)  # every simulated device starts idle
     output.add("accuracy_ode.csv",
-               _trajectory_lines(traj.times[::stride], traj.states[::stride]), "t")
+               _trajectory_csv(_time_column(traj.times[::stride]), traj.states[::stride]), "t")
     for n, config in zip(populations, configs):
         pooled = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
         one = pooled.results[0]
         mean_xi = np.mean([r.trajectory_fractions[:, 0] for r in pooled.results], axis=0)
-        output.add(f"accuracy_N{n}.csv", ["t,x_I,mean_x_I"] + [
+        output.add(f"accuracy_N{n}.csv", _csv(["t,x_I,mean_x_I"] + [
             f"{_fmt(t)},{_fmt(row[0])},{_fmt(mx)}"
-            for t, row, mx in zip(one.trajectory_times, one.trajectory_fractions, mean_xi)], "t")
+            for t, row, mx in zip(one.trajectory_times, one.trajectory_fractions, mean_xi)]), "t")
     return _EXIT_OK
 
 
@@ -561,7 +591,7 @@ def _write_single_device(args, output: _Output, *, lam, mu, w, p, gamma, n, m, p
     # a lone device always finds its channel free, so its waiting rate is w
     expected = closedform.avg_aoi(pair, lam=lam, mu=mu, k=w, p=p)
     rel = (pooled.mean_aoi - expected) / expected
-    output.add("single_device.csv", _summary_lines(pooled))
+    output.add("single_device.csv", _csv(_summary_lines(pooled)))
     output.say(f"single device: sim={_fmt(pooled.mean_aoi)} "
                f"closed_form={_fmt(expected)} rel_error={rel:+.4%}")
     return _EXIT_OK
@@ -667,9 +697,13 @@ def _as_typed(exc: AoiError) -> AoiError:
                        for arg in exc.args))
 
 
+# One tree serves every call of main in a process: parsing leaves it unchanged.
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         output = _Output(out_dir=getattr(args, "out", None),
                          gnuplot=bool(getattr(args, "gnuplot_script", False)))
         code = args.run(args, output)

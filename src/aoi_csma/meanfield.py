@@ -28,7 +28,6 @@ from .core import (
     InvalidParameter,
     Policy,
     PolicyScheme,
-    Scheme,
     StateFractions,
     SystemParams,
 )
@@ -187,16 +186,17 @@ def integrate(
     Samples every dt, with a final partial step up to t_end.  The state is
     renormalized onto the simplex whenever roundoff pushes the component sum
     off by more than 1e-12; the largest such correction is recorded on the
-    trajectory.
+    trajectory.  Each RK4 step, full or partial, runs in the loop body on
+    plain floats, calling ``_drift``'s rates four times.
 
     The trajectory settles on the equilibrium, where in floating point a
     full step reaches a state it maps to itself bit for bit.  Once a full
     step returns its own state, every later full step would compute the same
-    numbers again, so the loop stops there: the remaining sample times are
-    still accumulated with ``t += dt``, their rows repeat the state (one numpy
-    fill), and a final partial step is computed.  Equal counts as identical
-    only when every component is positive, which rules out -0.0 == 0.0 and
-    NaN.
+    numbers again, so the full steps stop there: the remaining sample times
+    are still accumulated with ``t += dt``, their rows repeat the state (one
+    numpy fill), and a final partial step is computed.  Equal counts as
+    identical only when every component is positive, which rules out
+    -0.0 == 0.0 and NaN.
     """
     if not 0.0 < dt < math.inf:
         raise InvalidParameter("dt", "must be positive and finite")
@@ -213,54 +213,47 @@ def integrate(
     partial = h_last > 1e-12 * t_end
     max_corr = 0.0
 
-    def step(x: tuple[float, float, float], h: float, t: float) -> tuple[float, float, float]:
-        """One RK4 step of size h from x, ending at time t, back on the simplex."""
-        nonlocal max_corr
-        xi, xw, xs = x
-        if gamma * xs > 1.0:
-            raise InfeasibleOccupancy(f"gamma * x_s = {gamma * xs} > 1 during integration")
-        half = 0.5 * h
-        k1i, k1w, k1s = rates(xi, xw, xs)
-        k2i, k2w, k2s = rates(xi + half * k1i, xw + half * k1w, xs + half * k1s)
-        k3i, k3w, k3s = rates(xi + half * k2i, xw + half * k2w, xs + half * k2s)
-        k4i, k4w, k4s = rates(xi + h * k3i, xw + h * k3w, xs + h * k3s)
-        sixth = h / 6.0
-        xi += sixth * (k1i + 2.0 * (k2i + k3i) + k4i)
-        xw += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
-        xs += sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
-        total = xi + xw + xs
-        off = abs(total - 1.0)
-        if off > 1e-3 or xi < -1e-3 or xw < -1e-3 or xs < -1e-3:
-            deviation = max(off, -min(xi, xw, xs, 0.0))
-            raise StepTooLarge(
-                f"state left the simplex by {deviation} at t={t}; use a smaller dt"
-            )
-        if off > 1e-12:
-            max_corr = max(max_corr, off)
-            return xi / total, xw / total, xs / total
-        return xi, xw, xs
-
-    x = (float(x0.x_i), float(x0.x_w), float(x0.x_s))
+    xi, xw, xs = float(x0.x_i), float(x0.x_w), float(x0.x_s)
     times = [0.0]
-    points = [x]
+    points = [(xi, xw, xs)]  # computed states; a settled stretch is filled in below
     t = 0.0
-    for _ in range(n_full):
-        t += dt
-        x, before = step(x, dt, t), x
-        times.append(t)
-        points.append(x)
-        if x == before and min(x) > 0.0:  # fresh floats compare equal only without NaN
-            break
-    for _ in range(n_full + 1 - len(points)):
-        t += dt
-        times.append(t)
-    states = np.empty((n_full + 1 + partial, 3))
-    states[:len(points)] = points
-    states[len(points):n_full + 1] = x
+    for h, n_steps in ((dt, n_full), (h_last, int(partial))):
+        half, sixth = 0.5 * h, h / 6.0
+        for done in range(1, n_steps + 1):
+            t += h
+            if gamma * xs > 1.0:
+                raise InfeasibleOccupancy(f"gamma * x_s = {gamma * xs} > 1 during integration")
+            k1i, k1w, k1s = rates(xi, xw, xs)
+            k2i, k2w, k2s = rates(xi + half * k1i, xw + half * k1w, xs + half * k1s)
+            k3i, k3w, k3s = rates(xi + half * k2i, xw + half * k2w, xs + half * k2s)
+            k4i, k4w, k4s = rates(xi + h * k3i, xw + h * k3w, xs + h * k3s)
+            yi = xi + sixth * (k1i + 2.0 * (k2i + k3i) + k4i)
+            yw = xw + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
+            ys = xs + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
+            total = yi + yw + ys
+            off = abs(total - 1.0)
+            if off > 1e-3 or yi < -1e-3 or yw < -1e-3 or ys < -1e-3:
+                deviation = max(off, -min(yi, yw, ys, 0.0))
+                raise StepTooLarge(
+                    f"state left the simplex by {deviation} at t={t}; use a smaller dt"
+                )
+            if off > 1e-12:
+                max_corr = max(max_corr, off)
+                yi, yw, ys = yi / total, yw / total, ys / total
+            times.append(t)
+            points.append((yi, yw, ys))
+            # fresh floats compare equal only without NaN
+            if yi == xi and yw == xw and ys == xs and min(yi, yw, ys) > 0.0:
+                for _ in range(n_steps - done):
+                    t += h
+                    times.append(t)
+                break
+            xi, xw, xs = yi, yw, ys
+    states = np.empty((len(times), 3))
     if partial:
-        t += h_last
-        times.append(t)
-        states[-1] = step(x, h_last, t)
+        states[-1] = points.pop()
+    states[:len(points)] = points
+    states[len(points):n_full + 1] = points[-1]
     return Trajectory(
         times=np.array(times),
         states=states,
@@ -274,32 +267,50 @@ def aoi_at_equilibrium(ps: PolicyScheme, params: SystemParams) -> float:
     return closedform.avg_aoi(ps, lam=params.lam, mu=params.mu, k=eq.k_star, p=params.p)
 
 
-def aoi_along(ps: PolicyScheme, params: SystemParams, which: str, values) -> np.ndarray:
-    """Rows x_i, x_w, x_s, k* and mean-field AoI at each value of parameter ``which``.
+def aoi_along(combos: list[PolicyScheme], params: SystemParams, which: str,
+              values) -> list[np.ndarray]:
+    """Per pair of ``combos``, rows x_i, x_w, x_s, k* and mean-field AoI at
+    each value of parameter ``which``.
 
-    Every point's parameters are built and checked as ``with_param`` does,
-    then all points are evaluated as one batch.  Where the batch raises or
-    gives a value that is not finite, the points are evaluated one at a time
-    instead, so the first failing point raises what it would alone.
+    Every point's parameters are built and checked once, as ``with_param``
+    does, for all pairs; the points are then evaluated as one batch, with
+    the radical solved once per policy.  Where a pair's batch raises or
+    gives a value that is not finite, its points are evaluated one at a time
+    instead, pair by pair, so the first failing point raises what it would
+    alone.
     """
-    try:
-        probes = [with_param(params, which, value) for value in values]
-        lam, mu, w, gamma, p = np.array([(q.lam, q.mu, q.w, q.gamma, q.p)
-                                         for q in probes]).reshape(-1, 5).T
-        with np.errstate(all="ignore"):
-            *x, k = _radical(ps.policy, lam, mu, w, gamma, p)
-            rows = np.array([*x, k, closedform.avg_aoi(ps, lam=lam, mu=mu, k=k, p=p)])
-        if np.isfinite(rows).all():
-            return rows
-    except AoiError:
-        pass
-    rows = []
+    probes, invalid = [], None
     for value in values:
-        probe = with_param(params, which, value)
-        eq = equilibrium(ps.policy, probe)
-        aoi = closedform.avg_aoi(ps, lam=probe.lam, mu=probe.mu, k=eq.k_star, p=probe.p)
-        rows.append((*eq.x_star.as_tuple(), eq.k_star, aoi))
-    return np.array(rows).reshape(-1, 5).T
+        try:
+            probes.append(with_param(params, which, value))
+        except AoiError as exc:  # raised after the points before it, as one at a time
+            invalid = exc
+            break
+    lam, mu, w, gamma, p = np.array([(q.lam, q.mu, q.w, q.gamma, q.p)
+                                     for q in probes]).reshape(-1, 5).T
+    radicals, results = {}, []
+    for ps in combos:
+        rows = None
+        if invalid is None:
+            try:
+                with np.errstate(all="ignore"):
+                    if ps.policy not in radicals:
+                        radicals[ps.policy] = _radical(ps.policy, lam, mu, w, gamma, p)
+                    *x, k = radicals[ps.policy]
+                    rows = np.array([*x, k, closedform.avg_aoi(ps, lam=lam, mu=mu, k=k, p=p)])
+            except AoiError:
+                pass
+        if rows is None or not np.isfinite(rows).all():
+            rows = []
+            for probe in probes:
+                eq = equilibrium(ps.policy, probe)
+                aoi = closedform.avg_aoi(ps, lam=probe.lam, mu=probe.mu, k=eq.k_star, p=probe.p)
+                rows.append((*eq.x_star.as_tuple(), eq.k_star, aoi))
+            if invalid is not None:
+                raise invalid
+            rows = np.array(rows).reshape(-1, 5).T
+        results.append(rows)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +378,13 @@ def with_param(params: SystemParams, which: str, value: float) -> SystemParams:
 
 
 def monotonicity_report(
-    policy: Policy,
-    scheme: Scheme,
+    combos: list[PolicyScheme],
     params: SystemParams,
     which: str,
     grid,
-) -> MonotonicityReport:
-    """Finite-difference signs of x* and the mean-field AoI along ``grid``.
+) -> list[MonotonicityReport]:
+    """Finite-difference signs of x* and the mean-field AoI along ``grid``,
+    one report per pair of ``combos``, from one evaluation of the stencil.
 
     ``which`` selects the swept parameter; every other parameter is held at
     its value in ``params``.  Raises :class:`GridPointInvalid` when a grid
@@ -381,7 +392,6 @@ def monotonicity_report(
     """
     if which not in SWEEPABLE:
         raise GridPointInvalid(f"unknown sweep parameter {which!r}")
-    ps = PolicyScheme(policy, scheme)
     values = [float(v) for v in grid]
     if not values:
         raise GridPointInvalid("empty grid")
@@ -398,21 +408,23 @@ def monotonicity_report(
             break
         steps.append(h)
         stencil += [lo, hi]
-    # the points before an invalid one are evaluated first, as one at a time they would be
-    rows = aoi_along(ps, params, which, stencil)
     if invalid is not None:
+        # the first pair's points before the invalid one are evaluated first,
+        # as one at a time they would be
+        aoi_along(combos[:1], params, which, stencil)
         raise invalid
     scale = 2.0 * np.array(steps)
-    d_x = ((rows[:3, 1::2] - rows[:3, 0::2]) / scale).T
-    d_aoi = (rows[4, 1::2] - rows[4, 0::2]) / scale
-
-    verdicts: dict[str, str] = {}
-    columns = (*d_x.T, d_aoi)
-    for quantity, claim, column in zip(("x_i", "x_w", "x_s", "aoi"),
-                                       _CLAIMS[policy, which], columns):
-        if claim is None:
-            verdicts[quantity] = "report"
-        else:
-            matched = all(_sign(d) == claim for d in column)
-            verdicts[quantity] = "match" if matched else "mismatch"
-    return MonotonicityReport(d_x=d_x, d_aoi=d_aoi, verdicts=verdicts)
+    reports = []
+    for ps, rows in zip(combos, aoi_along(combos, params, which, stencil)):
+        d_x = ((rows[:3, 1::2] - rows[:3, 0::2]) / scale).T
+        d_aoi = (rows[4, 1::2] - rows[4, 0::2]) / scale
+        verdicts: dict[str, str] = {}
+        for quantity, claim, column in zip(("x_i", "x_w", "x_s", "aoi"),
+                                           _CLAIMS[ps.policy, which], (*d_x.T, d_aoi)):
+            if claim is None:
+                verdicts[quantity] = "report"
+            else:
+                matched = all(_sign(d) == claim for d in column)
+                verdicts[quantity] = "match" if matched else "mismatch"
+        reports.append(MonotonicityReport(d_x=d_x, d_aoi=d_aoi, verdicts=verdicts))
+    return reports

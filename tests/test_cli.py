@@ -15,7 +15,8 @@ import pytest
 
 from aoi_csma import closedform, shs, sim
 from aoi_csma import meanfield as mf
-from aoi_csma.cli import PRESETS, _aoi_lines, _fmt, _trajectory_lines, build_parser, main
+from aoi_csma.cli import (PRESETS, _aoi_lines, _fmt, _time_column, _trajectory_csv, build_parser,
+                          main)
 from aoi_csma.core import Policy, PolicyScheme, Scheme, StateFractions, SystemParams
 
 MF_ARGS = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--gamma", "5", "--p", "0.7"]
@@ -463,6 +464,8 @@ def test_parse_policy_and_scheme(tmp_path, capsys):
 @pytest.mark.parametrize("command, doc, message", [
     (["crossvalidate"], {"count": "x"}, "argument --count: invalid int value: 'x'"),
     (["crossvalidate"], {"count": 2.5}, "argument --count: invalid int value: '2.5'"),
+    # a file value is checked even where a flag overrides it
+    (["crossvalidate", "--count", "5"], {"count": "x"}, "argument --count: invalid int value: 'x'"),
     # an internal dest and a positional are not flags
     (["analytic", *ANALYTIC_POINT], {"lam": 1}, "config file key 'lam' does not match any flag"),
     (["analytic", *ANALYTIC_POINT], {"command": "simulate"},
@@ -490,6 +493,19 @@ def test_config_values_are_converted_like_flag_text(tmp_path, capsys):
     from_file = run_cli(capsys, "crossvalidate", "--config", str(config))
     assert from_file == run_cli(capsys, "crossvalidate", "--count", "5", "--seed", "3")
     assert from_file[0] == 0 and from_file[1].startswith("tuples=5 ")
+
+
+def test_config_values_do_not_carry_into_the_next_command(tmp_path, capsys):
+    # main parses every command line of a process with one parser
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"count": 5, "seed": 3}))
+    assert run_cli(capsys, "crossvalidate", "--config", str(config))[1].startswith("tuples=5 ")
+    code, out, _ = run_cli(capsys, "crossvalidate", "--seed", "3")
+    assert code == 0 and out.startswith("tuples=1000 ")
+    config.write_text(json.dumps({"lambda": 1, "mu": 1, "k": 1, "p": 1}))
+    assert run_cli(capsys, "analytic", "--config", str(config))[0] == 0
+    assert run_cli(capsys, "analytic") == (
+        1, "", "error: missing required flags: --lambda, --mu, --k, --p\n")
 
 
 # A valid flag text for every long flag: by flag, else by argument type.
@@ -672,6 +688,19 @@ def test_reproduce_param_sweeps(tmp_path, capsys):
         assert len(lines) == 1 + 6 * 20
 
 
+def test_sweeps_build_each_grid_point_once(tmp_path, capsys, monkeypatch):
+    calls = {"with_param": 0, "_radical": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(mf, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mf, name, counted)
+    assert run_cli(capsys, "reproduce", "param-sweeps", "--out", str(tmp_path))[0] == 0
+    # 4 grids of 20 points: each point built once for all six pairs, and
+    # each grid solved once per policy
+    assert calls == {"with_param": 4 * 20, "_radical": 4 * 3}
+
+
 def test_presets_listing(capsys):
     code, out, _ = run_cli(capsys, "presets")
     assert code == 0
@@ -724,8 +753,8 @@ def test_csv_rows_format_each_field_like_fmt():
     values = [-0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, 0.1, 1 / 3, 123456789.5,
               np.float64(2.5e-7), np.float32(0.1), np.int64(3)]
     states = [[values[i - 1], values[i - 2], values[i - 3]] for i in range(len(values))]
-    lines = _trajectory_lines(values, states)
-    assert lines[0] == "t,x_I,x_W,x_S"
+    lines = _trajectory_csv(_time_column(values), states).split("\n")
+    assert lines[0] == "t,x_I,x_W,x_S" and lines.pop() == ""
     assert lines[1:] == [",".join(_fmt(v) for v in (t, *row)) for t, row in zip(values, states)]
     avgs = np.array(values, dtype=float)
     assert _aoi_lines(avgs) == ["device_id,avg_aoi"] + [f"{d},{_fmt(v)}"
@@ -743,15 +772,16 @@ def test_csv_rows_reuse_a_repeated_state_only_when_its_bits_repeat():
               [nan, 0.5, 0.5], [nan, 0.5, 0.5], [0.5, nan, nan], [0.5, nan, nan],
               [0.1, 0.2, 0.7], [0.1, 0.2, 0.7]]
     times = [0.01 * i for i in range(len(states))]
-    lines = _trajectory_lines(times, states)
+    lines = _trajectory_csv(_time_column(times), states).splitlines()
     assert lines[1:] == [",".join(_fmt(v) for v in (t, *row)) for t, row in zip(times, states)]
     assert lines[4].endswith(",0") and lines[5].endswith(",-0")
     # runs long enough to be formatted as times after a fixed state text,
     # one of them across a 1024-row stretch boundary
     states = [row for row in states for _ in range(20)] + [[0.3, 0.3, 0.4]] * 1100
     times = [0.01 * i for i in range(len(states))]
-    lines = _trajectory_lines(times, states)
-    assert lines[1:] == [",".join(_fmt(v) for v in (t, *row)) for t, row in zip(times, states)]
+    text = _trajectory_csv(_time_column(times), states)
+    assert text.split("\n")[1:] == [",".join(_fmt(v) for v in (t, *row))
+                                    for t, row in zip(times, states)] + [""]
 
 
 def test_meanfield_csv_serialization_formats(tmp_path, capsys):
@@ -801,6 +831,12 @@ PINNED_COMMANDS = {
                          "--seed", "13"],
     "warmup0-horizon": [*SIM_N20, "--horizon", "200", "--warmup", "0", "--reps", "2",
                         "--sample-dt", "10", "--seed", "17"],
+    # long enough to reach the fixed point and its repeated rows; the second
+    # runs in the same process with other sample times
+    "trajectory-settled": ["meanfield", "--policy", "all", *MF_ARGS, "--trajectory",
+                           "--t-end", "200", "--dt", "0.01"],
+    "trajectory-coarse": ["meanfield", "--policy", "all", *MF_ARGS, "--trajectory",
+                          "--t-end", "50", "--dt", "0.02"],
 }
 PINNED_SHA256 = {
     "analytic/analytic.csv": "876b637490b19675a5bc685bcb70a8198136da40fba38ca52c62fe1365de53e3",
@@ -891,6 +927,12 @@ PINNED_SHA256 = {
     "warmup0-horizon/traj_S-WP.csv": "17fa4bc86209fdd6e36393317f9e71ffcd40f48717231da869f9e490da1d1d2e",
     "warmup0-horizon/traj_W-WOP.csv": "e5017a27248f0768e7e76bf40d684067865094313775e5c447ecd1ec8bf657ca",
     "warmup0-horizon/traj_W-WP.csv": "e5017a27248f0768e7e76bf40d684067865094313775e5c447ecd1ec8bf657ca",
+    "trajectory-settled/trajectory_I.csv": "a0b560891a8984d8bed42544586ec2bd18dcec30d242553e9ddfa6cd42c2819d",
+    "trajectory-settled/trajectory_S.csv": "601c72309b35f270b9a5cb1bb34521e82e1d1280e9e2b1bc26535936ab059509",
+    "trajectory-settled/trajectory_W.csv": "7387eb55c0cf284e35d639d22d34317f1bad9c6e109abf0a2524b88f0ac61d7f",
+    "trajectory-coarse/trajectory_I.csv": "3a62a56fe0212e3a45683e679b07f3185ea1a599edfaed321c20b9cc4f37f523",
+    "trajectory-coarse/trajectory_S.csv": "8eaf210419f220785da7df4e7ce6196eb58e9397e6260a8d3740023b0227f249",
+    "trajectory-coarse/trajectory_W.csv": "6eb124d1e64a9ecf03dca3288604f72822501764d4cceef0cfff93e44c42a799",
 }
 
 

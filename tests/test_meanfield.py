@@ -22,6 +22,8 @@ from aoi_csma.core import (
 
 FIG3 = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0)
 FIG5 = SystemParams(lam=0.8, mu=1.5, w=2.0, p=0.7, gamma=5.0)
+I_WP = PolicyScheme(Policy.I, Scheme.WP)
+W_WP = PolicyScheme(Policy.W, Scheme.WP)
 
 param_sets = st.builds(
     SystemParams,
@@ -311,8 +313,7 @@ def test_policy_s_wp_smallest_at_reference_point():
 
 
 def test_monotonicity_policy_i_is_p_independent():
-    report = mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "p",
-                                    np.linspace(0.3, 0.9, 10))
+    report, = mf.monotonicity_report([I_WP], FIG3, "p", np.linspace(0.3, 0.9, 10))
     assert not report.d_x.any()  # x* does not depend on p at all
     assert report.verdicts["x_i"] == "match"
     assert report.verdicts["x_w"] == "match"
@@ -327,26 +328,26 @@ def test_monotonicity_asserted_signs_match_for_i_and_s():
              "p": np.linspace(0.3, 0.99, 8)}
     for policy in (Policy.I, Policy.S):
         for which, grid in grids.items():
-            report = mf.monotonicity_report(policy, Scheme.WP, FIG5, which, grid)
+            pair = PolicyScheme(policy, Scheme.WP)
+            report, = mf.monotonicity_report([pair], FIG5, which, grid)
             assert "mismatch" not in report.verdicts.values(), (policy, which, report.verdicts)
 
 
 def test_monotonicity_policy_w_is_reported_not_asserted():
-    report = mf.monotonicity_report(Policy.W, Scheme.WP, FIG3, "mu",
-                                    np.linspace(0.5, 3.0, 8))
+    report, = mf.monotonicity_report([W_WP], FIG3, "mu", np.linspace(0.5, 3.0, 8))
     assert report.verdicts["aoi"] == "report"
     assert report.verdicts["x_w"] == "report"  # sign of dx_w/dmu is an open question
     for which in mf.SWEEPABLE:  # no AoI sign is claimed for (W) along any parameter
-        report = mf.monotonicity_report(Policy.W, Scheme.WP, FIG3, which, [0.6, 0.9])
+        report, = mf.monotonicity_report([W_WP], FIG3, which, [0.6, 0.9])
         assert report.verdicts["aoi"] == "report"
 
 
 def test_monotonicity_grid_validation():
     with pytest.raises(mf.GridPointInvalid):
-        mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "p", [0.5, 1.0])
+        mf.monotonicity_report([I_WP], FIG3, "p", [0.5, 1.0])
     with pytest.raises(mf.GridPointInvalid):
-        mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "mu", [0.0, 1.0])
+        mf.monotonicity_report([I_WP], FIG3, "mu", [0.0, 1.0])
     with pytest.raises(mf.GridPointInvalid):
-        mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "bogus", [1.0])
+        mf.monotonicity_report([I_WP], FIG3, "bogus", [1.0])
     with pytest.raises(mf.GridPointInvalid, match="empty grid"):
-        mf.monotonicity_report(Policy.I, Scheme.WP, FIG3, "p", [])
+        mf.monotonicity_report([I_WP], FIG3, "p", [])
