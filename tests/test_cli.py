@@ -464,8 +464,6 @@ def test_parse_policy_and_scheme(tmp_path, capsys):
 @pytest.mark.parametrize("command, doc, message", [
     (["crossvalidate"], {"count": "x"}, "argument --count: invalid int value: 'x'"),
     (["crossvalidate"], {"count": 2.5}, "argument --count: invalid int value: '2.5'"),
-    # a file value is checked even where a flag overrides it
-    (["crossvalidate", "--count", "5"], {"count": "x"}, "argument --count: invalid int value: 'x'"),
     # an internal dest and a positional are not flags
     (["analytic", *ANALYTIC_POINT], {"lam": 1}, "config file key 'lam' does not match any flag"),
     (["analytic", *ANALYTIC_POINT], {"command": "simulate"},
@@ -478,6 +476,8 @@ def test_parse_policy_and_scheme(tmp_path, capsys):
      "config file key 'lambda' takes a string or a number"),
     (["analytic", *ANALYTIC_POINT], {"out": None}, "config file key 'out' takes a string or a number"),
     (["crossvalidate"], [1, 2], "config file must hold a JSON object of flag values"),
+    # a file value is checked even where a flag overrides it
+    (["crossvalidate", "--count", "5"], {"count": "x"}, "argument --count: invalid int value: 'x'"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, command, doc, message):
     config = tmp_path / "run.json"
