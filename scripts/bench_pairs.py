@@ -1,11 +1,11 @@
 """Alternating parent/change pairs of the benchmark, summarised as a BENCH file holds them.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs K
---seconds S [--seed S0].  Pair i runs ``perfbench/run.py --workload W --seed
-S0+i --seconds S --trace 0`` in each checkout with that checkout's own
-benchmark code, the change first in even pairs, writing no bytecode (so each
-job compiles the package from source, as the benchmark's measuring
-environment does).  Each pair goes to stderr as it ends.  Prints one JSON
+--seconds S [--seed S0], with K >= 2.  Pair i runs ``perfbench/run.py
+--workload W --seed S0+i --seconds S --trace 0`` in each checkout with that
+checkout's own benchmark code, the change first in even pairs, writing no
+bytecode (so each job compiles the package from source, as the benchmark's
+measuring environment does).  Each pair goes to stderr as it ends.  Prints one JSON
 object: ``pairs`` (each side's metrics, ``fail_frac`` and ``repeats``, and
 whether their CSV SHA-256s matched) and ``summary`` (per metric: quartiles,
 the change's wins and ties, and the median change against the parent's
@@ -66,10 +66,12 @@ def main() -> None:
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True, help="at least 2")
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args()
+    if args.pairs < 2:  # the quartiles of each side need two runs
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     checkouts = {"parent": args.parent_dir, "change": args.change_dir}

@@ -8,8 +8,8 @@ script next to the data.  Identical command line and seed produce
 byte-identical output.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical failure
-(including partial row failures in sweeps), 3 threshold violation in
-cross-validation.
+(including partial row failures in sweeps, and a result that is not finite
+in float64), 3 threshold violation in cross-validation.
 """
 
 from __future__ import annotations
@@ -508,7 +508,8 @@ def _cmd_simulate(args, output: _Output) -> int:
     # p = 0 has no mean-field AoI: find out before any replication runs
     targets = {ps: meanfield.aoi_at_equilibrium(ps, params) for ps in combos if args.compare}
 
-    runs: dict[Policy, sim.PooledResult] = {}  # one run per policy serves both schemes
+    # one run per policy serves both schemes, and so does its trajectory's text
+    runs: dict[Policy, tuple[sim.PooledResult, str | None]] = {}
     for ps in combos:
         if ps.policy not in runs:
             config = SimConfig(
@@ -516,16 +517,17 @@ def _cmd_simulate(args, output: _Output) -> int:
                 stop_arrivals=args.arrivals, stop_time=args.horizon,
                 warmup_fraction=args.warmup, sample_dt=args.sample_dt,
             )
-            runs[ps.policy] = sim.replicate(config, n_reps=args.reps,
-                                            parallelism=args.parallelism)
-        pooled = runs[ps.policy].as_scheme(ps.scheme)
-        first = pooled.results[0]
+            run = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
+            one = run.results[0]
+            runs[ps.policy] = run, (None if args.sample_dt is None else _trajectory_csv(
+                _time_column(one.trajectory_times), one.trajectory_fractions))
+        run, traj = runs[ps.policy]
+        pooled = run.as_scheme(ps.scheme)
         tag = "" if single else f"_{ps.label}"
         output.add(f"summary{tag}.csv", _csv(_summary_lines(pooled)))
-        output.add(f"aoi{tag}.csv", _csv(_aoi_lines(first.avg_aoi_per_device)))
-        if args.sample_dt is not None:
-            output.add(f"traj{tag}.csv", _trajectory_csv(_time_column(first.trajectory_times),
-                                                         first.trajectory_fractions), "t")
+        output.add(f"aoi{tag}.csv", _csv(_aoi_lines(pooled.results[0].avg_aoi_per_device)))
+        if traj is not None:
+            output.add(f"traj{tag}.csv", traj, "t")
         if args.compare:
             target = targets[ps]
             rel = (pooled.mean_aoi - target) / target

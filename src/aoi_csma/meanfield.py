@@ -34,7 +34,8 @@ from .core import (
 
 
 class NoFeasibleRoot(AoiError):
-    """No equilibrium root in [0, 1/gamma); indicates a transcription bug."""
+    """No finite equilibrium root in [0, 1/gamma): a transcription bug, or
+    rates near the float extremes."""
 
 
 class GridPointInvalid(AoiError):
@@ -108,18 +109,9 @@ def drift(policy: Policy, params: SystemParams, x: StateFractions) -> np.ndarray
     return np.array(_drift(policy, params)(x.x_i, x.x_w, x.x_s))
 
 
-def _anywhere(cond) -> bool:
-    """Whether ``cond`` holds at some point: a bool from floats, a boolean array from arrays."""
-    return cond if isinstance(cond, bool) else bool(cond.any())
-
-
-def _everywhere(cond) -> bool:
-    """Whether ``cond`` holds at every point, taken as ``_anywhere`` takes it."""
-    return cond if isinstance(cond, bool) else bool(cond.all())
-
-
 def _radical(policy: Policy, lam, mu, w, gamma, p):
-    """(x_i, x_w, x_s, k*) of the equilibrium from its radical, for floats or arrays.
+    """(x_i, x_w, x_s, k*) of the equilibrium from its radical, for float64
+    arrays of one shape (a single point is 0-d arrays).
 
     Solved in the busy probability y = gamma * x_s, whose quadratic
     A*y^2 - B*y + lam*gamma has value -lam*mu_term/w at y = 1, so exactly one
@@ -127,44 +119,47 @@ def _radical(policy: Policy, lam, mu, w, gamma, p):
     form (no cancellation); near saturation, 1 - y is recovered from the
     root-product identity A*(1 - y_minus)*(y_plus - 1) = lam*mu_term/w so
     that k keeps full relative precision.  A residual guard on the
-    fixed-point equation catches transcription errors.  Floats are computed
-    with Python's arithmetic and arrays element-wise with numpy's, which
-    rounds alike; an array raises when any element would, with a message
-    about the whole array.
+    fixed-point equation catches transcription errors.  The arithmetic is
+    numpy's, which rounds as Python's does, with its warnings off.  Every
+    check covers every point, and a point whose x* or k* is not finite
+    (rates near the float extremes) raises NoFeasibleRoot too.
     """
-    if policy is not Policy.I and not _everywhere(p > 0.0):
+    if policy is not Policy.I and not (p > 0.0).all():
         raise InvalidParameter("p", f"must be positive under policy ({policy.value})")
-    p_eff = 1.0 if policy is Policy.I else p          # service-exit total uses mu*p_eff
-    mu_term = mu * p if policy is Policy.S else mu    # the lam*mu coefficient
-    a = lam + mu * p_eff
-    b = a + lam * mu_term / w + lam * gamma
-    c = lam * gamma
-    disc = b * b - 4.0 * a * c
-    if _anywhere(disc < 0.0):
-        raise NoFeasibleRoot(f"negative discriminant {disc}")
-    sqrt_disc = np.sqrt(disc) if isinstance(disc, np.ndarray) else math.sqrt(disc)
-    y_minus = 2.0 * c / (b + sqrt_disc)
-    y_plus = (b + sqrt_disc) / (2.0 * a)
-    if not _everywhere((0.0 < y_minus) & (y_minus < 1.0) & (1.0 <= y_plus)):
-        raise NoFeasibleRoot("no equilibrium root with busy probability in (0, 1)")
-    one_minus_y = 1.0 - y_minus
-    near = one_minus_y < 0.01
-    if _anywhere(near):
-        from_product = lam * mu_term / (w * a * (y_plus - 1.0))
-        one_minus_y = (np.where(near, from_product, one_minus_y)
-                       if isinstance(near, np.ndarray) else from_product)
-
-    x_s = y_minus / gamma
-    k = w * one_minus_y
-    fixed_point = lam * k / (a * k + lam * mu_term)
-    if _anywhere(abs(x_s - fixed_point) > 1e-9):
-        raise NoFeasibleRoot(f"fixed-point residual {abs(x_s - fixed_point)} too large")
-    return (mu * p_eff / lam) * x_s, mu_term * x_s / k, x_s, k
+    with np.errstate(all="ignore"):
+        p_eff = 1.0 if policy is Policy.I else p          # service-exit total uses mu*p_eff
+        mu_term = mu * p if policy is Policy.S else mu    # the lam*mu coefficient
+        a = lam + mu * p_eff
+        b = a + lam * mu_term / w + lam * gamma
+        c = lam * gamma
+        disc = b * b - 4.0 * a * c
+        if (disc < 0.0).any():
+            raise NoFeasibleRoot(f"negative discriminant {disc.min()}")
+        sqrt_disc = np.sqrt(disc)
+        y_minus = 2.0 * c / (b + sqrt_disc)
+        y_plus = (b + sqrt_disc) / (2.0 * a)
+        if not ((0.0 < y_minus) & (y_minus < 1.0) & (1.0 <= y_plus)).all():
+            raise NoFeasibleRoot("no equilibrium root with busy probability in (0, 1)")
+        one_minus_y = 1.0 - y_minus
+        one_minus_y = np.where(one_minus_y < 0.01,
+                               lam * mu_term / (w * a * (y_plus - 1.0)), one_minus_y)
+        x_s = y_minus / gamma
+        k = w * one_minus_y
+        residual = np.abs(x_s - lam * k / (a * k + lam * mu_term))
+        if (residual > 1e-9).any():
+            raise NoFeasibleRoot(f"fixed-point residual {residual.max()} too large")
+        roots = np.array(((mu * p_eff / lam) * x_s, mu_term * x_s / k, x_s, k))
+    finite = np.isfinite(roots).all(axis=0)
+    if not finite.all():
+        raise NoFeasibleRoot("x* or k* is not finite at " + closedform._first_failing(
+            finite, lam=lam, mu=mu, w=w, gamma=gamma, p=p))
+    return roots
 
 
 def equilibrium(policy: Policy, params: SystemParams) -> Equilibrium:
     """Unique feasible fixed point of the mean-field ODE, from its radical (``_radical``)."""
-    x_i, x_w, x_s, k = _radical(policy, params.lam, params.mu, params.w, params.gamma, params.p)
+    rates = (params.lam, params.mu, params.w, params.gamma, params.p)
+    x_i, x_w, x_s, k = map(float, _radical(policy, *(np.array(v, dtype=float) for v in rates)))
     x_star = StateFractions(x_i, x_w, x_s)
     residual = float(np.abs(drift(policy, params, x_star)).max())
     margin = min(params.lam, k, params.w * params.gamma * x_w)
@@ -272,44 +267,21 @@ def aoi_along(combos: list[PolicyScheme], params: SystemParams, which: str,
     """Per pair of ``combos``, rows x_i, x_w, x_s, k* and mean-field AoI at
     each value of parameter ``which``.
 
-    Every point's parameters are built and checked once, as ``with_param``
-    does, for all pairs; the points are then evaluated as one batch, with
-    the radical solved once per policy.  Where a pair's batch raises or
-    gives a value that is not finite, its points are evaluated one at a time
-    instead, pair by pair, so the first failing point raises what it would
-    alone.
+    Every point's parameters are built and checked by ``with_param`` before
+    any point is evaluated.  Each pair's grid is then one batch, with the
+    radical solved once per policy: a grid fails as a whole, with the error
+    of ``_radical`` or ``closedform.avg_aoi``, where any of its points fails
+    or gives a value that is not finite.
     """
-    probes, invalid = [], None
-    for value in values:
-        try:
-            probes.append(with_param(params, which, value))
-        except AoiError as exc:  # raised after the points before it, as one at a time
-            invalid = exc
-            break
-    lam, mu, w, gamma, p = np.array([(q.lam, q.mu, q.w, q.gamma, q.p)
-                                     for q in probes]).reshape(-1, 5).T
+    probes = [with_param(params, which, value) for value in values]
+    lam, mu, w, gamma, p = np.array([(q.lam, q.mu, q.w, q.gamma, q.p) for q in probes],
+                                    dtype=float).reshape(-1, 5).T
     radicals, results = {}, []
     for ps in combos:
-        rows = None
-        if invalid is None:
-            try:
-                with np.errstate(all="ignore"):
-                    if ps.policy not in radicals:
-                        radicals[ps.policy] = _radical(ps.policy, lam, mu, w, gamma, p)
-                    *x, k = radicals[ps.policy]
-                    rows = np.array([*x, k, closedform.avg_aoi(ps, lam=lam, mu=mu, k=k, p=p)])
-            except AoiError:
-                pass
-        if rows is None or not np.isfinite(rows).all():
-            rows = []
-            for probe in probes:
-                eq = equilibrium(ps.policy, probe)
-                aoi = closedform.avg_aoi(ps, lam=probe.lam, mu=probe.mu, k=eq.k_star, p=probe.p)
-                rows.append((*eq.x_star.as_tuple(), eq.k_star, aoi))
-            if invalid is not None:
-                raise invalid
-            rows = np.array(rows).reshape(-1, 5).T
-        results.append(rows)
+        if ps.policy not in radicals:
+            radicals[ps.policy] = _radical(ps.policy, lam, mu, w, gamma, p)
+        *x, k = radicals[ps.policy]
+        results.append(np.array([*x, k, closedform.avg_aoi(ps, lam=lam, mu=mu, k=k, p=p)]))
     return results
 
 
@@ -396,23 +368,16 @@ def monotonicity_report(
     if not values:
         raise GridPointInvalid("empty grid")
 
-    steps, stencil, invalid = [], [], None
+    steps, stencil = [], []
     for value in values:
         h = _REL_STEP * abs(value)
         lo, hi = value - h, value + h
         if not (h > 0 and lo > 0):
-            invalid = GridPointInvalid(f"{which} = {value} too close to zero for step {h}")
-        elif which == "p" and hi > 1.0:
-            invalid = GridPointInvalid(f"p = {value} + step exceeds 1")
-        if invalid is not None:
-            break
+            raise GridPointInvalid(f"{which} = {value} too close to zero for step {h}")
+        if which == "p" and hi > 1.0:
+            raise GridPointInvalid(f"p = {value} + step exceeds 1")
         steps.append(h)
         stencil += [lo, hi]
-    if invalid is not None:
-        # the first pair's points before the invalid one are evaluated first,
-        # as one at a time they would be
-        aoi_along(combos[:1], params, which, stencil)
-        raise invalid
     scale = 2.0 * np.array(steps)
     reports = []
     for ps, rows in zip(combos, aoi_along(combos, params, which, stencil)):

@@ -7,13 +7,15 @@ import math
 import os
 import re
 import runpy
+import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aoi_csma import closedform, shs, sim
+from aoi_csma import cli, closedform, shs, sim
 from aoi_csma import meanfield as mf
 from aoi_csma.cli import (PRESETS, _aoi_lines, _fmt, _time_column, _trajectory_csv, build_parser,
                           main)
@@ -211,6 +213,44 @@ def test_failing_grid_reports_its_first_failing_point(capsys, extra, code, messa
     assert run_cli(capsys, "meanfield", *MF_ARGS, *extra) == (code, "", message + "\n")
 
 
+def test_a_grid_is_checked_whole_before_any_point_is_evaluated(capsys):
+    # p = 1.5 is refused as a parameter before p = 0 reaches policy (W)'s radical
+    assert run_cli(capsys, "meanfield", "--policy", "W", "--sweep", "p=0:1.5:4", *MF_ARGS) == (
+        1, "", "error: invalid parameter '--p': must lie in [0, 1], got 1.5\n")
+
+
+@pytest.mark.parametrize("extreme", ["1e-200", "1e200"])
+def test_analytic_rates_at_the_float_extremes_fail_row_by_row(capsys, extreme):
+    # the products of the rates underflow to 0 or overflow to inf; no row is
+    # nan and nothing but the rows' own failures is reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "analytic", "--lambda", extreme, "--mu", extreme,
+                                 "--k", extreme, "--p", "0.5")
+    rows = out.splitlines()[1:]
+    assert (code, err, len(rows)) == (2, "", 7)
+    assert all(row.endswith(",DivergentAoi") for row in rows[:6]), rows
+    assert rows[6].startswith("warning: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["meanfield", "--sweep", "lam=1e-310:2e-310:3", *MF_ARGS],
+    ["meanfield", *MF_ARGS, "--lambda", "1e-310"],
+    [*SIM_N20, "--lambda", "1e-310", "--arrivals", "10", "--compare"],
+])
+def test_equilibrium_that_is_not_finite_is_numerical_failure(capsys, monkeypatch, argv):
+    # at lam = 1e-310 the ratio x_I = mu * x_S / lam overflows; simulate finds
+    # out before any replication runs
+    def no_replication(*args, **kwargs):
+        raise AssertionError("sim.replicate called")
+
+    monkeypatch.setattr(sim, "replicate", no_replication)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, *argv) == (2, "", "numerical failure: x* or k* is not finite at "
+                                          "lam=1e-310, mu=1.0, w=2.0, gamma=5.0, p=0.7\n")
+
+
 def test_meanfield_trajectory_leaving_the_channel_bound_is_numerical_failure(capsys):
     code, _, err = run_cli(capsys, "meanfield", "--policy", "W", *MF_ARGS,
                            "--trajectory", "--x0", "0,0,1")
@@ -312,6 +352,24 @@ def test_simulate_all_pairs_match_the_single_pair_commands(tmp_path, capsys, mon
                 (one / f"{name}.csv").read_bytes(), (ps.label, name)
     assert len(calls) == 6
     assert together == "".join(apart)
+
+
+def test_simulate_formats_each_policys_trajectory_once(tmp_path, capsys, monkeypatch):
+    # both schemes of a policy read one simulated run, so they share its text
+    calls = []
+    trajectory_csv = cli._trajectory_csv
+
+    def counted(*args):
+        calls.append(args)
+        return trajectory_csv(*args)
+
+    monkeypatch.setattr(cli, "_trajectory_csv", counted)
+    argv = [*SIM_N20, "--arrivals", "200", "--sample-dt", "5", "--out", str(tmp_path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(calls) == 3
+    for pol in Policy:
+        assert ((tmp_path / f"traj_{pol.value}-WP.csv").read_bytes()
+                == (tmp_path / f"traj_{pol.value}-WOP.csv").read_bytes())
 
 
 def test_simulate_missing_channels_is_usage_error(capsys):
@@ -728,6 +786,22 @@ def test_reproduce_figures_script_writes_every_preset(tmp_path, capsys, monkeypa
                          "param_sweep_w.csv", "plot.gp"],
         "single-device": ["single_device.csv"],
     }
+
+
+def test_bench_pairs_refuses_fewer_than_two_pairs(tmp_path, capsys, monkeypatch):
+    # the quartiles of each side need two runs, so one pair is refused before it runs
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark run was started")
+
+    monkeypatch.setattr(subprocess, "run", no_run)
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path), str(tmp_path),
+                                      "--workload", "analytic", "--pairs", "1", "--seconds", "1"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --pairs must be at least 2, got 1\n")
 
 
 def test_simulate_csv_serialization(tmp_path, capsys):

@@ -152,3 +152,21 @@ def test_divergent_and_invalid_inputs():
             cf.avg_aoi(W_WP, **args)
         with pytest.raises(InvalidParameter, match="must be a positive finite number"):
             cf.preemption_gap(Policy.W, **args)
+
+
+@pytest.mark.parametrize("extreme", [1e-200, 1e200])
+def test_values_that_are_not_finite_raise_divergent_aoi(extreme):
+    # rates in their domain can still overflow or underflow float64: near 0
+    # the products lam*k vanish, near 1e200 they overflow.  A float raises
+    # for its point, an array names its first failing point.
+    point = dict(lam=extreme, mu=extreme, k=extreme, p=0.5)
+    grid = dict(point, **{name: np.array([1.0, extreme]) for name in ("lam", "mu", "k")})
+    at = f" is not finite at lam={extreme!r}, mu={extreme!r}, k={extreme!r}, p=0.5"
+    for rates in (point, grid):
+        with pytest.raises(cf.DivergentAoi) as exc:
+            cf.avg_aoi(W_WP, **rates)
+        assert str(exc.value) == "average AoI" + at
+        for policy in Policy:
+            with pytest.raises(cf.DivergentAoi) as exc:
+                cf.preemption_gap(policy, **rates)
+            assert str(exc.value) == "preemption gap" + at

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -181,8 +180,8 @@ def test_equilibrium_fixed_point_check_catches_a_wrong_root(monkeypatch):
     # A mistranscribed radical still gives a root in (0, 1), and ``residual``
     # cannot see it: the drift at x* is zero by construction for any x_s.
     # Only the fixed-point check on x_s does.
-    sqrt = math.sqrt
-    monkeypatch.setattr(mf, "math", SimpleNamespace(sqrt=lambda v: 1.01 * sqrt(v)))
+    sqrt = np.sqrt
+    monkeypatch.setattr(mf.np, "sqrt", lambda v: 1.01 * sqrt(v))
     for policy in Policy:
         with pytest.raises(mf.NoFeasibleRoot, match="fixed-point residual .* too large"):
             mf.equilibrium(policy, FIG3)
@@ -192,8 +191,8 @@ def test_equilibrium_refuses_a_root_outside_the_unit_interval(monkeypatch):
     # A radical of the wrong sign and ten times too large puts the smaller
     # root below 0.  The discriminant itself cannot go negative, since the
     # quadratic is negative at y = 1.
-    sqrt = math.sqrt
-    monkeypatch.setattr(mf, "math", SimpleNamespace(sqrt=lambda v: -10 * sqrt(v)))
+    sqrt = np.sqrt
+    monkeypatch.setattr(mf.np, "sqrt", lambda v: -10 * sqrt(v))
     for policy in Policy:
         with pytest.raises(mf.NoFeasibleRoot, match="no equilibrium root with busy probability"):
             mf.equilibrium(policy, FIG3)
