@@ -11,7 +11,8 @@ whether their CSV SHA-256s matched) and ``summary`` (per metric: quartiles,
 the change's wins and ties, and the median change against the parent's
 interquartile range).  A run that fails stops the script with its side, seed
 and the end of its stderr.  When the CSV SHA-256s of any pair differ, the
-script exits 1 after printing the JSON, naming those pairs' seeds.
+script exits 1 after printing the JSON, naming each such pair's seed and
+the CSV files that differ in it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def main() -> None:
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     checkouts = {"parent": args.parent_dir, "change": args.change_dir}
-    pairs = []
+    pairs, changed = [], {}  # changed: seed -> the CSV files whose SHA-256s differ
     for i in range(args.pairs):
         order = ("change", "parent") if i % 2 == 0 else ("parent", "change")
         pair = {"seed": args.seed + i, "first": order[0], "parent": None, "change": None}
@@ -86,14 +87,19 @@ def main() -> None:
             pair[side] = {name: round(m["value"], 4) for name, m in metrics.items()}
             pair[side].update(fail_frac=env["fail_frac"], repeats=env["repeats"])
             digests[side] = env["csv_sha256"]
-        pair["csv_sha256_identical"] = digests["parent"] == digests["change"]
+        parent, change = digests["parent"], digests["change"]
+        differ = sorted(name for name in parent.keys() | change.keys()
+                        if parent.get(name) != change.get(name))
+        pair["csv_sha256_identical"] = not differ
+        if differ:
+            changed[pair["seed"]] = differ
         pairs.append(pair)
         print(json.dumps(pair), file=sys.stderr, flush=True)
     summary = {name: summarise(pairs, name, how == "lower") for name, how in better.items()}
     print(json.dumps({"pairs": pairs, "summary": summary}, indent=1))
-    changed = [p["seed"] for p in pairs if not p["csv_sha256_identical"]]
     if changed:
-        sys.exit(f"CSV bytes differ between parent and change at seeds {changed}")
+        sys.exit("CSV bytes differ between parent and change: " + "; ".join(
+            f"seed {seed}: {', '.join(names)}" for seed, names in changed.items()))
 
 
 if __name__ == "__main__":

@@ -62,28 +62,29 @@ def _csv(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _time_column(times) -> list[str]:
-    """Each time as ``_fmt`` gives it, formatted from Python floats with ``%``
-    in blocks of 1024, so no list of every value is held."""
-    times = np.asarray(times, dtype=float)
-    column = []
-    for start in range(0, len(times), 1024):
-        block = times[start:start + 1024].tolist()
-        column += ("\n".join(["%.9g"] * len(block)) % tuple(block)).split("\n")
-    return column
+def _rows(template: str, *columns) -> list[str]:
+    """``template % row`` per row of the equal-length columns (arrays or sequences),
+    one ``%`` per 1024-row block on Python values, so no list of every value
+    is held.  ``%.9g`` gives ``_fmt``'s text; no value's text may hold a LF."""
+    rows = []
+    for start in range(0, len(columns[0]), 1024):
+        block = [c[start:start + 1024] for c in columns]
+        cells = [None] * (len(block) * len(block[0]))
+        for j, values in enumerate(block):
+            cells[j::len(block)] = values.tolist() if isinstance(values, np.ndarray) else values
+        rows += ("\n".join([template] * len(block[0])) % tuple(cells)).split("\n")
+    return rows
 
 
 def _trajectory_csv(column: list[str], states) -> str:
     """The CSV text of a trajectory of (x_I, x_W, x_S), mean-field or empirical.
 
-    ``column`` is the sample times as ``_time_column`` gives them, so
-    trajectories with the same times format them once.  The states are
-    formatted from Python floats with ``%``, which gives the text of
-    ``_fmt`` per field, in stretches of at most 1024 rows.  A state equal to
-    the row before, with every component positive (so equal means the same
+    ``column`` is the sample times as ``_rows("%.9g", times)`` gives them, so
+    trajectories with the same times format them once.  A state equal to the
+    row before, with every component positive (so equal means the same
     bits), has that row's text, so a run of at least ``_MIN_REPEAT_RUN``
     such rows is a stretch that joins its times with the fixed state text;
-    other stretches format the three states of each row.
+    other stretches go through ``_rows``.
     """
     states = np.asarray(states, dtype=float).reshape(-1, 3)
     repeats = np.zeros(len(states), dtype=bool)
@@ -98,19 +99,14 @@ def _trajectory_csv(column: list[str], states) -> str:
             tail = ",%.9g,%.9g,%.9g\n" % tuple(states[first].tolist())
             parts.append(tail.join(column[first:end]) + tail)
             continue
-        for start in range(first, end, 1024):
-            stop = min(start + 1024, end)
-            cells = [None] * (4 * (stop - start))
-            cells[0::4] = column[start:stop]
-            cells[1::4], cells[2::4], cells[3::4] = states[start:stop].T.tolist()
-            parts.append("%s,%.9g,%.9g,%.9g\n" * (stop - start) % tuple(cells))
+        parts.append(_csv(_rows("%s,%.9g,%.9g,%.9g", column[first:end], *states[first:end].T)))
     return "".join(parts)
 
 
 def _aoi_lines(avg_aoi_per_device: np.ndarray) -> list[str]:
-    """One row per device of its average AoI, formatted as ``_trajectory_csv``."""
-    return ["device_id,avg_aoi"] + ["%d,%.9g" % row
-                                    for row in enumerate(avg_aoi_per_device.tolist())]
+    """One row per device of its average AoI."""
+    return ["device_id,avg_aoi"] + _rows("%d,%.9g", range(len(avg_aoi_per_device)),
+                                         avg_aoi_per_device)
 
 
 def _summary_lines(pooled: sim.PooledResult) -> list[str]:
@@ -457,8 +453,8 @@ def _sweep_lines(combos: list[PolicyScheme], params: SystemParams,
     name = _FLAG_OF_FIELD[which]
     values = [float(value) for value in grid]
     for ps, (*_, k, aoi) in zip(combos, meanfield.aoi_along(combos, params, which, values)):
-        lines += [f"{ps.policy.value},{ps.scheme.value},{name},%.9g,%.9g,%.9g" % row
-                  for row in zip(values, k.tolist(), aoi.tolist())]
+        lines += _rows(f"{ps.policy.value},{ps.scheme.value},{name},%.9g,%.9g,%.9g",
+                       values, k, aoi)
     return lines
 
 
@@ -475,14 +471,13 @@ def _cmd_meanfield(args, output: _Output) -> int:
         column = None  # every policy's trajectory has the same sample times
         for pol in args.policy:
             traj = meanfield.integrate(pol, params, args.x0, t_end=args.t_end, dt=args.dt)
-            column = column or _time_column(traj.times)
+            column = column or _rows("%.9g", traj.times)
             output.add(f"trajectory_{pol.value}.csv", _trajectory_csv(column, traj.states), "t")
     if args.monotonicity:
         which, grid = _parse_sweep(args.monotonicity, meanfield.SWEEPABLE)
         combos = _combos(args)
         for ps, report in zip(combos, meanfield.monotonicity_report(combos, params, which, grid)):
-            rows = [f"{which},{_fmt(v)},{_fmt(d)},{sign}"
-                    for v, d, sign in zip(grid, report.d_aoi, report.aoi_signs())]
+            rows = _rows(f"{which},%.9g,%.9g,%d", grid, report.d_aoi, report.aoi_signs())
             output.add(f"monotonicity_{ps.label}_{which}.csv",
                        _csv(["param,value,dAoI,sign", *rows]))
             verdicts = " ".join(f"{k}={v}" for k, v in report.verdicts.items())
@@ -509,31 +504,30 @@ def _cmd_simulate(args, output: _Output) -> int:
     targets = {ps: meanfield.aoi_at_equilibrium(ps, params) for ps in combos if args.compare}
 
     # one run per policy serves both schemes, and so does its trajectory's text
-    runs: dict[Policy, tuple[sim.PooledResult, str | None]] = {}
-    for ps in combos:
-        if ps.policy not in runs:
-            config = SimConfig(
-                params=params, ps=ps, seed=seed,
-                stop_arrivals=args.arrivals, stop_time=args.horizon,
-                warmup_fraction=args.warmup, sample_dt=args.sample_dt,
-            )
-            run = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
-            one = run.results[0]
-            runs[ps.policy] = run, (None if args.sample_dt is None else _trajectory_csv(
-                _time_column(one.trajectory_times), one.trajectory_fractions))
-        run, traj = runs[ps.policy]
-        pooled = run.as_scheme(ps.scheme)
-        tag = "" if single else f"_{ps.label}"
-        output.add(f"summary{tag}.csv", _csv(_summary_lines(pooled)))
-        output.add(f"aoi{tag}.csv", _csv(_aoi_lines(pooled.results[0].avg_aoi_per_device)))
-        if traj is not None:
-            output.add(f"traj{tag}.csv", traj, "t")
-        if args.compare:
-            target = targets[ps]
-            rel = (pooled.mean_aoi - target) / target
-            output.say(f"{ps.label}: sim={_fmt(pooled.mean_aoi)} "
-                       f"meanfield={_fmt(target)} rel_error={rel:+.4%} "
-                       f"half_width={_fmt(pooled.half_width)}")
+    for policy in args.policy:
+        config = SimConfig(
+            params=params, ps=PolicyScheme(policy, args.scheme[0]), seed=seed,
+            stop_arrivals=args.arrivals, stop_time=args.horizon,
+            warmup_fraction=args.warmup, sample_dt=args.sample_dt,
+        )
+        run = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
+        one = run.results[0]
+        traj = None if args.sample_dt is None else _trajectory_csv(
+            _rows("%.9g", one.trajectory_times), one.trajectory_fractions)
+        for scheme in args.scheme:
+            ps = PolicyScheme(policy, scheme)
+            pooled = run.as_scheme(scheme)
+            tag = "" if single else f"_{ps.label}"
+            output.add(f"summary{tag}.csv", _csv(_summary_lines(pooled)))
+            output.add(f"aoi{tag}.csv", _csv(_aoi_lines(pooled.results[0].avg_aoi_per_device)))
+            if traj is not None:
+                output.add(f"traj{tag}.csv", traj, "t")
+            if args.compare:
+                target = targets[ps]
+                rel = (pooled.mean_aoi - target) / target
+                output.say(f"{ps.label}: sim={_fmt(pooled.mean_aoi)} "
+                           f"meanfield={_fmt(target)} rel_error={rel:+.4%} "
+                           f"half_width={_fmt(pooled.half_width)}")
     return _EXIT_OK
 
 
@@ -573,14 +567,13 @@ def _write_accuracy(args, output: _Output, *, populations, t_end, ode_dt, pair, 
     traj = meanfield.integrate(pair.policy, SystemParams(**rates), StateFractions(1.0, 0.0, 0.0),
                                t_end=t_end, dt=ode_dt)  # every simulated device starts idle
     output.add("accuracy_ode.csv",
-               _trajectory_csv(_time_column(traj.times[::stride]), traj.states[::stride]), "t")
+               _trajectory_csv(_rows("%.9g", traj.times[::stride]), traj.states[::stride]), "t")
     for n, config in zip(populations, configs):
         pooled = sim.replicate(config, n_reps=args.reps, parallelism=args.parallelism)
         one = pooled.results[0]
         mean_xi = np.mean([r.trajectory_fractions[:, 0] for r in pooled.results], axis=0)
-        output.add(f"accuracy_N{n}.csv", _csv(["t,x_I,mean_x_I"] + [
-            f"{_fmt(t)},{_fmt(row[0])},{_fmt(mx)}"
-            for t, row, mx in zip(one.trajectory_times, one.trajectory_fractions, mean_xi)]), "t")
+        output.add(f"accuracy_N{n}.csv", _csv(["t,x_I,mean_x_I"] + _rows(
+            "%.9g,%.9g,%.9g", one.trajectory_times, one.trajectory_fractions[:, 0], mean_xi)), "t")
     return _EXIT_OK
 
 

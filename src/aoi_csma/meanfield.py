@@ -109,6 +109,15 @@ def drift(policy: Policy, params: SystemParams, x: StateFractions) -> np.ndarray
     return np.array(_drift(policy, params)(x.x_i, x.x_w, x.x_s))
 
 
+def _refuse(good, message: str, point: dict, value=None) -> None:
+    """Raise NoFeasibleRoot with ``message`` at the first point where ``good``
+    is False, with ``value`` at that point in the message's braces."""
+    if not good.all():
+        if value is not None:
+            message = message.format(np.ravel(value)[np.argmin(np.ravel(good))])
+        raise NoFeasibleRoot(f"{message} at {closedform._first_failing(good, **point)}")
+
+
 def _radical(policy: Policy, lam, mu, w, gamma, p):
     """(x_i, x_w, x_s, k*) of the equilibrium from its radical, for float64
     arrays of one shape (a single point is 0-d arrays).
@@ -121,8 +130,9 @@ def _radical(policy: Policy, lam, mu, w, gamma, p):
     that k keeps full relative precision.  A residual guard on the
     fixed-point equation catches transcription errors.  The arithmetic is
     numpy's, which rounds as Python's does, with its warnings off.  Every
-    check covers every point, and a point whose x* or k* is not finite
-    (rates near the float extremes) raises NoFeasibleRoot too.
+    check covers every point, and each NoFeasibleRoot names the first point
+    that fails it; a discriminant, root, x* or k* that is not finite (rates
+    near the float extremes) fails first.
     """
     if policy is not Policy.I and not (p > 0.0).all():
         raise InvalidParameter("p", f"must be positive under policy ({policy.value})")
@@ -133,26 +143,23 @@ def _radical(policy: Policy, lam, mu, w, gamma, p):
         b = a + lam * mu_term / w + lam * gamma
         c = lam * gamma
         disc = b * b - 4.0 * a * c
-        if (disc < 0.0).any():
-            raise NoFeasibleRoot(f"negative discriminant {disc.min()}")
         sqrt_disc = np.sqrt(disc)
         y_minus = 2.0 * c / (b + sqrt_disc)
         y_plus = (b + sqrt_disc) / (2.0 * a)
-        if not ((0.0 < y_minus) & (y_minus < 1.0) & (1.0 <= y_plus)).all():
-            raise NoFeasibleRoot("no equilibrium root with busy probability in (0, 1)")
         one_minus_y = 1.0 - y_minus
         one_minus_y = np.where(one_minus_y < 0.01,
                                lam * mu_term / (w * a * (y_plus - 1.0)), one_minus_y)
         x_s = y_minus / gamma
         k = w * one_minus_y
         residual = np.abs(x_s - lam * k / (a * k + lam * mu_term))
-        if (residual > 1e-9).any():
-            raise NoFeasibleRoot(f"fixed-point residual {residual.max()} too large")
         roots = np.array(((mu * p_eff / lam) * x_s, mu_term * x_s / k, x_s, k))
-    finite = np.isfinite(roots).all(axis=0)
-    if not finite.all():
-        raise NoFeasibleRoot("x* or k* is not finite at " + closedform._first_failing(
-            finite, lam=lam, mu=mu, w=w, gamma=gamma, p=p))
+    point = dict(lam=lam, mu=mu, w=w, gamma=gamma, p=p)
+    _refuse(~(disc < 0.0), "negative discriminant {}", point, disc)
+    # a discriminant or root that is not finite makes y_plus or x_s not finite
+    _refuse(np.isfinite(roots).all(axis=0) & np.isfinite(y_plus), "x* or k* is not finite", point)
+    _refuse((0.0 < y_minus) & (y_minus < 1.0) & (1.0 <= y_plus),
+            "no equilibrium root with busy probability in (0, 1)", point)
+    _refuse(residual <= 1e-9, "fixed-point residual {} too large", point, residual)
     return roots
 
 
@@ -187,11 +194,12 @@ def integrate(
     The trajectory settles on the equilibrium, where in floating point a
     full step reaches a state it maps to itself bit for bit.  Once a full
     step returns its own state, every later full step would compute the same
-    numbers again, so the full steps stop there: the remaining sample times
-    are still accumulated with ``t += dt``, their rows repeat the state (one
-    numpy fill), and a final partial step is computed.  Equal counts as
-    identical only when every component is positive, which rules out
-    -0.0 == 0.0 and NaN.
+    numbers again, so the full steps stop there: the remaining rows repeat
+    the state (one numpy fill), and a final partial step is computed.  Equal
+    counts as identical only when every component is positive, which rules
+    out -0.0 == 0.0 and NaN.  The sample times do not depend on the states:
+    they are one left-to-right accumulate of the steps, bit for bit what
+    ``t += h`` per step gives.
     """
     if not 0.0 < dt < math.inf:
         raise InvalidParameter("dt", "must be positive and finite")
@@ -208,14 +216,12 @@ def integrate(
     partial = h_last > 1e-12 * t_end
     max_corr = 0.0
 
+    times = np.add.accumulate(np.r_[0.0, np.full(n_full, dt), [h_last] * partial])
     xi, xw, xs = float(x0.x_i), float(x0.x_w), float(x0.x_s)
-    times = [0.0]
     points = [(xi, xw, xs)]  # computed states; a settled stretch is filled in below
-    t = 0.0
-    for h, n_steps in ((dt, n_full), (h_last, int(partial))):
+    for h, first, n_steps in ((dt, 0, n_full), (h_last, n_full, int(partial))):
         half, sixth = 0.5 * h, h / 6.0
-        for done in range(1, n_steps + 1):
-            t += h
+        for i in range(first + 1, first + n_steps + 1):
             if gamma * xs > 1.0:
                 raise InfeasibleOccupancy(f"gamma * x_s = {gamma * xs} > 1 during integration")
             k1i, k1w, k1s = rates(xi, xw, xs)
@@ -229,19 +235,14 @@ def integrate(
             off = abs(total - 1.0)
             if off > 1e-3 or yi < -1e-3 or yw < -1e-3 or ys < -1e-3:
                 deviation = max(off, -min(yi, yw, ys, 0.0))
-                raise StepTooLarge(
-                    f"state left the simplex by {deviation} at t={t}; use a smaller dt"
-                )
+                raise StepTooLarge(f"state left the simplex by {deviation} at "
+                                   f"t={float(times[i])}; use a smaller dt")
             if off > 1e-12:
                 max_corr = max(max_corr, off)
                 yi, yw, ys = yi / total, yw / total, ys / total
-            times.append(t)
             points.append((yi, yw, ys))
             # fresh floats compare equal only without NaN
             if yi == xi and yw == xw and ys == xs and min(yi, yw, ys) > 0.0:
-                for _ in range(n_steps - done):
-                    t += h
-                    times.append(t)
                 break
             xi, xw, xs = yi, yw, ys
     states = np.empty((len(times), 3))
@@ -249,11 +250,7 @@ def integrate(
         states[-1] = points.pop()
     states[:len(points)] = points
     states[len(points):n_full + 1] = points[-1]
-    return Trajectory(
-        times=np.array(times),
-        states=states,
-        max_simplex_correction=max_corr,
-    )
+    return Trajectory(times=times, states=states, max_simplex_correction=max_corr)
 
 
 def aoi_at_equilibrium(ps: PolicyScheme, params: SystemParams) -> float:
@@ -360,7 +357,9 @@ def monotonicity_report(
 
     ``which`` selects the swept parameter; every other parameter is held at
     its value in ``params``.  Raises :class:`GridPointInvalid` when a grid
-    point or its central-difference stencil leaves the valid range.
+    point or its central-difference stencil leaves the valid range, and
+    ``closedform.DivergentAoi`` naming the first grid value where a
+    difference quotient is not finite.
     """
     if which not in SWEEPABLE:
         raise GridPointInvalid(f"unknown sweep parameter {which!r}")
@@ -379,10 +378,16 @@ def monotonicity_report(
         steps.append(h)
         stencil += [lo, hi]
     scale = 2.0 * np.array(steps)
+    with np.errstate(all="ignore"):  # (x_i, x_w, x_s, AoI) slopes per pair and grid value
+        slopes = np.array([(rows[[0, 1, 2, 4], 1::2] - rows[[0, 1, 2, 4], 0::2]) / scale
+                           for rows in aoi_along(combos, params, which, stencil)])
+    finite = np.isfinite(slopes).all(axis=(0, 1))
+    if not finite.all():
+        raise closedform.DivergentAoi("a finite difference is not finite at "
+                                      + closedform._first_failing(finite, **{which: values}))
     reports = []
-    for ps, rows in zip(combos, aoi_along(combos, params, which, stencil)):
-        d_x = ((rows[:3, 1::2] - rows[:3, 0::2]) / scale).T
-        d_aoi = (rows[4, 1::2] - rows[4, 0::2]) / scale
+    for ps, slope in zip(combos, slopes):
+        d_x, d_aoi = slope[:3].T, slope[3]
         verdicts: dict[str, str] = {}
         for quantity, claim, column in zip(("x_i", "x_w", "x_s", "aoi"),
                                            _CLAIMS[ps.policy, which], (*d_x.T, d_aoi)):

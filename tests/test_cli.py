@@ -10,14 +10,16 @@ import runpy
 import subprocess
 import sys
 import warnings
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aoi_csma import cli, closedform, shs, sim
 from aoi_csma import meanfield as mf
-from aoi_csma.cli import (PRESETS, _aoi_lines, _fmt, _time_column, _trajectory_csv, build_parser,
+from aoi_csma.cli import (PRESETS, _aoi_lines, _fmt, _rows, _trajectory_csv, build_parser,
                           main)
 from aoi_csma.core import Policy, PolicyScheme, Scheme, StateFractions, SystemParams
 
@@ -249,6 +251,36 @@ def test_equilibrium_that_is_not_finite_is_numerical_failure(capsys, monkeypatch
         warnings.simplefilter("error")
         assert run_cli(capsys, *argv) == (2, "", "numerical failure: x* or k* is not finite at "
                                           "lam=1e-310, mu=1.0, w=2.0, gamma=5.0, p=0.7\n")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    # b * b overflows, so the discriminant and both roots are nan
+    ("--lambda", "1e200", "x* or k* is not finite at "
+                          "lam=1e+200, mu=1.0, w=2.0, gamma=5.0, p=0.7"),
+    # lam * mu_term / w is lost to underflow or rounding: the smaller root is 1
+    ("--mu", "1e-310", "no equilibrium root with busy probability in (0, 1) at "
+                       "lam=0.8, mu=1e-310, w=2.0, gamma=5.0, p=0.7"),
+    ("--w", "1e300", "no equilibrium root with busy probability in (0, 1) at "
+                     "lam=0.8, mu=1.0, w=1e+300, gamma=5.0, p=0.7"),
+    ("--p", "1e-310", "no equilibrium root with busy probability in (0, 1) at "
+                      "lam=0.8, mu=1.0, w=2.0, gamma=5.0, p=1e-310"),
+])
+def test_equilibrium_without_a_root_names_its_point(capsys, flag, value, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "meanfield", *MF_ARGS, flag, value) == (
+            2, "", f"numerical failure: {message}\n")
+
+
+def test_monotonicity_difference_that_is_not_finite_is_numerical_failure(tmp_path, capsys):
+    # steps near 1e-304 divide AoI differences near 1e296: the quotients overflow
+    out = tmp_path / "mono"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "meanfield", "--monotonicity", "lam=1e-300:1e-299:3", *MF_ARGS,
+                       "--out", str(out)) == (
+            2, "", "numerical failure: a finite difference is not finite at lam=1e-300\n")
+    assert not out.exists()
 
 
 def test_meanfield_trajectory_leaving_the_channel_bound_is_numerical_failure(capsys):
@@ -804,6 +836,35 @@ def test_bench_pairs_refuses_fewer_than_two_pairs(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err.endswith("error: --pairs must be at least 2, got 1\n")
 
 
+def test_bench_pairs_names_the_csv_files_that_differ(tmp_path, capsys, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+    spec = spec_from_file_location("bench_pairs", script)
+    bench_pairs = module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    same = {"a.csv": "1", "b.csv": "2"}
+    digests = {  # (side, seed) -> the run's CSV SHA-256s
+        ("change", 8): {"a.csv": "1", "b.csv": "3"},
+        ("parent", 9): {"a.csv": "0", "b.csv": "2", "c.csv": "4"},
+    }
+
+    def run_side(side, checkout, workload, seed, seconds):
+        return ({"wall_s": {"value": 1.0}},
+                {"fail_frac": 0.0, "repeats": 3, "csv_sha256": digests.get((side, seed), same)})
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path), str(tmp_path), "--workload",
+                                      "analytic", "--pairs", "3", "--seconds", "1", "--seed", "7"])
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main()
+    # a message as the exit code: the interpreter prints it and exits with status 1
+    assert exited.value.code == ("CSV bytes differ between parent and change: "
+                                 "seed 8: b.csv; seed 9: a.csv, c.csv")
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    assert [p["csv_sha256_identical"] for p in pairs] == [True, False, False]
+
+
 def test_simulate_csv_serialization(tmp_path, capsys):
     out_dir = tmp_path / "sim"
     code, _, _ = run_cli(capsys, "simulate", "--policy", "W", "--scheme", "wp",
@@ -827,12 +888,34 @@ def test_csv_rows_format_each_field_like_fmt():
     values = [-0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, 0.1, 1 / 3, 123456789.5,
               np.float64(2.5e-7), np.float32(0.1), np.int64(3)]
     states = [[values[i - 1], values[i - 2], values[i - 3]] for i in range(len(values))]
-    lines = _trajectory_csv(_time_column(values), states).split("\n")
+    lines = _trajectory_csv(_rows("%.9g", values), states).split("\n")
     assert lines[0] == "t,x_I,x_W,x_S" and lines.pop() == ""
     assert lines[1:] == [",".join(_fmt(v) for v in (t, *row)) for t, row in zip(values, states)]
     avgs = np.array(values, dtype=float)
     assert _aoi_lines(avgs) == ["device_id,avg_aoi"] + [f"{d},{_fmt(v)}"
                                                         for d, v in enumerate(avgs)]
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, math.inf, -math.inf, math.nan,
+                1e308, -1e308, 1.7976931348623157e308]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)), min_size=1, max_size=40),
+       st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40),
+       st.lists(st.text(st.characters(blacklist_characters="\n")), min_size=1, max_size=40),
+       st.integers(1000, 2100))
+def test_rows_formats_each_field_like_fmt(floats, ints, texts, n):
+    # every value repeated cyclically to n rows, so one or two 1024-row
+    # block boundaries are crossed
+    xs = np.resize(np.array(floats + _EDGE_FLOATS, dtype=float), n)
+    assert _rows("%.9g", xs) == [_fmt(x) for x in xs]
+    assert _rows("%.9g", xs.tolist()) == [_fmt(x) for x in xs]
+    ks = np.resize(np.array(ints, dtype=np.int64), n)
+    assert _rows("%d", ks) == [str(k) for k in ks.tolist()]
+    labels = [texts[i % len(texts)] for i in range(n)]
+    assert _rows("%s,%.9g,%d", labels, xs, ks) == [
+        f"{s},{_fmt(x)},{k}" for s, x, k in zip(labels, xs, ks.tolist())]
 
 
 def test_csv_rows_reuse_a_repeated_state_only_when_its_bits_repeat():
@@ -846,14 +929,14 @@ def test_csv_rows_reuse_a_repeated_state_only_when_its_bits_repeat():
               [nan, 0.5, 0.5], [nan, 0.5, 0.5], [0.5, nan, nan], [0.5, nan, nan],
               [0.1, 0.2, 0.7], [0.1, 0.2, 0.7]]
     times = [0.01 * i for i in range(len(states))]
-    lines = _trajectory_csv(_time_column(times), states).splitlines()
+    lines = _trajectory_csv(_rows("%.9g", times), states).splitlines()
     assert lines[1:] == [",".join(_fmt(v) for v in (t, *row)) for t, row in zip(times, states)]
     assert lines[4].endswith(",0") and lines[5].endswith(",-0")
     # runs long enough to be formatted as times after a fixed state text,
     # one of them across a 1024-row stretch boundary
     states = [row for row in states for _ in range(20)] + [[0.3, 0.3, 0.4]] * 1100
     times = [0.01 * i for i in range(len(states))]
-    text = _trajectory_csv(_time_column(times), states)
+    text = _trajectory_csv(_rows("%.9g", times), states)
     assert text.split("\n")[1:] == [",".join(_fmt(v) for v in (t, *row))
                                     for t, row in zip(times, states)] + [""]
 
