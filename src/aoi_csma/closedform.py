@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .core import AoiError, InvalidParameter, Policy, PolicyScheme, Scheme, StateFractions
+from .core import (AoiError, InvalidParameter, Policy, PolicyScheme, Scheme, StateFractions,
+                   service_rates)
 
 
 class DivergentAoi(AoiError):
@@ -103,12 +104,8 @@ def avg_aoi(ps: PolicyScheme, lam, mu, k, p) -> float | np.ndarray:
 def stationary(policy: Policy, lam: float, mu: float, k: float, p: float) -> StateFractions:
     """Stationary distribution of the per-device chain (identical for WP and WOP)."""
     _check_rates(lam, mu, k, p)
-    if policy is Policy.I:
-        weights = (k * mu, lam * mu, k * lam)
-    elif policy is Policy.W:
-        weights = (k * mu * p, lam * mu, k * lam)
-    else:
-        weights = (k * mu * p, lam * mu * p, k * lam)
+    to_idle, _, out = service_rates(policy, mu, p)
+    weights = (k * to_idle, lam * out, k * lam)
     total = weights[0] + weights[1] + weights[2]
     return StateFractions(weights[0] / total, weights[1] / total, weights[2] / total)
 

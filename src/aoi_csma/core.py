@@ -62,6 +62,16 @@ IDLE, WAITING, SERVICE = 0, 1, 2
 FAILURE_TARGET = {Policy.I: IDLE, Policy.W: WAITING, Policy.S: SERVICE}
 
 
+def service_rates(policy: Policy, mu, p):
+    """Rates (to_idle, to_waiting, out of service) of a device in service, on
+    floats or arrays; each is one product (in float64 mu*p + mu*(1-p) can miss mu)."""
+    target = FAILURE_TARGET[policy]
+    to_idle = mu if target == IDLE else mu * p
+    to_waiting = mu * (1.0 - p) if target == WAITING else 0.0
+    out = mu * p if target == SERVICE else mu
+    return to_idle, to_waiting, out
+
+
 @dataclass(frozen=True)
 class PolicyScheme:
     """One of the six analyzed (policy, scheme) combinations."""

@@ -22,7 +22,6 @@ from . import closedform
 from .core import (
     FAILURE_TARGET,
     IDLE,
-    WAITING,
     AoiError,
     InfeasibleOccupancy,
     InvalidParameter,
@@ -30,6 +29,7 @@ from .core import (
     PolicyScheme,
     StateFractions,
     SystemParams,
+    service_rates,
 )
 
 
@@ -89,9 +89,7 @@ def _drift(policy: Policy, params: SystemParams):
     zero in floating point, not just in exact arithmetic.
     """
     lam, mu, w, p, gamma = map(float, (params.lam, params.mu, params.w, params.p, params.gamma))
-    target = FAILURE_TARGET[policy]
-    succ = mu if target == IDLE else mu * p              # service -> idle, per x_s
-    fail = mu * (1.0 - p) if target == WAITING else 0.0  # service -> waiting, per x_s
+    succ, fail, _ = service_rates(policy, mu, p)  # service -> idle, -> waiting, per x_s
 
     def rates(xi: float, xw: float, xs: float) -> tuple[float, float, float]:
         arrivals = lam * xi
@@ -120,13 +118,14 @@ def _refuse(good, message: str, point: dict, value=None) -> None:
 
 def _radical(policy: Policy, lam, mu, w, gamma, p):
     """(x_i, x_w, x_s, k*) of the equilibrium from its radical, for float64
-    arrays of one shape (a single point is 0-d arrays).
+    arrays or scalars of one shape (a single point is float64 scalars).
 
     Solved in the busy probability y = gamma * x_s, whose quadratic
-    A*y^2 - B*y + lam*gamma has value -lam*mu_term/w at y = 1, so exactly one
-    root lies in (0, 1).  The smaller root comes from the product-of-roots
-    form (no cancellation); near saturation, 1 - y is recovered from the
-    root-product identity A*(1 - y_minus)*(y_plus - 1) = lam*mu_term/w so
+    A*y^2 - B*y + lam*gamma has value -lam*out/w at y = 1 (``out`` is the
+    service-exit rate of ``service_rates``), so exactly one root lies in
+    (0, 1).  The smaller root comes from the product-of-roots form (no
+    cancellation); near saturation, 1 - y is recovered from the
+    root-product identity A*(1 - y_minus)*(y_plus - 1) = lam*out/w so
     that k keeps full relative precision.  A residual guard on the
     fixed-point equation catches transcription errors.  The arithmetic is
     numpy's, which rounds as Python's does, with its warnings off.  Every
@@ -134,13 +133,12 @@ def _radical(policy: Policy, lam, mu, w, gamma, p):
     that fails it; a discriminant, root, x* or k* that is not finite (rates
     near the float extremes) fails first.
     """
-    if policy is not Policy.I and not (p > 0.0).all():
+    if FAILURE_TARGET[policy] != IDLE and not (p > 0.0).all():
         raise InvalidParameter("p", f"must be positive under policy ({policy.value})")
     with np.errstate(all="ignore"):
-        p_eff = 1.0 if policy is Policy.I else p          # service-exit total uses mu*p_eff
-        mu_term = mu * p if policy is Policy.S else mu    # the lam*mu coefficient
-        a = lam + mu * p_eff
-        b = a + lam * mu_term / w + lam * gamma
+        to_idle, _, out = service_rates(policy, mu, p)
+        a = lam + to_idle
+        b = a + lam * out / w + lam * gamma
         c = lam * gamma
         disc = b * b - 4.0 * a * c
         sqrt_disc = np.sqrt(disc)
@@ -148,11 +146,11 @@ def _radical(policy: Policy, lam, mu, w, gamma, p):
         y_plus = (b + sqrt_disc) / (2.0 * a)
         one_minus_y = 1.0 - y_minus
         one_minus_y = np.where(one_minus_y < 0.01,
-                               lam * mu_term / (w * a * (y_plus - 1.0)), one_minus_y)
+                               lam * out / (w * a * (y_plus - 1.0)), one_minus_y)
         x_s = y_minus / gamma
         k = w * one_minus_y
-        residual = np.abs(x_s - lam * k / (a * k + lam * mu_term))
-        roots = np.array(((mu * p_eff / lam) * x_s, mu_term * x_s / k, x_s, k))
+        residual = np.abs(x_s - lam * k / (a * k + lam * out))
+        roots = np.array(((to_idle / lam) * x_s, out * x_s / k, x_s, k))
     point = dict(lam=lam, mu=mu, w=w, gamma=gamma, p=p)
     _refuse(~(disc < 0.0), "negative discriminant {}", point, disc)
     # a discriminant or root that is not finite makes y_plus or x_s not finite
@@ -166,7 +164,7 @@ def _radical(policy: Policy, lam, mu, w, gamma, p):
 def equilibrium(policy: Policy, params: SystemParams) -> Equilibrium:
     """Unique feasible fixed point of the mean-field ODE, from its radical (``_radical``)."""
     rates = (params.lam, params.mu, params.w, params.gamma, params.p)
-    x_i, x_w, x_s, k = map(float, _radical(policy, *(np.array(v, dtype=float) for v in rates)))
+    x_i, x_w, x_s, k = map(float, _radical(policy, *map(np.float64, rates)))
     x_star = StateFractions(x_i, x_w, x_s)
     residual = float(np.abs(drift(policy, params, x_star)).max())
     margin = min(params.lam, k, params.w * params.gamma * x_w)

@@ -355,16 +355,12 @@ def _order_statistics(config: SimConfig, ranks: list[int], width: float) -> list
         for i, (low, high) in enumerate(zip(lows, highs)):
             below[i] += np.count_nonzero(times < low)
             inside[i].append(times[(times >= low) & (times <= high)])
-        # Every arrival up to ``x`` is drawn: once x reaches the last rank's
-        # bracket, its count below and its times kept up to x are complete.
+        # Every arrival up to ``x`` is drawn: stop once the last rank's time is
+        # among them or x passes its bracket; the check below refuses a miss.
         x = last.min()
-        if below[-1] >= ranks[-1]:  # the last rank's time lies below its bracket
-            return None
-        if x >= lows[-1]:
-            if below[-1] + sum(np.count_nonzero(v <= x) for v in inside[-1]) >= ranks[-1]:
-                break
-            if x >= highs[-1]:  # ... or above it
-                return None
+        if (x >= highs[-1]
+                or below[-1] + sum(np.count_nonzero(v <= x) for v in inside[-1]) >= ranks[-1]):
+            break
     found = []
     for a, b, kept in zip(ranks, below, inside):
         kept = np.concatenate(kept)
@@ -544,15 +540,13 @@ def run(config: SimConfig) -> SimResult:
 
             # Schedule the next backoff expiry, skipping every one that would
             # sense a channel whose occupant completes only after it.
-            q = draw_bo[d]
-            t += q.pop() if q else refill_bo(d)
-            q = draw_ch[d]
-            c = q.pop() if q else refill_ch(d)
-            while t < busy_until[c]:
+            while True:
                 q = draw_bo[d]
                 t += q.pop() if q else refill_bo(d)
                 q = draw_ch[d]
                 c = q.pop() if q else refill_ch(d)
+                if t >= busy_until[c]:
+                    break
             chan[d] = c
             heapreplace(heap, (t, d, WAITING))
 

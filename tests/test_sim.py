@@ -675,6 +675,24 @@ def test_arrival_horizon_widens_a_missed_bracket(monkeypatch):
         assert len(passes) > 1 and passes[1] == 4 * passes[0], stop_arrivals
 
 
+def test_order_statistics_refuses_a_rank_outside_its_bracket():
+    # Brackets a millionth of a standard deviation wide miss their order
+    # statistics, some below and some above, and the pass returns None for
+    # each; brackets a hundred wide hold every rank and give the exact times.
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=7.0, n_devices=7, n_channels=1)
+    config = sim.SimConfig(params=params, ps=W_WP, seed=5, replication=2, stop_arrivals=1)
+    ranks, rate, width = list(range(1, 400, 9)), 7 * 0.8, 1e-6
+    exact = _arrival_order_statistics(config, ranks, 20)
+    below = set()
+    for a, t in zip(ranks, exact):
+        low, high = ((a + side * width * math.sqrt(a)) / rate for side in (-1, 1))
+        assert not low <= t <= high, a
+        below.add(t < low)
+        assert sim._order_statistics(config, [a], width) is None, a
+    assert below == {True, False}
+    assert sim._order_statistics(config, ranks, 100.0) == exact
+
+
 @pytest.mark.parametrize("rounds", ["one-call", "top-up"])
 @pytest.mark.parametrize("n, stop", [(1, dict(stop_arrivals=500)), (7, dict(stop_arrivals=900)),
                                      (7, dict(stop_time=150.0))])
