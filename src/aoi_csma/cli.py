@@ -400,7 +400,7 @@ def _add_analytic(output: _Output, name: str, combos, points: list[dict], x: str
 
 def _cmd_analytic(args, output: _Output) -> int:
     names = ("lam", "mu", "k", "p")
-    which, grid = _parse_sweep(args.sweep, names) if args.sweep else (None, None)
+    which, grid = _parse_sweep(args.sweep, names) if args.sweep is not None else (None, None)
     _require(args, *(n for n in names if n != which))
     base = {n: getattr(args, n) for n in names}
     points = [base] if which is None else [dict(base, **{which: v}) for v in grid]
@@ -460,11 +460,11 @@ def _sweep_lines(combos: list[PolicyScheme], params: SystemParams,
 
 def _cmd_meanfield(args, output: _Output) -> int:
     params = _mean_field_params(args)
-    wants = [bool(args.sweep), bool(args.trajectory), bool(args.monotonicity)]
+    wants = [args.sweep is not None, args.trajectory, args.monotonicity is not None]
     if sum(wants) > 1 and args.out is None:
         raise UsageError("multiple outputs requested; give --out")
 
-    if args.sweep:
+    if args.sweep is not None:
         which, grid = _parse_sweep(args.sweep, meanfield.SWEEPABLE)
         output.add("sweep.csv", _csv(_sweep_lines(_combos(args), params, which, grid)), "value")
     if args.trajectory:
@@ -473,7 +473,7 @@ def _cmd_meanfield(args, output: _Output) -> int:
             traj = meanfield.integrate(pol, params, args.x0, t_end=args.t_end, dt=args.dt)
             column = column or _rows("%.9g", traj.times)
             output.add(f"trajectory_{pol.value}.csv", _trajectory_csv(column, traj.states), "t")
-    if args.monotonicity:
+    if args.monotonicity is not None:
         which, grid = _parse_sweep(args.monotonicity, meanfield.SWEEPABLE)
         combos = _combos(args)
         for ps, report in zip(combos, meanfield.monotonicity_report(combos, params, which, grid)):

@@ -39,9 +39,10 @@ a run does not allocate, fault in and free a block-sized temporary for
 each block it cuts.
 
 An arrival horizon ends at an order statistic of all devices' arrival
-times, found before the run in a pass over the arrival stream.  The pass
-keeps no more of the stream than a bounded round of blocks and the times
-inside a bracket around each order statistic it looks for.
+times, found exactly before the run in one pass over the arrival stream.
+The pass keeps no more of the stream than a bounded round of blocks and
+the drawn times later than the slowest device's last, about
+N * sqrt(draws per device) of them.
 
 Events on the heap: each device has exactly one pending event, its next
 arrival while idle, its backoff expiry while waiting, or its service
@@ -105,7 +106,6 @@ _P_ARRIVAL, _P_BACKOFF, _P_SERVICE, _P_CHANNEL, _P_SUCCESS = range(5)
 
 _MAX_SAMPLES = 10_000_000  # trajectory samples per run, as meanfield bounds its steps
 _ROUND_VALUES = 1 << 16  # arrival times drawn at most in one round of an arrival horizon's pass
-_BRACKET_SD = 8.0  # half-width of an order statistic's first bracket, in standard deviations
 _NORMAL_95 = 1.959963984540054
 
 
@@ -310,64 +310,41 @@ def _arrival_horizon(config: SimConfig) -> tuple[float, float]:
     """An arrival horizon's ``(t_warm, t_stop)``.
 
     ``t_stop`` is the time of the ``stop_arrivals``-th arrival and ``t_warm``
-    that of the warm-up's last (0 without warm-up).  The a-th arrival of N
-    devices at rate lam is Gamma(a, N lam), so each is first looked for in
-    the bracket ``(a -+ _BRACKET_SD * sqrt(a)) / (N lam)``; when a pass finds
-    one outside its bracket, the pass runs again from the stream's start
-    with the brackets four times as wide.
+    that of the warm-up's last (0 without warm-up).  Device d's arrival times
+    are the running sum of row d of the arrival stream's consecutive (n,
+    BLOCK) blocks, carried from block to block, so they are bit for bit the
+    times ``run`` draws one at a time.  The first round draws one block; each
+    later round draws as many blocks again as drawn so far, up to
+    ``_ROUND_VALUES`` times.  After a round every arrival up to ``x``, the
+    earliest of the devices' last drawn times, is drawn: the times up to x
+    are settled, and a rank among them is selected exactly.  The pass keeps
+    only the count settled in earlier rounds and the drawn times after x,
+    and stops once both ranks are settled.
     """
+    n = config.params.n_devices
     a_stop = config.stop_arrivals
     a_warm = math.ceil(config.warmup_fraction * a_stop)
     ranks = [a_warm, a_stop] if a_warm else [a_stop]
-    width = _BRACKET_SD
-    while (times := _order_statistics(config, ranks, width)) is None:
-        width *= 4.0
-    return (times[0] if a_warm else 0.0), times[-1]
-
-
-def _order_statistics(config: SimConfig, ranks: list[int], width: float) -> list[float] | None:
-    """The ``ranks``-th smallest of all devices' arrival times, or ``None``
-    if one lies outside its bracket of ``width`` standard deviations.
-
-    Device d's arrival times are the running sum of row d of the arrival
-    stream's consecutive (n, BLOCK) blocks, carried from block to block, so
-    they are bit for bit the times ``run`` draws one at a time.  The first
-    round draws one block; until every arrival up to the last rank's time is
-    drawn, each round draws as many blocks again as drawn so far, up to
-    ``_ROUND_VALUES`` times.  A round keeps, for each rank, only the count
-    of its times below the rank's bracket and its times inside it.
-    """
-    n, rate = config.params.n_devices, config.params.n_devices * config.params.lam
-    lows = [(a - width * math.sqrt(a)) / rate for a in ranks]
-    highs = [(a + width * math.sqrt(a)) / rate for a in ranks]
-    below = [0] * len(ranks)
-    inside: list[list[np.ndarray]] = [[] for _ in ranks]
+    found: list[float] = []
     stream = _Stream(config, _P_ARRIVAL, _exponential(config.params.lam))
     cap = max(1, _ROUND_VALUES // (n * BLOCK))
-    drawn, last = 0, 0.0
-    while True:
+    drawn, last, below, later = 0, 0.0, 0, np.empty(0)
+    while len(found) < len(ranks):
         k = min(max(1, drawn // BLOCK), cap)
         times = stream.blocks(k).transpose(1, 0, 2).reshape(n, -1)
         times[:, 0] += last
         np.cumsum(times, axis=1, out=times)
         drawn += k * BLOCK
         last = times[:, -1].copy()
-        for i, (low, high) in enumerate(zip(lows, highs)):
-            below[i] += np.count_nonzero(times < low)
-            inside[i].append(times[(times >= low) & (times <= high)])
-        # Every arrival up to ``x`` is drawn: stop once the last rank's time is
-        # among them or x passes its bracket; the check below refuses a miss.
         x = last.min()
-        if (x >= highs[-1]
-                or below[-1] + sum(np.count_nonzero(v <= x) for v in inside[-1]) >= ranks[-1]):
-            break
-    found = []
-    for a, b, kept in zip(ranks, below, inside):
-        kept = np.concatenate(kept)
-        if not b < a <= b + np.count_nonzero(kept <= x):
-            return None
-        found.append(float(np.partition(kept, a - b - 1)[a - b - 1]))
-    return found
+        times = np.concatenate((later, times.ravel()))
+        settled, later = times[times <= x], times[times > x]
+        for a in ranks[len(found):]:
+            if a > below + len(settled):
+                break
+            found.append(float(np.partition(settled, a - below - 1)[a - below - 1]))
+        below += len(settled)
+    return (found[0] if a_warm else 0.0), found[-1]
 
 
 def _check_samples(t_stop: float, sample_dt: float | None) -> None:

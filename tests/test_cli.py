@@ -118,6 +118,7 @@ def test_bad_sweep_syntax_is_usage_error(capsys):
         ("p", "sweep must be <param>=<start:end:count>, got 'p'"),
         ("p=0.1:1:1000001", "grid must have at most 1000000 points, got '0.1:1:1000001'"),
         ("p=0.1:inf:3", "grid ends must be finite, got '0.1:inf:3'"),
+        ("", "sweep must be <param>=<start:end:count>, got ''"),
     ]:
         code, out, err = run_cli(capsys, "analytic", "--lambda", "1", "--mu", "1", "--k", "1",
                                  "--sweep", sweep)
@@ -293,6 +294,8 @@ def test_meanfield_trajectory_leaving_the_channel_bound_is_numerical_failure(cap
     (["--trajectory", "--x0", "0.5,0.5"],
      "argument --x0: must be i,w,s fractions, got '0.5,0.5'"),
     (["--sweep", "p=0.3:1:3", "--trajectory"], "multiple outputs requested; give --out"),
+    (["--sweep", ""], "sweep must be <param>=<start:end:count>, got ''"),
+    (["--monotonicity", ""], "sweep must be <param>=<start:end:count>, got ''"),
 ])
 def test_meanfield_usage_errors(capsys, extra, message):
     code, out, err = run_cli(capsys, "meanfield", *MF_ARGS, *extra)

@@ -639,7 +639,7 @@ def test_stream_keeps_only_the_rows_no_device_has_taken():
     assert stream.draws[0] and len(stream._blocks) == 21
 
 
-def _arrival_order_statistics(config, ranks, n_blocks):
+def _arrival_rank_times(config, ranks, n_blocks):
     """The ``ranks``-th smallest arrival times of ``n_blocks`` blocks of
     ``config``'s arrival stream, all held at once."""
     n = config.params.n_devices
@@ -652,45 +652,18 @@ def _arrival_order_statistics(config, ranks, n_blocks):
     return [float(in_order[a - 1]) if a else 0.0 for a in ranks]
 
 
-def test_arrival_horizon_widens_a_missed_bracket(monkeypatch):
-    # Brackets a hundredth of a standard deviation wide miss their order
-    # statistics; the pass runs again with wider ones until both are found.
-    passes = []
-    order_statistics = sim._order_statistics
-
-    def counting(config, ranks, width):
-        passes.append(width)
-        return order_statistics(config, ranks, width)
-
-    monkeypatch.setattr(sim, "_order_statistics", counting)
-    monkeypatch.setattr(sim, "_BRACKET_SD", 0.01)
-    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=7.0, n_devices=7, n_channels=1)
-    for stop_arrivals in (1, 2, 50, 900):
-        passes.clear()
-        config = sim.SimConfig(params=params, ps=W_WP, seed=5, replication=2,
-                               stop_arrivals=stop_arrivals, warmup_fraction=0.2)
-        a_warm = math.ceil(0.2 * stop_arrivals)
-        want = _arrival_order_statistics(config, [a_warm, stop_arrivals], 20)
-        assert list(sim._arrival_horizon(config)) == want, stop_arrivals
-        assert len(passes) > 1 and passes[1] == 4 * passes[0], stop_arrivals
-
-
-def test_order_statistics_refuses_a_rank_outside_its_bracket():
-    # Brackets a millionth of a standard deviation wide miss their order
-    # statistics, some below and some above, and the pass returns None for
-    # each; brackets a hundred wide hold every rank and give the exact times.
-    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=7.0, n_devices=7, n_channels=1)
-    config = sim.SimConfig(params=params, ps=W_WP, seed=5, replication=2, stop_arrivals=1)
-    ranks, rate, width = list(range(1, 400, 9)), 7 * 0.8, 1e-6
-    exact = _arrival_order_statistics(config, ranks, 20)
-    below = set()
-    for a, t in zip(ranks, exact):
-        low, high = ((a + side * width * math.sqrt(a)) / rate for side in (-1, 1))
-        assert not low <= t <= high, a
-        below.add(t < low)
-        assert sim._order_statistics(config, [a], width) is None, a
-    assert below == {True, False}
-    assert sim._order_statistics(config, ranks, 100.0) == exact
+@pytest.mark.parametrize("warmup", [0.0, 0.2, 0.5])
+@pytest.mark.parametrize("stop_arrivals", [1, 2, 50, 900])
+@pytest.mark.parametrize("n", [1, 7, 200])
+def test_arrival_horizon_is_exact(n, stop_arrivals, warmup):
+    # The pass gives the exact order statistics of all devices' arrival
+    # times, including a warm-up that ends at the horizon's own arrival.
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=float(n), n_devices=n,
+                          n_channels=1)
+    config = sim.SimConfig(params=params, ps=W_WP, seed=5, replication=2,
+                           stop_arrivals=stop_arrivals, warmup_fraction=warmup)
+    want = _arrival_rank_times(config, [math.ceil(warmup * stop_arrivals), stop_arrivals], 20)
+    assert list(sim._arrival_horizon(config)) == want
 
 
 @pytest.mark.parametrize("rounds", ["one-call", "top-up"])
