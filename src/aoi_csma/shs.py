@@ -15,7 +15,8 @@ float operations as one tuple and solved by one stacked
 Floats give batch shape ``()``.
 
 Chains are built from :class:`ShsChain` and :class:`Transition`, which check
-them on construction; the six policy/scheme device chains built here are the
+them and assemble a chain's generator and age operator once, on construction;
+the solvers read them.  The six policy/scheme device chains built here are the
 independent oracle against the closed forms in :mod:`aoi_csma.closedform`.
 """
 
@@ -75,7 +76,9 @@ class Transition:
 class ShsChain:
     """States, transitions and per-state age growth vectors of one chain.
 
-    ``batch_shape`` is the broadcast of the transition rate shapes.
+    ``batch_shape`` is the broadcast of the transition rate shapes.  A rate
+    that is not positive and finite raises :class:`DegenerateRate`.
+    ``generator`` (self-loops excluded) and ``age_operator`` lead with the batch axes.
     """
 
     n_states: int
@@ -83,6 +86,8 @@ class ShsChain:
     transitions: tuple[Transition, ...]
     growth: np.ndarray
     batch_shape: tuple[int, ...] = field(init=False, default=())
+    generator: np.ndarray = field(init=False, repr=False, compare=False)
+    age_operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         growth = np.asarray(self.growth, dtype=float)
@@ -97,8 +102,9 @@ class ShsChain:
             if not (0 <= tr.from_state < self.n_states and 0 <= tr.to_state < self.n_states):
                 raise ValueError(f"transition {tr.from_state}->{tr.to_state} out of range")
             rate = np.asarray(tr.rate, dtype=float)
-            if not (rate > 0).all():
-                i = _worst(-rate)
+            bad = ~((rate > 0) & np.isfinite(rate))
+            if bad.any():
+                i = _worst(bad)
                 raise DegenerateRate(
                     f"transition {tr.from_state}->{tr.to_state} has rate {rate[i]}{_at(i)}"
                 )
@@ -108,8 +114,30 @@ class ShsChain:
             object.__setattr__(tr, "reset", reset)
         if not _is_binary(np.array([tr.reset for tr in self.transitions])):
             raise ValueError("reset entries must be 0 or 1")
-        object.__setattr__(self, "batch_shape", np.broadcast_shapes(
-            *(np.shape(tr.rate) for tr in self.transitions)))
+        n, m, batch = self.n_states, self.age_dim, np.broadcast_shapes(
+            *(np.shape(tr.rate) for tr in self.transitions))
+        # Both operators are assembled with the batch axes trailing, so that
+        # ``x[row, col]`` is a plain float for batch shape () and a contiguous
+        # vector otherwise; the solvers see them with the batch axes leading.
+        q = np.zeros((n, n) + batch)
+        a = np.zeros((n * m, n * m) + batch)
+        for tr in self.transitions:
+            if tr.from_state != tr.to_state:
+                q[tr.from_state, tr.to_state] += tr.rate
+            for j in range(tr.from_state * m, tr.from_state * m + m):
+                a[j, j] += tr.rate
+        d = np.arange(n)
+        q[d, d] -= q.sum(axis=1)
+        # Each age diagonal entry holds its state's whole outgoing rate before the
+        # resets are subtracted in transition order; that order fixes the bits.
+        for tr in self.transitions:
+            for i, row in enumerate(tr.reset.tolist()):
+                for j, reset in enumerate(row):
+                    if reset:
+                        a[tr.to_state * m + j, tr.from_state * m + i] -= tr.rate
+        object.__setattr__(self, "batch_shape", batch)
+        for name, x in (("generator", q), ("age_operator", a)):
+            object.__setattr__(self, name, x.transpose(*range(2, x.ndim), 0, 1))
 
 
 @dataclass(frozen=True)
@@ -170,19 +198,10 @@ def build_chain(ps: PolicyScheme, lam, mu, k, p) -> ShsChain:
     return ShsChain(n_states=3, age_dim=2, transitions=tuple(transitions), growth=growth)
 
 
-def _batch_first(x: np.ndarray) -> np.ndarray:
-    """View of a ``(rows, cols) + batch`` array as ``batch + (rows, cols)``."""
-    return x.transpose(*range(2, x.ndim), 0, 1)
-
-
 def _singular_at(m: np.ndarray) -> str:
     """Locate a singular matrix of a stack, for the error message."""
     return _at(_worst(np.linalg.det(m) == 0.0))
 
-
-# The generator and the age matrix are assembled with the batch axes trailing,
-# so that ``x[row, col]`` is a plain float for batch shape () and a contiguous
-# vector otherwise; the solves see the same arrays with the batch axes leading.
 
 def stationary(chain: ShsChain) -> np.ndarray:
     """Stationary distribution of the discrete chain, by dense direct solve.
@@ -192,29 +211,25 @@ def stationary(chain: ShsChain) -> np.ndarray:
     :class:`NotIrreducible` when the balance system of any batch entry is
     singular beyond the one redundant equation.
     """
-    n = chain.n_states
-    q = np.zeros((n, n) + chain.batch_shape)
-    for tr in chain.transitions:
-        if tr.from_state != tr.to_state:
-            q[tr.from_state, tr.to_state] += tr.rate
-    d = np.arange(n)
-    q[d, d] -= q.sum(axis=1)
+    q = chain.generator
     # pi @ q = 0 with sum(pi) = 1: replace one balance column by normalization.
-    m = _batch_first(q.swapaxes(0, 1)).copy()
+    m = q.swapaxes(-1, -2).copy()
     m[..., -1, :] = 1.0
-    rhs = np.zeros(chain.batch_shape + (n, 1))
+    rhs = np.zeros(chain.batch_shape + (chain.n_states, 1))
     rhs[..., -1, 0] = 1.0
     try:
         pi = np.linalg.solve(m, rhs)[..., 0]
     except np.linalg.LinAlgError:
         raise NotIrreducible(f"balance equations are singular{_singular_at(m)}") from None
-    residual = np.abs(pi[..., None, :] @ _batch_first(q)).max(axis=(-2, -1))
+    # pi @ q grows with the rates: gauge its residual by max(1, largest |q| entry).
+    residual = np.abs(pi[..., None, :] @ q).max(axis=(-2, -1))
+    residual = residual / np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
     low = pi.min(axis=-1)
     if not ((residual <= 1e-9).all() and (low >= -1e-12).all()):
         i = _worst(np.maximum(residual / 1e-9, -low / 1e-12))
         raise NotIrreducible(
-            "no valid stationary distribution (chain not irreducible): balance residual "
-            f"{residual[i]:.3e}, smallest pi {low[i]:.3e}{_at(i)}"
+            "no valid stationary distribution (chain not irreducible): relative balance "
+            f"residual {residual[i]:.3e}, smallest pi {low[i]:.3e}{_at(i)}"
         )
     return pi
 
@@ -231,24 +246,8 @@ def solve_age_system(chain: ShsChain, pi: np.ndarray) -> AgeSolution:
     pi = np.asarray(pi, dtype=float)
     if pi.shape != batch + (n,):
         raise ValueError(f"pi must have shape {batch + (n,)}, got {pi.shape}")
-    size = n * m
-    a = np.zeros((size, size) + batch)
-    rhs = (chain.growth * pi[..., :, None]).reshape(batch + (size, 1))
-
-    out_rate = np.zeros((n,) + batch)
-    for tr in chain.transitions:
-        out_rate[tr.from_state] += tr.rate
-    for q in range(n):
-        for j in range(m):
-            a[q * m + j, q * m + j] += out_rate[q]
-    for tr in chain.transitions:
-        src, dst = tr.from_state, tr.to_state
-        for j in range(m):
-            for i in range(m):
-                if tr.reset[i, j] != 0.0:
-                    a[dst * m + j, src * m + i] -= tr.rate * tr.reset[i, j]
-
-    a = _batch_first(a)
+    a = chain.age_operator
+    rhs = (chain.growth * pi[..., :, None]).reshape(batch + (n * m, 1))
     try:
         flat = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:

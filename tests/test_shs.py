@@ -170,6 +170,17 @@ def test_oracle_matches_closed_forms(lam, mu, k, p):
         assert abs(via_chain - direct) / direct < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e12])
+def test_oracle_matches_closed_forms_at_large_rates(scale):
+    # the balance residual pi @ q grows with the rates, so the irreducibility
+    # check must gauge it relative to them, not against an absolute 1e-9
+    rates = dict(lam=0.3 * scale, mu=1.7 * scale, k=0.9 * scale, p=0.7)
+    for ps in PolicyScheme.all_combinations():
+        via_chain = shs.average_aoi(ps, **rates)
+        direct = cf.avg_aoi(ps, **rates)
+        assert abs(via_chain - direct) / direct < 1e-9
+
+
 def test_cross_check_at_figure_parameters():
     via_chain = shs.average_aoi(W_WP, lam=0.9, mu=1.0, k=2.0, p=0.6)
     direct = cf.avg_aoi(W_WP, lam=0.9, mu=1.0, k=2.0, p=0.6)
@@ -247,3 +258,77 @@ def test_batch_rejects_degenerate_entries():
         shs.average_aoi(S_WP, lam=lam, mu=mu, k=k, p=np.where(np.arange(8) == 5, 1.0, p))
     with pytest.raises(shs.DegenerateRate, match=r"batch index \(6,\)"):
         shs.average_aoi(W_WOP, lam=np.where(np.arange(8) == 6, -1.0, lam), mu=mu, k=k, p=p)
+    with pytest.raises(shs.DegenerateRate, match=r"has rate inf at batch index \(1,\)"):
+        shs.average_aoi(I_WP, lam=np.array([1.0, np.inf]), mu=1, k=1, p=0.5)
+
+
+# ---------------------------------------------------------------------------
+# A chain's operators, against an assembly entry by entry.
+
+def _reference_operators(chain):
+    """Generator and age operator summed entry by entry, batch axes leading."""
+    n, m, batch = chain.n_states, chain.age_dim, chain.batch_shape
+    q = np.zeros((n, n) + batch)
+    for tr in chain.transitions:
+        if tr.from_state != tr.to_state:
+            q[tr.from_state, tr.to_state] += tr.rate
+    d = np.arange(n)
+    q[d, d] -= q.sum(axis=1)
+    a = np.zeros((n * m, n * m) + batch)
+    out_rate = np.zeros((n,) + batch)
+    for tr in chain.transitions:
+        out_rate[tr.from_state] += tr.rate
+    for s in range(n):
+        for j in range(m):
+            a[s * m + j, s * m + j] += out_rate[s]
+    for tr in chain.transitions:
+        src, dst = tr.from_state, tr.to_state
+        for j in range(m):
+            for i in range(m):
+                if tr.reset[i, j] != 0.0:
+                    a[dst * m + j, src * m + i] -= tr.rate * tr.reset[i, j]
+    return np.moveaxis(q, (0, 1), (-2, -1)), np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def _hand_built_chains():
+    rng = np.random.default_rng(32)
+    lam, mu, _, _ = _grid(6)
+    # age_dim 1: a self-loop that resets the age and one that keeps it
+    yield pytest.param(shs.ShsChain(
+        n_states=2, age_dim=1, growth=np.ones((2, 1)), transitions=(
+            shs.Transition(0, 1, 1.5, np.zeros((1, 1))),
+            shs.Transition(1, 0, mu, np.ones((1, 1))),
+            shs.Transition(1, 1, 0.4, np.zeros((1, 1))),
+            shs.Transition(0, 0, lam, np.ones((1, 1))),
+        )), id="age_dim-1")
+    # age_dim 3: parallel edges, self-loops on the diagonal, float and array rates
+    resets = rng.integers(0, 2, size=(7, 3, 3)).astype(float)
+    resets[3] = np.eye(3)
+    ends = ((0, 1), (0, 1), (1, 2), (2, 2), (2, 0), (2, 0), (1, 1))
+    rates = (lam, 0.8, mu, 1.1, lam * mu, 2.5, mu)
+    yield pytest.param(shs.ShsChain(
+        n_states=3, age_dim=3, growth=np.array([[1.0, 0, 0], [1, 1, 0], [1, 1, 1]]),
+        transitions=tuple(shs.Transition(f, t, r, reset)
+                          for (f, t), r, reset in zip(ends, rates, resets))), id="age_dim-3")
+
+
+def _device_chains():
+    lam, mu, k, p = _grid(50)
+    for ps in PolicyScheme.all_combinations():
+        yield pytest.param(shs.build_chain(ps, lam=1.3, mu=0.7, k=2.1, p=0.4),
+                           id=f"{ps.label}-floats")
+        yield pytest.param(shs.build_chain(ps, lam=2, mu=1, k=3, p=1), id=f"{ps.label}-ints")
+        yield pytest.param(shs.build_chain(ps, lam=lam, mu=mu, k=k, p=p), id=f"{ps.label}-arrays")
+    lam, mu, k = (x.reshape(5, 10) for x in (lam, mu, k))
+    yield pytest.param(shs.build_chain(W_WP, lam=lam, mu=mu, k=k, p=np.ones((5, 10))),
+                       id="W-WP-2d-lossless")
+
+
+@pytest.mark.parametrize("chain", [*_device_chains(), *_hand_built_chains()])
+def test_chain_operators_equal_a_reference_assembly(chain):
+    n, m, batch = chain.n_states, chain.age_dim, chain.batch_shape
+    generator, age_operator = _reference_operators(chain)
+    assert chain.generator.shape == batch + (n, n)
+    assert chain.age_operator.shape == batch + (n * m, n * m)
+    assert np.array_equal(chain.generator, generator)
+    assert np.array_equal(chain.age_operator, age_operator)
