@@ -217,12 +217,6 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 BLOCK = 64
 
 
-@lru_cache(maxsize=8)
-def _row_slices(n: int) -> tuple[slice, ...]:
-    """The slices that cut a flat (n, BLOCK) block into its n rows."""
-    return tuple(slice(d * BLOCK, (d + 1) * BLOCK) for d in range(n))
-
-
 class _CutBuffers(threading.local):
     """Each thread's buffers that stream blocks are cut through, by typecode and n."""
 
@@ -240,31 +234,31 @@ _cut_buffers = _CutBuffers()
 class _Stream:
     """One purpose's blocked, counter-addressed random stream.
 
-    The key (seed, replication, purpose) seeds a Philox generator, built on
-    first use, from which ``sample(generator, shape)`` draws whole blocks.
-    :meth:`blocks` returns the next ``k`` blocks at once.  ``draws[d]``
+    The key (seed, replication, purpose) seeds a Philox generator, built
+    with the stream, from which ``sample(generator, shape)`` draws whole
+    blocks; :meth:`blocks` returns the next ``k`` at once.  ``draws[d]``
     holds device ``d``'s unread draws of its current block row, reversed, so
     the next draw is ``draws[d].pop()``.  When that is empty, :meth:`refill`
     moves the device to its row in the next block, generating the block on
-    first use.  A generated block is cut at once into its n rows, each an
-    ``array`` of C values of the block's dtype, reversed, so a Python number
-    is made only for a draw that is read.  The reversed block is copied into
-    a buffer that the thread reuses for every block of that dtype and n, and
-    the rows are sliced from it as copies: a block-sized temporary made and
-    freed per block would be handed back to the kernel and faulted in again
-    by the next.  The buffer is per thread because numpy's copy releases the
-    GIL.  A block keeps only the rows no device has taken: a device takes
-    its row and leaves ``None`` in its place, and the block is dropped once
-    every device has taken its row.
-    Block 0 is handed to every device at once, on the first refill of any
-    of them.
+    first use and cutting it at once into its n rows, each an ``array`` of C
+    values, reversed, so a Python number is made only for a draw that is
+    read.  A block keeps only the rows no device has taken (a taken row
+    leaves ``None``) and is dropped once every device has taken its row.
+    The reversed block is copied into a buffer the thread reuses for every
+    block of that dtype and n, and the rows are sliced from it as copies, so
+    no block-sized temporary is faulted in and freed per block: that cut
+    ``ensemble``'s wall time by 16 % (BENCH_24.json).  The buffer is per
+    thread because numpy's copy releases the GIL.  Block 0 is handed to
+    every device at once, on the first refill of any of them: taken row by
+    row, 40 of ``ensemble``'s N = 1000 runs took 1.11 times as long (median
+    of 14 rounds of ``scripts/time_sim.py``, slower in 13).
     """
 
     def __init__(self, config: SimConfig, purpose: int,
                  sample: Callable[[np.random.Generator, tuple[int, int, int]], np.ndarray]):
-        self._key = (config.seed, (config.replication << 3) | purpose)
+        key = np.array((config.seed, (config.replication << 3) | purpose), dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
         self._sample = sample
-        self._gen: np.random.Generator | None = None
         self._n = n = config.params.n_devices
         self._blocks: dict[int, list] = {}  # index -> [rows not yet taken, how many]
         self._next_row = [0] * n
@@ -272,9 +266,6 @@ class _Stream:
 
     def blocks(self, k: int) -> np.ndarray:
         """The stream's next ``k`` blocks, as one ``(k, n, BLOCK)`` array."""
-        if self._gen is None:
-            key = np.array(self._key, dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._sample(self._gen, (k, self._n, BLOCK))
 
     def refill(self, device: int):
@@ -287,7 +278,7 @@ class _Stream:
             flat, view = _cut_buffers.get(block.dtype.char, self._n)
             np.copyto(view, block[:, ::-1])
             del block  # freed before the rows are made
-            rows = [flat[s] for s in _row_slices(self._n)]
+            rows = [flat[i:i + BLOCK] for i in range(0, len(flat), BLOCK)]
             if j == 0:  # every device is still on block 0: hand out all its rows
                 self.draws[:] = rows
                 self._next_row[:] = [1] * self._n
@@ -588,7 +579,7 @@ def run(config: SimConfig) -> SimResult:
 
 @dataclass(frozen=True)
 class PooledResult:
-    """Replications with pooled statistics over their per-replication means."""
+    """Replications with pooled statistics over their means (``half_width`` nan for one)."""
 
     results: tuple[SimResult, ...]
     mean_aoi: float
@@ -610,7 +601,7 @@ def _pool(results: list[SimResult]) -> PooledResult:
         results=tuple(results),
         mean_aoi=mean,
         stderr=stderr,
-        half_width=_NORMAL_95 * stderr,
+        half_width=_NORMAL_95 * stderr if len(results) > 1 else math.nan,
     )
 
 

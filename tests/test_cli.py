@@ -10,6 +10,7 @@ import runpy
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
@@ -27,6 +28,7 @@ MF_ARGS = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--gamma", "5", "--p", "0
 ANALYTIC_POINT = ["--lambda", "1", "--mu", "1", "--k", "1", "--p", "1"]
 SIM_POINT = ["--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7", "--n", "10", "--m", "2",
              "--arrivals", "100"]
+REPO = Path(__file__).resolve().parent.parent
 SIM_N20 = ["simulate", "--lambda", "0.8", "--mu", "1", "--w", "2", "--p", "0.7",
            "--n", "20", "--m", "4"]
 
@@ -868,6 +870,53 @@ def test_bench_pairs_names_the_csv_files_that_differ(tmp_path, capsys, monkeypat
     assert [p["csv_sha256_identical"] for p in pairs] == [True, False, False]
 
 
+@pytest.fixture
+def time_sim():
+    """``scripts/time_sim.py`` as a module; the packages it loads are dropped afterwards."""
+    spec = spec_from_file_location("time_sim", REPO / "scripts" / "time_sim.py")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in [name for name in sys.modules if name.startswith("_time_sim_")]:
+        del sys.modules[name]
+
+
+def _tiny_shape(time_sim, change_seed_offset=0):
+    """Two short runs; the change side's seed is moved by ``change_seed_offset``."""
+    def tiny(pkg, seed):
+        params = pkg.SystemParams(**time_sim.RATES, n_devices=10, n_channels=2)
+        if pkg.__name__ == "_time_sim_change":
+            seed += change_seed_offset
+        config = pkg.sim.SimConfig(params=params, ps=pkg.PolicyScheme(pkg.Policy.S, pkg.Scheme.WP),
+                                   seed=seed, stop_arrivals=300)
+        return [config, replace(config, replication=1)]
+    return tiny
+
+
+def test_time_sim_times_a_checkout_against_itself(time_sim, capsys):
+    time_sim.SHAPES["tiny"] = _tiny_shape(time_sim)
+    time_sim.main([str(REPO), str(REPO), "--shape", "tiny", "--rounds", "3"])
+    # each side is its own copy of the package, loaded from the checkout
+    sims = [sys.modules[f"_time_sim_{side}"].sim for side in ("parent", "change")]
+    assert sims[0] is not sims[1] and sims[0].run is not sims[1].run
+    assert {Path(s.__file__) for s in sims} == {REPO / "src" / "aoi_csma" / "sim.py"}
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["shape"], report["rounds"], report["runs_per_round"]) == ("tiny", 3, 2)
+    assert report["parent_s"]["median"] > 0.0 and report["change_s"]["median"] > 0.0
+    assert report["ratio"] > 0.0 and 0 <= report["change_wins"] <= 3
+    assert captured.err.count("round ") == 3
+
+
+def test_time_sim_stops_where_the_sides_draw_differently(time_sim, capsys):
+    time_sim.SHAPES["tiny"] = _tiny_shape(time_sim, change_seed_offset=1)
+    with pytest.raises(SystemExit) as exited:
+        time_sim.main([str(REPO), str(REPO), "--shape", "tiny", "--rounds", "3"])
+    assert exited.value.code == ("round 0, config 0: avg_aoi_per_device differs "
+                                 "between parent and change")
+    assert capsys.readouterr().out == ""
+
+
 def test_simulate_csv_serialization(tmp_path, capsys):
     out_dir = tmp_path / "sim"
     code, _, _ = run_cli(capsys, "simulate", "--policy", "W", "--scheme", "wp",
@@ -1119,6 +1168,20 @@ def test_simulate_compare_prints_one_line_per_pair(tmp_path, capsys):
         assert m[2] == _fmt(mf.aoi_at_equilibrium(ps, params))
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5c5451a3e80f23a7207a7d472bc7ede8db142cfc44fa6eba9c6aa82cc8c59816")
+
+
+def test_simulate_compare_claims_no_interval_from_one_replication(tmp_path, capsys):
+    """One replication has no spread over replications, so its half-width is
+    nan, while the summary's stderr is still the spread over its devices."""
+    code, out, _ = run_cli(capsys, *SIM_N20, "--policy", "W", "--scheme", "wp",
+                           "--arrivals", "1000", "--reps", "1", "--seed", "9", "--compare",
+                           "--out", str(tmp_path))
+    assert code == 0
+    assert re.fullmatch(r"W-WP: sim=\S+ meanfield=\S+ rel_error=[-+][\d.]+% half_width=nan\n",
+                        out)
+    header, row = (tmp_path / "summary.csv").read_text().splitlines()
+    stderr = float(row.split(",")[header.split(",").index("stderr")])
+    assert math.isfinite(stderr) and stderr > 0.0
 
 
 # meanfield --monotonicity at README's FIG5 point on criterion 11's grids:

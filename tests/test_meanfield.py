@@ -341,6 +341,22 @@ def test_monotonicity_policy_w_is_reported_not_asserted():
         assert report.verdicts["aoi"] == "report"
 
 
+def test_aoi_rises_in_lambda_without_preemption_where_w_over_mu_is_large():
+    """Where the mean-field AoI is not monotone in lambda: at mu=0.05, w=50,
+    gamma=3, p=0.9, going from lambda=0.025 to 0.045, the three WOP curves
+    rise (by 2.544 %, 2.357 % and 2.777 % for I, W and S) and the three WP
+    curves fall (by 6.95-7.73 %)."""
+    pairs = list(PolicyScheme.all_combinations())
+    base = SystemParams(lam=0.025, mu=0.05, w=50.0, gamma=3.0, p=0.9)
+    for ps, rows in zip(pairs, mf.aoi_along(pairs, base, "lam", [0.025, 0.045])):
+        low, high = rows[4]
+        change = high / low - 1.0
+        if ps.scheme is Scheme.WOP:
+            assert change > 0.02, (ps.label, change)
+        else:
+            assert change < -0.06, (ps.label, change)
+
+
 def test_monotonicity_grid_validation():
     with pytest.raises(mf.GridPointInvalid):
         mf.monotonicity_report([I_WP], FIG3, "p", [0.5, 1.0])

@@ -165,6 +165,33 @@ def test_single_device_failure_branch_matches_closed_form(ps):
     assert all(r.failed > 0 for r in pooled.results)
 
 
+def test_single_device_failure_branch_z_against_closed_form():
+    """Over the six pairs at N = M = 1 and p < 1, the largest |z| of the
+    pooled AoI against its closed form is below 4.5.
+
+    Each z is the gap over the standard error of 40 replications, a Student
+    t on 39 degrees of freedom, which passes 4.5 with probability 6.0e-5 on
+    each side, so alpha <= 12 * 6.0e-5 = 3.6e-4 over the six pairs.  Each
+    policy is simulated once and its two schemes read from that run with
+    ``as_scheme``.  Over 20 other seeds (120 pairs) the z's were -0.04 on
+    average with spread 1.26, largest 3.63.
+    """
+    params = SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=1.0, n_devices=1, n_channels=1)
+    z = {}
+    for policy in Policy:
+        config = sim.SimConfig(params=params, ps=PolicyScheme(policy, Scheme.WP), seed=1,
+                               stop_arrivals=5_000)
+        run = sim.replicate(config, n_reps=40)
+        for scheme in Scheme:
+            ps = PolicyScheme(policy, scheme)
+            pooled = run.as_scheme(scheme)
+            # a lone device always finds its channel free, so its access rate is w
+            expected = cf.avg_aoi(ps, lam=0.8, mu=1.0, k=2.0, p=0.7)
+            z[ps.label] = (pooled.mean_aoi - expected) / pooled.stderr
+    assert len(z) == 6
+    assert max(map(abs, z.values())) < 4.5, z
+
+
 def test_run_is_deterministic():
     config = sim.SimConfig(params=_params(20, 4), ps=W_WP, seed=7, stop_arrivals=2000)
     a, b = sim.run(config), sim.run(config)
