@@ -1,25 +1,26 @@
 """Same-process A/B timing of ``sim.run`` between two checkouts.
 
 Usage: python3 scripts/time_sim.py PARENT_DIR CHANGE_DIR --shape {steady,ensemble}
-[--rounds K] [--seed S], with K >= 2 (default 10).  Each checkout's
-``src/aoi_csma`` is loaded in this one process under its own package name,
-so both sides share the interpreter, numpy and the machine's state of the
-moment.  After one untimed run of the first config on each side, a round
-runs the shape's configs through each side's ``sim.run``, the change first
-in even rounds, and times each side's whole pass with
-``time.perf_counter``.  Every round checks that both sides gave
-bit-identical ``avg_aoi_per_device`` for every config, and stops the
-script naming the first config that differs.  Prints one JSON object: each
-side's quartiles of the per-round times in seconds, ``ratio`` (the change's
-median over the parent's) and ``change_wins`` (the rounds in which the
-change was faster).
+[--rounds K], with K >= 2 (default 10).  Each checkout's ``src/aoi_csma``
+is loaded in this one process under its own package name, so both sides
+share the interpreter, numpy and the machine's state of the moment.  After
+one untimed run of the first config on each side, a round runs the shape's
+configs through each side's ``sim.run``, the change first in even rounds,
+and times each side's whole pass with ``time.perf_counter``.  Every round
+checks that both sides gave bit-identical ``avg_aoi_per_device`` for every
+config, and stops the script naming the first config that differs.  Prints
+one JSON object: each side's quartiles of the per-round times in seconds,
+``ratio`` (the change's median over the parent's) and ``change_wins`` (the
+rounds in which the change was faster).
 
-The shapes are the simulator runs of two benchmark workloads:
+The shapes are the simulator runs of two benchmark workloads, read from
+their command lines in this repository's ``perfbench/workloads.py``, parsed
+by each side's own ``cli``:
 
-- ``steady``: one 200 000-arrival run per policy, the first replication of
-  the ``steady`` workload (N=1000, M=200, warm-up 0.2);
-- ``ensemble``: 40 replications of the N=1000 population of the
-  ``accuracy`` preset (W-WP, horizon 10, sampled every 0.1).
+- ``steady``: one run per policy, the first replication of the ``steady``
+  workload's ``simulate`` command;
+- ``ensemble``: 40 replications of the largest population of the preset the
+  ``ensemble`` workload reproduces.
 """
 
 from __future__ import annotations
@@ -37,35 +38,50 @@ from pathlib import Path
 
 import numpy as np
 
-RATES = dict(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0)  # README's parameters
+REPO = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("_time_sim_workloads",
+                                               REPO / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+SEED = 1
+ENSEMBLE_REPS = 40
 
 
 def _steady(pkg, seed: int) -> list:
-    params = pkg.SystemParams(**RATES, n_devices=1000, n_channels=200)
-    return [pkg.sim.SimConfig(params=params, ps=pkg.PolicyScheme(policy, pkg.Scheme.WP),
-                              seed=seed, stop_arrivals=200_000, warmup_fraction=0.2)
-            for policy in pkg.Policy]
+    # as cli's simulate command builds each policy's first replication
+    args = pkg.cli.build_parser().parse_args(workloads.WORKLOADS["steady"][0])
+    params = pkg.SystemParams(lam=args.lam, mu=args.mu, w=args.w, p=args.p,
+                              gamma=args.n / args.m, n_devices=args.n, n_channels=args.m)
+    return [pkg.sim.SimConfig(params=params, ps=pkg.PolicyScheme(policy, args.scheme[0]),
+                              seed=seed, stop_arrivals=args.arrivals, stop_time=args.horizon,
+                              warmup_fraction=args.warmup, sample_dt=args.sample_dt)
+            for policy in args.policy]
 
 
 def _ensemble(pkg, seed: int) -> list:
-    params = pkg.SystemParams(**RATES, n_devices=1000, n_channels=200)
-    config = pkg.sim.SimConfig(params=params, ps=pkg.PolicyScheme(pkg.Policy.W, pkg.Scheme.WP),
-                               seed=seed, stop_time=10.0, warmup_fraction=0.0, sample_dt=0.1)
-    return [replace(config, replication=j) for j in range(40)]
+    # as cli's accuracy writer builds its largest population
+    args = pkg.cli.build_parser().parse_args(workloads.WORKLOADS["ensemble"][0])
+    rates = dict(pkg.cli.PRESETS[args.preset].params)
+    n, pair, t_end = max(rates.pop("populations")), rates.pop("pair"), rates.pop("t_end")
+    del rates["ode_dt"]
+    params = pkg.SystemParams(**rates, n_devices=n, n_channels=int(round(n / rates["gamma"])))
+    config = pkg.sim.SimConfig(params=params, ps=pair, seed=seed, stop_time=t_end,
+                               warmup_fraction=0.0, sample_dt=args.sample_dt)
+    return [replace(config, replication=j) for j in range(ENSEMBLE_REPS)]
 
 
 SHAPES = {"steady": _steady, "ensemble": _ensemble}  # name -> (package, seed) -> configs
 
 
 def load(checkout: str, name: str):
-    """The ``aoi_csma`` package of ``checkout``, imported as ``name`` with its ``sim``."""
+    """The ``aoi_csma`` package of ``checkout``, imported as ``name`` with ``sim`` and ``cli``."""
     root = Path(checkout).resolve() / "src" / "aoi_csma"
     spec = importlib.util.spec_from_file_location(
         name, root / "__init__.py", submodule_search_locations=[str(root)])
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg  # the package's relative imports resolve through it
     spec.loader.exec_module(pkg)
-    importlib.import_module(f"{name}.sim")  # binds pkg.sim
+    importlib.import_module(f"{name}.cli")  # binds pkg.cli and pkg.sim
     return pkg
 
 
@@ -87,13 +103,12 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("change_dir")
     parser.add_argument("--shape", required=True, choices=sorted(SHAPES))
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.rounds < 2:  # the quartiles of each side need two rounds
         parser.error(f"--rounds must be at least 2, got {args.rounds}")
     sides = {side: load(checkout, f"_time_sim_{side}")
              for side, checkout in (("parent", args.parent_dir), ("change", args.change_dir))}
-    configs = {side: SHAPES[args.shape](pkg, args.seed) for side, pkg in sides.items()}
+    configs = {side: SHAPES[args.shape](pkg, SEED) for side, pkg in sides.items()}
     for side, pkg in sides.items():  # untimed: first use of each side's code and numpy paths
         pkg.sim.run(configs[side][0])
     times: dict[str, list[float]] = {"parent": [], "change": []}

@@ -884,7 +884,8 @@ def time_sim():
 def _tiny_shape(time_sim, change_seed_offset=0):
     """Two short runs; the change side's seed is moved by ``change_seed_offset``."""
     def tiny(pkg, seed):
-        params = pkg.SystemParams(**time_sim.RATES, n_devices=10, n_channels=2)
+        params = pkg.SystemParams(lam=0.8, mu=1.0, w=2.0, p=0.7, gamma=5.0,
+                                  n_devices=10, n_channels=2)
         if pkg.__name__ == "_time_sim_change":
             seed += change_seed_offset
         config = pkg.sim.SimConfig(params=params, ps=pkg.PolicyScheme(pkg.Policy.S, pkg.Scheme.WP),
@@ -906,6 +907,22 @@ def test_time_sim_times_a_checkout_against_itself(time_sim, capsys):
     assert report["parent_s"]["median"] > 0.0 and report["change_s"]["median"] > 0.0
     assert report["ratio"] > 0.0 and 0 <= report["change_wins"] <= 3
     assert captured.err.count("round ") == 3
+
+
+def test_time_sim_shapes_follow_the_benchmark_workloads(time_sim):
+    """The shapes are built, not run: from the workloads' command lines and
+    the ``accuracy`` preset, so they move when a workload does."""
+    pkg = time_sim.load(str(REPO), "_time_sim_shapes")
+    steady = time_sim.SHAPES["steady"](pkg, time_sim.SEED)
+    assert [c.ps for c in steady] == [pkg.PolicyScheme(policy, pkg.Scheme.WP)
+                                      for policy in pkg.Policy]
+    assert {(c.params.n_devices, c.params.n_channels, c.stop_arrivals, c.warmup_fraction)
+            for c in steady} == {(1000, 200, time_sim.workloads._STEADY_ARRIVALS, 0.2)}
+    ensemble = time_sim.SHAPES["ensemble"](pkg, time_sim.SEED)
+    preset = pkg.cli.PRESETS["accuracy"].params
+    assert [c.replication for c in ensemble] == list(range(time_sim.ENSEMBLE_REPS))
+    assert {(c.params.n_devices, c.params.gamma, c.ps, c.stop_time, c.sample_dt)
+            for c in ensemble} == {(1000, preset["gamma"], preset["pair"], preset["t_end"], 0.1)}
 
 
 def test_time_sim_stops_where_the_sides_draw_differently(time_sim, capsys):
