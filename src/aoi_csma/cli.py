@@ -45,9 +45,6 @@ _EXIT_NUMERICAL = 2
 _EXIT_THRESHOLD = 3
 
 _MAX_GRID = 1_000_000  # points per grid, as meanfield bounds its steps and sim its samples
-# Shorter runs of repeated trajectory states are formatted in full: in CPython
-# 3.11 a stretch of their own costs about what formatting ten rows' states does.
-_MIN_REPEAT_RUN = 16
 
 class UsageError(AoiError):
     """Bad command line or config file content."""
@@ -80,27 +77,19 @@ def _trajectory_csv(column: list[str], states) -> str:
     """The CSV text of a trajectory of (x_I, x_W, x_S), mean-field or empirical.
 
     ``column`` is the sample times as ``_rows("%.9g", times)`` gives them, so
-    trajectories with the same times format them once.  A state equal to the
-    row before, with every component positive (so equal means the same
-    bits), has that row's text, so a run of at least ``_MIN_REPEAT_RUN``
-    such rows is a stretch that joins its times with the fixed state text;
-    other stretches go through ``_rows``.
+    trajectories with the same times format them once.  The settled tail,
+    the rows after the last change of state, each equal to the row before
+    with every component positive (so equal means the same bits), joins its
+    times with that one state's text; the rows before it go through ``_rows``.
     """
     states = np.asarray(states, dtype=float).reshape(-1, 3)
-    repeats = np.zeros(len(states), dtype=bool)
-    repeats[1:] = ((states[1:] == states[:-1]) & (states[1:] > 0.0)).all(axis=1)
-    starts = np.flatnonzero(np.diff(repeats, prepend=True))
-    lengths = np.diff(starts, append=len(states))
-    repeats &= np.repeat(lengths >= _MIN_REPEAT_RUN, lengths)
-    starts = np.flatnonzero(np.diff(repeats, prepend=True)).tolist()
-    parts = ["t,x_I,x_W,x_S\n"]
-    for first, end in zip(starts, [*starts[1:], len(states)]):
-        if repeats[first]:
-            tail = ",%.9g,%.9g,%.9g\n" % tuple(states[first].tolist())
-            parts.append(tail.join(column[first:end]) + tail)
-            continue
-        parts.append(_csv(_rows("%s,%.9g,%.9g,%.9g", column[first:end], *states[first:end].T)))
-    return "".join(parts)
+    repeats = ((states[1:] == states[:-1]) & (states[1:] > 0.0)).all(axis=1)
+    end = 1 + int(np.flatnonzero(np.append(True, ~repeats))[-1])  # the tail's first row
+    text = _csv(["t,x_I,x_W,x_S", *_rows("%s,%.9g,%.9g,%.9g", column[:end], *states[:end].T)])
+    if end >= len(states):
+        return text
+    tail = ",%.9g,%.9g,%.9g\n" % tuple(states[end].tolist())
+    return "".join([text, tail.join(column[end:]), tail])
 
 
 def _aoi_lines(avg_aoi_per_device: np.ndarray) -> list[str]:

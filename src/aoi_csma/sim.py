@@ -20,9 +20,9 @@ which packet a completion delivers: service is exponential, so an arrival
 in service does not change when the channel frees, and the scheme draws
 nothing.  So :func:`run` simulates ``config.ps.policy`` once and keeps a
 sawtooth per scheme on it: the WP stamp moves with each arrival in service,
-the WOP stamp stays at the packet that entered service.  The result reports
-``config.ps.scheme``, and ``as_scheme`` reads the other scheme from the same
-run, so WOP - WP is a difference on one sample path.
+the WOP stamp stays at the packet that entered service.  :func:`run` builds
+the WP view and returns its ``as_scheme(config.ps.scheme)``, so WOP - WP,
+read with ``as_scheme``, is a difference on one sample path.
 
 Randomness contract: every draw is a pure function of
 (seed, replication, device, purpose, draw index).  One counter-keyed
@@ -167,8 +167,9 @@ class SimResult:
     ``replaced`` counts packets a newer arrival replaced while waiting, and
     ``held`` the devices waiting or in service at the end, one packet each.
 
-    The figures are those of ``scheme``; :meth:`as_scheme` gives the other
-    scheme's on the same trajectory, from ``other_avg_aoi_per_device``.
+    The figures are those of ``scheme``: :func:`run` builds the WP view and
+    gives the config's scheme through :meth:`as_scheme`, which reads the
+    other scheme's on the same trajectory from ``other_avg_aoi_per_device``.
     """
 
     avg_aoi_per_device: np.ndarray
@@ -357,7 +358,7 @@ def run(config: SimConfig) -> SimResult:
     n: int = params.n_devices
     m: int = params.n_channels
     w, mu, prob, gamma = params.w, params.mu, params.p, params.gamma
-    fail_to, wp = FAILURE_TARGET[config.ps.policy], config.ps.scheme is Scheme.WP
+    fail_to = FAILURE_TARGET[config.ps.policy]
     if config.stop_time is None:  # the config checked a time horizon's samples
         t_warm, t_stop = _arrival_horizon(config)
         _check_samples(t_stop, config.sample_dt)
@@ -552,29 +553,28 @@ def run(config: SimConfig) -> SimResult:
     mean_xs = ns_integral / (measured * n)
     k_est = w * (1.0 - gamma * mean_xs)
 
-    avgs, other = (avgs_wp, avgs_wop) if wp else (avgs_wop, avgs_wp)
-    mean, stderr = _mean_stderr(avgs)
+    mean, stderr = _mean_stderr(avgs_wp)
     return SimResult(
-        avg_aoi_per_device=avgs,
+        avg_aoi_per_device=avgs_wp,
         avg_aoi_mean=mean,
         avg_aoi_stderr=stderr,
         arrivals=arrivals,
         delivered=delivered,
         failed=failed,
-        preempted=in_service if wp else 0,
-        discarded=0 if wp else in_service,
+        preempted=in_service,
+        discarded=0,
         replaced=replaced,
         held=n_wait + n_serv,
         effective_k_estimate=k_est,
         measured_time=measured,
         end_time=t_stop,
         n_devices=n,
-        scheme=config.ps.scheme,
-        other_avg_aoi_per_device=other,
+        scheme=Scheme.WP,
+        other_avg_aoi_per_device=avgs_wop,
         trajectory_times=np.frombuffer(traj_times) if sampling else None,
         trajectory_counts=(np.frombuffer(traj_counts, dtype=np.int64).reshape(-1, 3)
                            if sampling else None),
-    )
+    ).as_scheme(config.ps.scheme)
 
 
 @dataclass(frozen=True)
