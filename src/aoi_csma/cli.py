@@ -214,8 +214,6 @@ _FLAGS = {
                            help="emit a gnuplot script next to the CSV output"),
 }
 
-# Flag name -> dest where the two differ ("lambda" -> "lam").
-_DEST_OF_FLAG = {name: spec["dest"] for name, spec in _FLAGS.items() if "dest" in spec}
 # Each flag's dest, and each model field a flag sets, -> that flag, so that
 # messages name what the user typed ("stop_time" -> "horizon").
 _FLAG_OF_FIELD = {
@@ -263,10 +261,10 @@ def _parse_sweep(text: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
         raise UsageError(f"sweep must be <param>=<start:end:count>, got {text!r}")
     name, grid_text = text.split("=", 1)
     key = name.strip().lower()
-    key = _DEST_OF_FLAG.get(key, key)
-    if key not in allowed:
+    which = next((d for d in allowed if key in (d, _FLAG_OF_FIELD[d])), None)
+    if which is None:
         raise UsageError(f"cannot sweep {name!r}; choose from {', '.join(allowed)}")
-    return key, _parse_grid(grid_text)
+    return which, _parse_grid(grid_text)
 
 
 def _combos(args) -> list[PolicyScheme]:

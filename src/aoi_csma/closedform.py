@@ -46,21 +46,24 @@ def _check_rates(lam, mu, k, p) -> None:
             raise DivergentAoi(f"{name} = {value}: rate must be positive")
 
 
-def _first_failing(good, **rates) -> str:
-    """``name=value`` of each rate, broadcast to ``good``'s shape, at the
-    first point where ``good`` is False."""
-    at = np.argmin(np.ravel(good))
-    return ", ".join(f"{name}={float(np.broadcast_to(value, np.shape(good)).flat[at])!r}"
-                     for name, value in rates.items())
+def refuse(error: type[Exception], good, message: str, point: dict, value=None) -> None:
+    """Raise ``error(f"{message} at name=value, ...")`` at the first point, in C
+    order, where ``good`` is False: each ``point`` entry is broadcast to its
+    shape, and ``value`` at that point fills the message's braces."""
+    if not good.all():
+        at = np.argmin(np.ravel(good))
+        if value is not None:
+            message = message.format(np.ravel(value)[at])
+        raise error(f"{message} at " + ", ".join(
+            f"{name}={float(np.broadcast_to(v, np.shape(good)).flat[at])!r}"
+            for name, v in point.items()))
 
 
 def _finite(what: str, value: np.ndarray, lam, mu, k, p) -> float | np.ndarray:
     """``value``, a float where it is 0-d; raises DivergentAoi at its first
     point that is not finite."""
-    good = np.isfinite(value)
-    if not good.all():
-        raise DivergentAoi(f"{what} is not finite at "
-                           + _first_failing(good, lam=lam, mu=mu, k=k, p=p))
+    refuse(DivergentAoi, np.isfinite(value), f"{what} is not finite",
+           dict(lam=lam, mu=mu, k=k, p=p))
     return value if np.ndim(value) else float(value)
 
 

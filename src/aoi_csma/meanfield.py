@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import closedform
+from .closedform import refuse
 from .core import (
     FAILURE_TARGET,
     IDLE,
@@ -107,15 +108,6 @@ def drift(policy: Policy, params: SystemParams, x: StateFractions) -> np.ndarray
     return np.array(_drift(policy, params)(x.x_i, x.x_w, x.x_s))
 
 
-def _refuse(good, message: str, point: dict, value=None) -> None:
-    """Raise NoFeasibleRoot with ``message`` at the first point where ``good``
-    is False, with ``value`` at that point in the message's braces."""
-    if not good.all():
-        if value is not None:
-            message = message.format(np.ravel(value)[np.argmin(np.ravel(good))])
-        raise NoFeasibleRoot(f"{message} at {closedform._first_failing(good, **point)}")
-
-
 def _radical(policy: Policy, lam, mu, w, gamma, p):
     """(x_i, x_w, x_s, k*) of the equilibrium from its radical, for float64
     arrays or scalars of one shape (a single point is float64 scalars).
@@ -152,12 +144,13 @@ def _radical(policy: Policy, lam, mu, w, gamma, p):
         residual = np.abs(x_s - lam * k / (a * k + lam * out))
         roots = np.array(((to_idle / lam) * x_s, out * x_s / k, x_s, k))
     point = dict(lam=lam, mu=mu, w=w, gamma=gamma, p=p)
-    _refuse(~(disc < 0.0), "negative discriminant {}", point, disc)
+    refuse(NoFeasibleRoot, ~(disc < 0.0), "negative discriminant {}", point, disc)
     # a discriminant or root that is not finite makes y_plus or x_s not finite
-    _refuse(np.isfinite(roots).all(axis=0) & np.isfinite(y_plus), "x* or k* is not finite", point)
-    _refuse((0.0 < y_minus) & (y_minus < 1.0) & (1.0 <= y_plus),
-            "no equilibrium root with busy probability in (0, 1)", point)
-    _refuse(residual <= 1e-9, "fixed-point residual {} too large", point, residual)
+    refuse(NoFeasibleRoot, np.isfinite(roots).all(axis=0) & np.isfinite(y_plus),
+           "x* or k* is not finite", point)
+    refuse(NoFeasibleRoot, (0.0 < y_minus) & (y_minus < 1.0) & (1.0 <= y_plus),
+           "no equilibrium root with busy probability in (0, 1)", point)
+    refuse(NoFeasibleRoot, residual <= 1e-9, "fixed-point residual {} too large", point, residual)
     return roots
 
 
@@ -379,10 +372,8 @@ def monotonicity_report(
     with np.errstate(all="ignore"):  # (x_i, x_w, x_s, AoI) slopes per pair and grid value
         slopes = np.array([(rows[[0, 1, 2, 4], 1::2] - rows[[0, 1, 2, 4], 0::2]) / scale
                            for rows in aoi_along(combos, params, which, stencil)])
-    finite = np.isfinite(slopes).all(axis=(0, 1))
-    if not finite.all():
-        raise closedform.DivergentAoi("a finite difference is not finite at "
-                                      + closedform._first_failing(finite, **{which: values}))
+    refuse(closedform.DivergentAoi, np.isfinite(slopes).all(axis=(0, 1)),
+           "a finite difference is not finite", {which: values})
     reports = []
     for ps, slope in zip(combos, slopes):
         d_x, d_aoi = slope[:3].T, slope[3]

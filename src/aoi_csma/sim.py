@@ -116,8 +116,10 @@ class SimConfig:
     Exactly one of ``stop_arrivals`` (total system-wide packet arrivals) or
     ``stop_time`` must be set.  ``warmup_fraction`` of the horizon is
     excluded from AoI statistics.  ``sample_dt`` enables empirical-measure
-    sampling.  ``replication`` indexes the derived random streams.  The seed
-    and the replication are integers, keying each stream as the two uint64s
+    sampling at t = 0, sample_dt, 2 * sample_dt, ... up to the horizon; each
+    sample, t = 0 included, counts the events at its time.  ``replication``
+    indexes the derived random streams.  The seed and the replication are
+    integers, keying each stream as the two uint64s
     ``(seed, (replication << 3) | purpose)``.  Building a config without N and
     M, or with a value out of range, raises :class:`InvalidConfig`.
     """
@@ -405,13 +407,9 @@ def run(config: SimConfig) -> SimResult:
 
     sampling = config.sample_dt is not None
     sample_dt = config.sample_dt or 0.0
-    next_sample = math.inf
+    next_sample = 0.0 if sampling else math.inf
     traj_times = array("d")
     traj_counts = array("q")  # (idle, waiting, service) per sample, flat
-    if sampling:
-        traj_times.append(0.0)
-        traj_counts.extend((n, 0, 0))
-        next_sample = sample_dt
 
     for d in range(n):  # the first refill hands block 0 to every device
         q = draw_arr[d]
@@ -535,12 +533,11 @@ def run(config: SimConfig) -> SimResult:
                 in_service += skipped
 
     ns_integral += n_serv * (t_stop - last_t)
-    if sampling:
-        while next_sample <= t_stop + 1e-12:
-            _check_channels(busy_until, n_serv)
-            traj_times.append(next_sample)
-            traj_counts.extend((n - n_wait - n_serv, n_wait, n_serv))
-            next_sample += sample_dt
+    while next_sample <= t_stop + 1e-12:
+        _check_channels(busy_until, n_serv)
+        traj_times.append(next_sample)
+        traj_counts.extend((n - n_wait - n_serv, n_wait, n_serv))
+        next_sample += sample_dt
     _check_channels(busy_until, n_serv)
 
     # Each sawtooth's area up to t_stop.  numpy evaluates these element by

@@ -158,11 +158,15 @@ def test_divergent_and_invalid_inputs():
 def test_values_that_are_not_finite_raise_divergent_aoi(extreme):
     # rates in their domain can still overflow or underflow float64: near 0
     # the products lam*k vanish, near 1e200 they overflow.  A float raises
-    # for its point, an array names its first failing point.
+    # for its point, an array names its first failing point.  In the 2-D
+    # case p broadcasts along rows, so the first failing point in C order
+    # has p = 0.5 and the first in Fortran order p = 0.25.
     point = dict(lam=extreme, mu=extreme, k=extreme, p=0.5)
     grid = dict(point, **{name: np.array([1.0, extreme]) for name in ("lam", "mu", "k")})
+    diagonal = np.array([[1.0, extreme], [extreme, 1.0]])
+    plane = dict(lam=diagonal, mu=diagonal, k=diagonal, p=np.array([[0.5], [0.25]]))
     at = f" is not finite at lam={extreme!r}, mu={extreme!r}, k={extreme!r}, p=0.5"
-    for rates in (point, grid):
+    for rates in (point, grid, plane):
         with pytest.raises(cf.DivergentAoi) as exc:
             cf.avg_aoi(W_WP, **rates)
         assert str(exc.value) == "average AoI" + at

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -287,6 +288,76 @@ def test_trajectory_is_an_empirical_measure():
     assert np.abs(fractions.sum(axis=1) - 1.0).max() < 1e-12
     # at most all channels busy
     assert (fractions[:, 2] * 10).max() <= 2
+
+
+def test_the_sample_at_t0_counts_an_arrival_at_t0(monkeypatch):
+    # device 0's first arrival draw is exactly 0.0, so it arrives at t = 0;
+    # the t = 0 sample counts it, as every later sample counts its events
+    exponential = sim._exponential
+
+    def first_arrival_at_t0(rate):
+        sample = exponential(rate)
+        if rate != FIG3["lam"]:
+            return sample
+        calls = []
+
+        def draw(gen, shape):
+            out = sample(gen, shape)
+            if not calls:
+                out[0, 0, 0] = 0.0
+            calls.append(shape)
+            return out
+        return draw
+
+    monkeypatch.setattr(sim, "_exponential", first_arrival_at_t0)
+    config = sim.SimConfig(params=_params(10, 2), ps=W_WP, seed=5, stop_time=3.0,
+                           warmup_fraction=0.0, sample_dt=1.0)
+    result = sim.run(config)
+    assert result.trajectory_times[0] == 0.0
+    assert result.trajectory_counts[0].tolist() == [9, 1, 0]
+
+
+@pytest.mark.parametrize("c", [2.0, 0.25, 1024.0])
+def test_scaling_the_rates_by_a_power_of_two_scales_every_time_exactly(c):
+    # Multiplying lam, mu and w (or k) by c scales every time in the model by
+    # 1/c.  numpy draws an exponential as its scale times a standard draw, and
+    # a power-of-two factor commutes with rounding, so every AoI is exactly
+    # 1/c times its unscaled value, every k estimate exactly c times, and the
+    # counts are the same.  shs.stationary is the exception: its normalization
+    # row of ones is not scaled with the rates, so the solve may pivot in
+    # another order and round pi differently.  The chain's age solve is
+    # checked on the unscaled pi.
+    lam, mu, w, p = 0.8, 1.0, 2.0, 0.7
+    params = SystemParams(lam=lam, mu=mu, w=w, p=p, gamma=5.0)
+    scaled = replace(params, lam=c * lam, mu=c * mu, w=c * w)
+    k = mf.equilibrium(Policy.W, params).k_star
+    for ps in PolicyScheme.all_combinations():
+        rates = dict(lam=lam, mu=mu, k=k, p=p)
+        fast_rates = dict(lam=c * lam, mu=c * mu, k=c * k, p=p)
+        assert cf.avg_aoi(ps, **fast_rates) == cf.avg_aoi(ps, **rates) / c
+        pi = shs.stationary(shs.build_chain(ps, **rates))
+        fast_chain = shs.build_chain(ps, **fast_rates)
+        assert shs.solve_age_system(fast_chain, pi).avg_aoi == shs.average_aoi(ps, **rates) / c
+        assert mf.aoi_at_equilibrium(ps, scaled) == mf.aoi_at_equilibrium(ps, params) / c
+    events = attrgetter("arrivals", "delivered", "failed", "preempted", "discarded", "replaced",
+                        "held")
+    for n, m in ((1, 1), (10, 2), (200, 40)):
+        params = SystemParams(lam=lam, mu=mu, w=w, p=p, gamma=n / m, n_devices=n, n_channels=m)
+        scaled = replace(params, lam=c * lam, mu=c * mu, w=c * w)
+        for ps in PolicyScheme.all_combinations():
+            for stop, fast_stop in ((dict(stop_arrivals=400),) * 2,
+                                    (dict(stop_time=10.0), dict(stop_time=10.0 / c))):
+                base = sim.run(sim.SimConfig(params=params, ps=ps, seed=n, warmup_fraction=0.2,
+                                             sample_dt=1.0, **stop))
+                fast = sim.run(sim.SimConfig(params=scaled, ps=ps, seed=n, warmup_fraction=0.2,
+                                             sample_dt=1.0 / c, **fast_stop))
+                assert np.array_equal(fast.avg_aoi_per_device, base.avg_aoi_per_device / c)
+                assert np.array_equal(fast.other_avg_aoi_per_device,
+                                      base.other_avg_aoi_per_device / c)
+                assert fast.effective_k_estimate == c * base.effective_k_estimate
+                assert np.array_equal(fast.trajectory_times, base.trajectory_times / c)
+                assert np.array_equal(fast.trajectory_counts, base.trajectory_counts)
+                assert events(fast) == events(base)
 
 
 def test_trajectory_requires_sample_dt():
